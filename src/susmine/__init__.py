@@ -40,7 +40,7 @@ from .model import (
     resolve_component,
     validate_log,
 )
-from .units import UnitRegistry, convert
+from .units import UnitRegistry
 from .ocel import LogSummary, log_summary, parse_ocel, serialize_ocel
 from .annotations import (
     AllocationKey,

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import ComponentKind, ComponentRef, Quantity, resolve_component
 from .annotations import RELATED_EVENTS, AllocationRule, AnnotatedLog
-from .impact import Mode
+from .impact import Mode, vector_add
 from .scoping import ScopedVector
 
 
@@ -82,7 +82,7 @@ def _attribute_value(ref: ComponentRef, al: AnnotatedLog, attribute: str):
     return entity.attributes.get(attribute)
 
 
-def allocation_weights_detailed(
+def allocation_weights(
     rule: AllocationRule, al: AnnotatedLog, mode: Mode = Mode.STRICT
 ) -> tuple[dict[ComponentRef, float], list[str]]:
     """Weights plus any fallback warnings for one rule.
@@ -130,13 +130,6 @@ def allocation_weights_detailed(
     return {ref: v / total for ref, v in zip(targets, values)}, warnings
 
 
-def allocation_weights(
-    rule: AllocationRule, al: AnnotatedLog, mode: Mode = Mode.STRICT
-) -> dict[ComponentRef, float]:
-    weights, _ = allocation_weights_detailed(rule, al, mode)
-    return weights
-
-
 def apply_allocations(
     al: AnnotatedLog,
     impacts: dict[ComponentRef, ScopedVector],
@@ -162,7 +155,7 @@ def apply_allocations(
     ledger = AllocationLedger()
 
     for rule in sorted(rules, key=lambda r: r.source.sort_key()):
-        weights, warnings = allocation_weights_detailed(rule, al, mode)
+        weights, warnings = allocation_weights(rule, al, mode)
         ledger.warnings.extend(warnings)
         fraction = float(rule.fraction)
         source_vector = impacts.get(rule.source, {})
@@ -173,16 +166,12 @@ def apply_allocations(
         for (category, scope), q in sorted(source_vector.items()):
             moved = q.amount * fraction
             kept = q.amount - moved
-            current = out_vector[(category, scope)]
-            out_vector[(category, scope)] = Quantity(current.amount - moved, current.unit)
+            vector_add(out_vector, (category, scope), -moved, q.unit)
             if fraction < 1.0:
                 residual[(category, scope)] = Quantity(kept, q.unit)
             for target, weight in sorted(weights.items(), key=lambda kv: kv[0].sort_key()):
                 share = moved * weight
-                tvec = result.setdefault(target, {})
-                prev = tvec.get((category, scope))
-                amount = share if prev is None else prev.amount + share
-                tvec[(category, scope)] = Quantity(amount, q.unit)
+                vector_add(result.setdefault(target, {}), (category, scope), share, q.unit)
                 ledger.entries.append(
                     LedgerEntry(rule.source, target, category, scope, share, weight)
                 )

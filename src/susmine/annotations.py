@@ -125,9 +125,6 @@ class CharacterizationTable:
     def entries_for_flow(self, flow: str) -> list[TableEntry]:
         return [e for (f, _), e in sorted(self.entries.items()) if f == flow]
 
-    def categories_of_class(self, impact_class: ImpactClass) -> list[str]:
-        return sorted(c for c, info in self.categories.items() if info.impact_class is impact_class)
-
 
 @dataclass(frozen=True)
 class AllocationKey:
@@ -191,7 +188,7 @@ class AnnotatedLog:
 def _as_decimal(value, where: str) -> Decimal:
     if isinstance(value, Decimal):
         dec = value
-    elif isinstance(value, (int, str)):
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             dec = Decimal(value)
         except InvalidOperation as exc:
@@ -305,6 +302,21 @@ def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: s
     return FlowAssignment(component, flow, direction, Quantity(amount, unit), scope, basis, override)
 
 
+def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> CategoryInfo:
+    """Check one category declaration, from a bundle or a CSV row."""
+    if not isinstance(impact_unit, str) or not impact_unit:
+        raise SchemaError(f"{where}: 'impact_unit' required")
+    try:
+        impact_class = ImpactClass(class_raw)
+    except ValueError:
+        raise SchemaError(
+            f"{where}: class must be climate, environmental or social, got {class_raw!r}"
+        ) from None
+    if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
+        raise SchemaError(f"{where}: climate categories must use 'kg CO2e' under the ghg preset")
+    return CategoryInfo(impact_unit, impact_class)
+
+
 def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
     table = CharacterizationTable()
     if raw is None:
@@ -318,20 +330,9 @@ def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> Characteri
     for name, info in sorted(categories_raw.items()):
         if not isinstance(info, dict):
             raise SchemaError(f"category '{name}': declaration must be an object")
-        impact_unit = info.get("impact_unit")
-        if not isinstance(impact_unit, str) or not impact_unit:
-            raise SchemaError(f"category '{name}': 'impact_unit' required")
-        try:
-            impact_class = ImpactClass(info.get("class"))
-        except ValueError:
-            raise SchemaError(
-                f"category '{name}': class must be climate, environmental or social"
-            ) from None
-        if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
-            raise SchemaError(
-                f"category '{name}': climate categories must use 'kg CO2e' under the ghg preset"
-            )
-        table.categories[name] = CategoryInfo(impact_unit, impact_class)
+        table.categories[name] = _category_info(
+            info.get("impact_unit"), info.get("class"), scope_set, f"category '{name}'"
+        )
 
     for entry_raw in raw.get("factors", []):
         if not isinstance(entry_raw, dict):
@@ -458,13 +459,7 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
             raise SchemaError(f"CSV line {i}: flow, unit and category are required")
         if not registry.has_unit(unit):
             raise UnknownUnitError(f"CSV line {i}: unit '{unit}' not in registry")
-        try:
-            impact_class = ImpactClass(row["class"])
-        except ValueError:
-            raise SchemaError(f"CSV line {i}: bad class '{row['class']}'") from None
-        info = CategoryInfo(row["impact_unit"], impact_class)
-        if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and info.impact_unit != "kg CO2e":
-            raise SchemaError(f"CSV line {i}: climate categories must use 'kg CO2e' under the ghg preset")
+        info = _category_info(row["impact_unit"], row["class"], scope_set, f"CSV line {i}")
         existing = table.categories.get(category)
         if existing is not None and existing != info:
             raise SchemaError(f"CSV line {i}: conflicting declaration for category '{category}'")

@@ -65,12 +65,11 @@ def _find_entry(
     return None, True
 
 
-def vector_add(vec: ImpactVector, category: str, amount: float, unit: str) -> None:
-    existing = vec.get(category)
-    if existing is None:
-        vec[category] = Quantity(amount, unit)
-    else:
-        vec[category] = Quantity(existing.amount + amount, unit)
+def vector_add(vec: dict, key, amount: float, unit: str) -> None:
+    """Add ``amount`` into ``vec[key]``; the one accumulator behind every
+    impact vector, plain (category keys) or scoped ((category, scope) keys)."""
+    prev = vec.get(key)
+    vec[key] = Quantity(amount if prev is None else prev.amount + amount, unit)
 
 
 def characterize(
@@ -125,11 +124,3 @@ def classify_impacts(vec: ImpactVector, table: CharacterizationTable) -> dict[Im
         out[table.categories[category].impact_class][category] = q
     return out
 
-
-def vector_total(vectors: dict[ComponentRef, ImpactVector]) -> ImpactVector:
-    """Entrywise sum over all components."""
-    total: ImpactVector = {}
-    for vec in vectors.values():
-        for category, q in vec.items():
-            vector_add(total, category, q.amount, q.unit)
-    return total

@@ -193,18 +193,19 @@ def scale_to_functional_unit(inv: Inventory, fu: FunctionalUnit, al: AnnotatedLo
     return inv.scaled(fu.reference.amount / total)
 
 
+#: Column names of one inventory row, in report.json and inventory.csv alike.
+INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
+
+
+def inventory_row(key: InvKey, q: Quantity) -> tuple:
+    """One entry's INVENTORY_COLUMNS values; the exact amount as a string."""
+    return (key.component.kind.value, key.component.id, key.flow, key.direction.value,
+            key.scope, str(q.amount), q.unit)
+
+
 def inventory_to_csv(inv: Inventory) -> str:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["component_kind", "component_id", "flow", "direction", "scope", "amount", "unit"])
-    for key, q in inv.sorted_entries():
-        writer.writerow([
-            key.component.kind.value,
-            key.component.id or "",
-            key.flow,
-            key.direction.value,
-            key.scope,
-            str(q.amount),
-            q.unit,
-        ])
+    writer = csv.writer(out, lineterminator="\n")  # writes None as ""
+    writer.writerow(INVENTORY_COLUMNS)
+    writer.writerows(inventory_row(key, q) for key, q in inv.sorted_entries())
     return out.getvalue()

@@ -148,9 +148,6 @@ class EventLog:
     def object(self, object_id: str) -> ObjectInstance | None:
         return self._objects_by_id.get(object_id)
 
-    def events_of_activity(self, activity: str) -> list[Event]:
-        return [e for e in self.events if e.activity == activity]
-
     def objects_of_type(self, object_type: str) -> list[ObjectInstance]:
         return [o for o in self.objects if o.object_type == object_type]
 

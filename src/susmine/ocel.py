@@ -112,16 +112,20 @@ def _parse_type_names(raw, where: str) -> set[str]:
     return names
 
 
+def _reject_constant(token: str):
+    raise SchemaError(f"non-finite number '{token}' is not valid JSON")
+
+
 def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     """Parse an OCEL 2.0 JSON subset document into an :class:`EventLog`.
 
     Raises ``json.JSONDecodeError`` for malformed JSON, ``SchemaError``
-    for structural problems, and ``IntegrityError`` when strict and the
-    log violates its invariants.
+    for structural problems and NaN/Infinity, and ``IntegrityError``
+    when strict and the log violates its invariants.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
-    data = json.loads(document)
+    data = json.loads(document, parse_constant=_reject_constant)
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     _check_keys(data, _TOP_KEYS, "document")

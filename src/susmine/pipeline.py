@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .model import ComponentKind, ComponentRef, EventLog, Quantity
+from .model import ComponentKind, ComponentRef, EventLog
 from .annotations import AnnotatedLog, AnnotationBundle, bind_annotations
 from .allocation import AllocationLedger, apply_allocations
 from .audit import SupportLevel, pattern_audit
 from .dfg import AnnotatedDFG, annotate_dfg, build_dfg
-from .impact import Mode, UncharacterizedFlow
+from .impact import Mode, UncharacterizedFlow, vector_add
 from .inventory import (
     FunctionalUnit,
     Inventory,
@@ -66,8 +66,7 @@ def activity_type_totals(
             continue
         bucket = totals.setdefault(activity, {})
         for key, q in sv.items():
-            prev = bucket.get(key)
-            bucket[key] = Quantity(q.amount if prev is None else prev.amount + q.amount, q.unit)
+            vector_add(bucket, key, q.amount, q.unit)
     return totals
 
 

@@ -16,9 +16,9 @@ import io
 import json
 from pathlib import Path
 
-from .model import ComponentRef
+from .model import ComponentRef, Quantity
 from .impact import classify_impacts
-from .inventory import Inventory, inventory_to_csv
+from .inventory import INVENTORY_COLUMNS, InvKey, inventory_row, inventory_to_csv
 from .ocel import log_summary
 from .pipeline import PipelineResult
 from .scoping import ScopedVector, collapse_scopes, scoped_total, unscoped_share
@@ -40,19 +40,8 @@ def _component_obj(ref: ComponentRef) -> dict:
     return {"kind": ref.kind.value, "id": ref.id}
 
 
-def _inventory_entries(inv: Inventory) -> list[dict]:
-    return [
-        {
-            "component_kind": key.component.kind.value,
-            "component_id": key.component.id,
-            "flow": key.flow,
-            "direction": key.direction.value,
-            "scope": key.scope,
-            "amount": str(q.amount),
-            "unit": q.unit,
-        }
-        for key, q in inv.sorted_entries()
-    ]
+def _inventory_entries(entries: list[tuple[InvKey, Quantity]]) -> list[dict]:
+    return [dict(zip(INVENTORY_COLUMNS, inventory_row(key, q))) for key, q in entries]
 
 
 def _scoped_obj(sv: ScopedVector) -> dict:
@@ -93,19 +82,8 @@ def build_report(result: PipelineResult) -> dict:
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {
-            "entries": _inventory_entries(result.inventory),
-            "negative_entries": [
-                {
-                    "component_kind": key.component.kind.value,
-                    "component_id": key.component.id,
-                    "flow": key.flow,
-                    "direction": key.direction.value,
-                    "scope": key.scope,
-                    "amount": str(q.amount),
-                    "unit": q.unit,
-                }
-                for key, q in result.inventory.negative_entries()
-            ],
+            "entries": _inventory_entries(result.inventory.sorted_entries()),
+            "negative_entries": _inventory_entries(result.inventory.negative_entries()),
         },
         "impacts": {
             "components": [
@@ -155,7 +133,7 @@ def build_report(result: PipelineResult) -> dict:
             "measured_attribute": result.fu.measured_attribute,
             "measured_output": str(result.fu_output),
             "scale_factor": str(result.fu_scale),
-            "inventory_per_fu": _inventory_entries(result.fu_inventory),
+            "inventory_per_fu": _inventory_entries(result.fu_inventory.sorted_entries()),
             "impacts_per_fu": {
                 category: {
                     scope: {"amount": q.amount * float(result.fu_scale), "unit": q.unit}

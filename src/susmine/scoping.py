@@ -15,15 +15,11 @@ from __future__ import annotations
 from .errors import UnknownScopeError
 from .model import UNSCOPED, ComponentRef, Quantity
 from .annotations import AnnotatedLog, ScopeSet
-from .impact import ImpactVector, Mode, UncharacterizedFlow, characterize
+from .impact import ImpactVector, Mode, UncharacterizedFlow, characterize, vector_add
 from .inventory import Inventory, direct_inventory
 
 #: (impact category, scope label) -> Quantity (float amounts).
 ScopedVector = dict[tuple[str, str], Quantity]
-
-
-def _bucket_labels(al: AnnotatedLog) -> list[str]:
-    return [*al.scope_set.scopes, UNSCOPED]
 
 
 def scoped_impacts(
@@ -38,7 +34,10 @@ def scoped_impacts(
     full = direct_inventory(al)
     vectors: dict[ComponentRef, ScopedVector] = {}
     uncharacterized: set[UncharacterizedFlow] = set()
-    for scope in _bucket_labels(al):
+    # Walk the buckets in scope-set order, not the inventory in one pass:
+    # the order components enter ``vectors`` fixes the float summation
+    # order in scoped_total, and with it the report bytes.
+    for scope in [*al.scope_set.scopes, UNSCOPED]:
         bucket = Inventory(entries={k: q for k, q in full.entries.items() if k.scope == scope})
         if not bucket.entries:
             continue
@@ -47,9 +46,7 @@ def scoped_impacts(
         for component, vec in by_component.items():
             scoped = vectors.setdefault(component, {})
             for category, q in vec.items():
-                prev = scoped.get((category, scope))
-                amount = q.amount if prev is None else prev.amount + q.amount
-                scoped[(category, scope)] = Quantity(amount, q.unit)
+                scoped[(category, scope)] = q  # buckets are disjoint: each cell is new
     return vectors, sorted(uncharacterized)
 
 
@@ -57,8 +54,7 @@ def collapse_scopes(sv: ScopedVector) -> ImpactVector:
     """Sum a scoped vector over its scope labels."""
     out: ImpactVector = {}
     for (category, _), q in sorted(sv.items()):
-        prev = out.get(category)
-        out[category] = Quantity(q.amount if prev is None else prev.amount + q.amount, q.unit)
+        vector_add(out, category, q.amount, q.unit)
     return out
 
 
@@ -67,8 +63,7 @@ def scoped_total(vectors: dict[ComponentRef, ScopedVector]) -> ScopedVector:
     total: ScopedVector = {}
     for sv in vectors.values():
         for key, q in sv.items():
-            prev = total.get(key)
-            total[key] = Quantity(q.amount if prev is None else prev.amount + q.amount, q.unit)
+            vector_add(total, key, q.amount, q.unit)
     return total
 
 

@@ -135,7 +135,3 @@ class UnitRegistry:
         f = self.factor(q.unit, to_unit)
         amount = q.amount * f if isinstance(q.amount, Decimal) else q.amount * float(f)
         return Quantity(amount, to_unit)
-
-
-def convert(q: Quantity, to_unit: str, reg: UnitRegistry) -> Quantity:
-    return reg.convert(q, to_unit)

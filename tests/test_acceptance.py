@@ -133,7 +133,7 @@ def test_criterion_3_conservation(corpus):
             assert rel_close(after[key].amount, q.amount, 1e-9), (gb.seed, key)
         al = result.al
         for rule in al.rules:
-            weights = allocation_weights(rule, al)
+            weights, _ = allocation_weights(rule, al)
             assert all(w >= 0 for w in weights.values()), gb.seed
             assert abs(sum(weights.values()) - 1.0) <= 1e-12, gb.seed
     elapsed = build_seconds + (time.perf_counter() - start)

@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,14 +12,14 @@ from susmine import (
     MissingAttributeError,
     Mode,
     NoTargetsError,
+    Quantity,
     allocation_weights,
     apply_allocations,
     bind_annotations,
     parse_annotations,
     parse_ocel,
 )
-from susmine.allocation import allocation_weights_detailed
-from susmine.annotations import AllocationRule, EQUAL_KEY, AllocationKey
+from susmine.annotations import RELATED_EVENTS, AllocationRule, EQUAL_KEY, AllocationKey
 from susmine.errors import InvalidAllocationKeyError
 from susmine.generator import generate_bundle
 from susmine.scoping import scoped_impacts, scoped_total
@@ -57,7 +59,7 @@ def bound_with_rule(log, rule_overrides=None, assignments=None):
 
 def test_equal_key_four_targets():
     al = bound_with_rule(machine_log(4))
-    weights = allocation_weights(al.rules[0], al)
+    weights, _ = allocation_weights(al.rules[0], al)
     assert set(weights.values()) == {0.25}
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -67,7 +69,7 @@ def test_economic_value_proportions():
         machine_log(2, attrs=[{"economic_value": 30.0}, {"economic_value": 10.0}]),
         {"key": "economic_value"},
     )
-    weights = allocation_weights(al.rules[0], al)
+    weights, _ = allocation_weights(al.rules[0], al)
     assert rel_close(weights[ev_ref("e0")], 30 / 40)
     assert rel_close(weights[ev_ref("e1")], 10 / 40)
 
@@ -77,7 +79,7 @@ def test_all_zero_values_fall_back_to_equal_with_warning():
         machine_log(2, attrs=[{"mass_kg": 0.0}, {"mass_kg": 0.0}]),
         {"key": "mass"},
     )
-    weights, warnings = allocation_weights_detailed(al.rules[0], al)
+    weights, warnings = allocation_weights(al.rules[0], al)
     assert set(weights.values()) == {0.5}
     assert len(warnings) == 1 and "equal split" in warnings[0]
 
@@ -89,7 +91,7 @@ def test_missing_attribute_strict_vs_lenient():
     )
     with pytest.raises(MissingAttributeError):
         allocation_weights(al.rules[0], al)
-    weights, warnings = allocation_weights_detailed(al.rules[0], al, Mode.LENIENT)
+    weights, warnings = allocation_weights(al.rules[0], al, Mode.LENIENT)
     assert weights[ev_ref("e0")] == 1.0
     assert weights[ev_ref("e1")] == 0.0
     assert warnings
@@ -123,7 +125,7 @@ def test_qualifier_filter_restricts_targets():
         objects=[("m1", "machine", {})],
     )
     al = bound_with_rule(log, {"qualifier": "uses"})
-    weights = allocation_weights(al.rules[0], al)
+    weights, _ = allocation_weights(al.rules[0], al)
     assert list(weights) == [ev_ref("e0")]
 
 
@@ -240,7 +242,8 @@ def test_equal_key_commutes_with_relabeling():
         ]
         log = make_log(events=events, objects=[("m1", "machine", {})])
         al = bound_with_rule(log)
-        return allocation_weights(al.rules[0], al)
+        weights, _ = allocation_weights(al.rules[0], al)
+        return weights
 
     original = weights_for(["a", "b", "c"])
     relabeled = weights_for(["c", "a", "b"])
@@ -256,7 +259,7 @@ def test_weight_vectors_normalized(values):
     ]
     log = make_log(events=events, objects=[("m1", "machine", {})])
     al = bound_with_rule(log, {"key": "mass"})
-    weights, _ = allocation_weights_detailed(al.rules[0], al)
+    weights, _ = allocation_weights(al.rules[0], al)
     assert all(w >= 0 for w in weights.values())
     assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -266,3 +269,58 @@ def test_allocation_key_shorthands():
     assert not EQUAL_KEY.proportional
     rule = AllocationRule(obj_ref(), "related_events")
     assert rule.fraction == 1
+
+
+_CELLS = [(c, sc) for c in ("climate_change", "water_use") for sc in ("scope1", "scope3", "unscoped")]
+_UNITS = {"climate_change": "kg CO2e", "water_use": "m3"}
+_amounts = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixed_sign_allocations(draw):
+    """Machines m0..m2 shared by events e0..e5, every component holding
+    signed amounts (credits included), one rule per machine with a random
+    fraction and an equal or mass key."""
+    n_events = draw(st.integers(1, 6))
+    n_machines = draw(st.integers(1, 3))
+    uses = [
+        draw(st.lists(st.integers(0, n_events - 1), min_size=1, max_size=n_events, unique=True))
+        for _ in range(n_machines)
+    ]
+    events = [
+        (f"e{i}", "run", f"2024-01-01T08:0{i}:00Z",
+         [(f"m{m}", "uses") for m in range(n_machines) if i in uses[m]],
+         {"mass_kg": draw(st.floats(min_value=0, max_value=1e3))})
+        for i in range(n_events)
+    ]
+    log = make_log(events=events, objects=[(f"m{m}", "machine", {}) for m in range(n_machines)])
+    components = [obj_ref(f"m{m}") for m in range(n_machines)] + [ev_ref(f"e{i}") for i in range(n_events)]
+    impacts = {}
+    for ref in components:
+        cells = draw(st.lists(st.sampled_from(_CELLS), unique=True))
+        impacts[ref] = {cell: Quantity(draw(_amounts), _UNITS[cell[0]]) for cell in cells}
+    rules = [
+        AllocationRule(
+            obj_ref(f"m{m}"), RELATED_EVENTS,
+            draw(st.sampled_from([EQUAL_KEY, AllocationKey("mass", "mass_kg")])),
+            Decimal(draw(st.integers(0, 1000))) / 1000,
+        )
+        for m in range(n_machines)
+    ]
+    return log, impacts, rules
+
+
+@given(case=mixed_sign_allocations())
+def test_mixed_sign_totals_conserved_per_category_and_scope(case):
+    log, impacts, rules = case
+    al = bind_annotations(log, parse_annotations(json.dumps(bundle_doc())))
+    post, _ = apply_allocations(al, impacts, rules)
+
+    def amounts(vectors, cell):
+        return [sv[cell].amount for sv in vectors.values() if cell in sv]
+
+    for cell in _CELLS:
+        before = amounts(impacts, cell)
+        scale = math.fsum(abs(a) for a in before)
+        drift = math.fsum(amounts(post, cell)) - math.fsum(before)
+        assert abs(drift) <= 1e-9 * scale, (cell, drift, scale)

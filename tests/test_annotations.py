@@ -229,6 +229,12 @@ def test_characterization_csv_bad_class():
         characterization_from_csv(fixture_path("annotations/invalid_factors.csv").read_text())
 
 
+def test_characterization_csv_empty_impact_unit_rejected():
+    text = "flow,unit,category,factor,impact_unit,class\nCH4,kg,methane,1.0,,environmental\n"
+    with pytest.raises(SchemaError, match="CSV line 2: 'impact_unit' required"):
+        characterization_from_csv(text)
+
+
 def test_duplicate_factor_entry_rejected():
     doc = bundle_doc()
     doc["characterization"]["factors"].append(
@@ -263,3 +269,35 @@ def test_unit_conversions_parse_into_registry():
     })
     bundle = parse_annotations(json.dumps(doc))
     assert bundle.registry.factor("bottle_crate", "kg") == Decimal(9)
+
+
+def _set_amount(doc):
+    doc["assignments"] = [{
+        "component": {"kind": "process"}, "flow": "CO2", "direction": "output",
+        "amount": True, "unit": "kg",
+    }]
+
+
+def _set_fraction(doc):
+    doc["allocations"] = [{"source": {"kind": "object_instance", "id": "o1"}, "fraction": True}]
+
+
+def _set_factor(doc):
+    doc["characterization"]["factors"][0]["factors"]["climate_change"] = True
+
+
+def _set_conversion(doc):
+    doc["units"] = {"declare": ["crate"], "conversions": [{"from": "crate", "to": "kg", "factor": True}]}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set_amount, "assignment #0 amount"),
+    (_set_fraction, "allocation #0 fraction"),
+    (_set_factor, "factor CO2->climate_change"),
+    (_set_conversion, "conversion crate->kg"),
+])
+def test_json_booleans_are_not_numbers(edit, field):
+    doc = bundle_doc()
+    edit(doc)
+    with pytest.raises(SchemaError, match=f"{field}: expected a number, got bool"):
+        parse_annotations(json.dumps(doc))

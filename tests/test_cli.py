@@ -262,3 +262,36 @@ def test_assess_names_annotation_stage(tmp_path, capsys, demo_log_path):
     assert code == 1
     assert "parse-annotations" in err
     assert "scope9" in err
+
+
+def test_assess_rejects_boolean_amount(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    # JSON true is not a number: it must not silently become 1 kg
+    doc = json.loads(machine_bundle_path.read_text())
+    doc["assignments"][0]["amount"] = True
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "error [parse-annotations]: assignment #0 amount: expected a number, got bool" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_assess_rejects_nan_attribute(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    log_doc = json.loads(demo_log_path.read_text())
+    bottle = next(o for o in log_doc["objects"] if o["id"] == "b1")
+    bottle["attributes"] = [{"name": "mass_kg", "value": float("nan")}]
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(log_doc))  # writes the bare NaN token
+    bundle_doc = json.loads(machine_bundle_path.read_text())
+    bundle_doc["allocations"][0]["targets"] = [
+        {"kind": "object_instance", "id": b} for b in ("b1", "b2", "b3")
+    ]
+    bundle_doc["allocations"][0]["key"] = "mass"
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(bundle_doc))
+    code, _, err = run(capsys, "assess", "--log", str(log),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error [load-log]: ")
+    assert "NaN" in err

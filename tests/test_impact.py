@@ -18,9 +18,9 @@ from susmine import (
     parse_annotations,
 )
 from susmine.annotations import CategoryInfo, CharacterizationTable, ImpactClass, TableEntry
-from susmine.impact import vector_total
 from susmine.inventory import InvKey, Inventory, direct_inventory
 from susmine.model import Direction, UNSCOPED
+from susmine.scoping import scoped_total
 
 from conftest import rel_close
 from test_annotations import bundle_doc, shipping_log
@@ -159,8 +159,8 @@ def test_linearity_in_the_inventory():
     a = Decimal("17.3")
     vectors_scaled, _ = characterize(inv.scaled(a), simple_table())
     vectors, _ = characterize(inv, simple_table())
-    got = vector_total(vectors_scaled)
-    want = vector_total(vectors)
+    got = scoped_total(vectors_scaled)
+    want = scoped_total(vectors)
     for category in want:
         assert rel_close(got[category].amount, want[category].amount * float(a))
 
@@ -196,7 +196,7 @@ def test_all_environmental_table_leaves_social_empty():
         categories={"ozone_depletion": CategoryInfo("kg CFCe", ImpactClass.ENVIRONMENTAL)},
     )
     vectors, _ = characterize(inv_of(("e1", "CFC-11", "output", UNSCOPED, 3, "kg")), table)
-    by_class = classify_impacts(vector_total(vectors), table)
+    by_class = classify_impacts(scoped_total(vectors), table)
     assert by_class[ImpactClass.SOCIAL] == {}
 
 
@@ -211,7 +211,7 @@ def test_additivity_over_components():
     ])
     al = bind_annotations(log, parse_annotations(json.dumps(doc)))
     vectors, _ = characterize(direct_inventory(al), al.table, registry=al.registry)
-    total = vector_total(vectors)
+    total = scoped_total(vectors)
     assert rel_close(total["climate_change"].amount, 17.0)
 
 

@@ -71,6 +71,14 @@ def test_bad_timestamp():
         parse_ocel(json.dumps(doc))
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constants_rejected(token):
+    text = json.dumps(MINIMAL).replace('"attributes": []', f'"attributes": [{{"name": "mass_kg", "value": {token}}}]', 1)
+    assert token in text
+    with pytest.raises(SchemaError, match=f"non-finite number '{token}'"):
+        parse_ocel(text)
+
+
 def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_ocel(b"{not json")

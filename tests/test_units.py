@@ -3,12 +3,12 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
-from susmine import NoConversionPathError, Quantity, SchemaError, UnitRegistry, UnknownUnitError, convert
+from susmine import NoConversionPathError, Quantity, SchemaError, UnitRegistry, UnknownUnitError
 
 
 def test_wh_to_kwh():
     reg = UnitRegistry()
-    q = convert(Quantity(Decimal(1000), "Wh"), "kWh", reg)
+    q = reg.convert(Quantity(Decimal(1000), "Wh"), "kWh")
     assert q.amount == Decimal(1)
     assert q.unit == "kWh"
 
@@ -16,24 +16,24 @@ def test_wh_to_kwh():
 def test_identity_conversion():
     reg = UnitRegistry()
     q = Quantity(Decimal("2.5"), "kg")
-    assert convert(q, "kg", reg) == q
+    assert reg.convert(q, "kg") == q
 
 
 def test_no_path():
     reg = UnitRegistry()
     with pytest.raises(NoConversionPathError):
-        convert(Quantity(Decimal(1), "kg"), "kWh", reg)
+        reg.convert(Quantity(Decimal(1), "kg"), "kWh")
 
 
 def test_unknown_unit():
     reg = UnitRegistry()
     with pytest.raises(UnknownUnitError):
-        convert(Quantity(Decimal(1), "kg"), "parsec", reg)
+        reg.convert(Quantity(Decimal(1), "kg"), "parsec")
 
 
 def test_multi_hop_path():
     reg = UnitRegistry()
-    q = convert(Quantity(Decimal("7.2"), "MJ"), "Wh", reg)  # MJ -> kWh -> Wh
+    q = reg.convert(Quantity(Decimal("7.2"), "MJ"), "Wh")  # MJ -> kWh -> Wh
     assert abs(float(q.amount) - 2000.0) < 1e-9
 
 
@@ -70,8 +70,8 @@ def test_nonpositive_factor_rejected():
 )
 def test_round_trip(factor, amount):
     reg = UnitRegistry(units={"a", "b"}, conversions={("a", "b"): factor}, include_defaults=False)
-    there = convert(Quantity(amount, "a"), "b", reg)
-    back = convert(there, "a", reg)
+    there = reg.convert(Quantity(amount, "a"), "b")
+    back = reg.convert(there, "a")
     assert abs(float(back.amount) - float(amount)) <= 1e-9 * max(abs(float(amount)), 1e-30)
 
 
@@ -81,6 +81,6 @@ def test_round_trip(factor, amount):
 )
 def test_conversion_is_linear(amount, k):
     reg = UnitRegistry()
-    a = convert(Quantity(amount * k, "Wh"), "kWh", reg).amount
-    b = convert(Quantity(amount, "Wh"), "kWh", reg).amount * k
+    a = reg.convert(Quantity(amount * k, "Wh"), "kWh").amount
+    b = reg.convert(Quantity(amount, "Wh"), "kWh").amount * k
     assert abs(float(a - b)) <= 1e-12 * max(abs(float(a)), 1e-30)
