@@ -33,17 +33,16 @@ from .impact import Mode, vector_add
 from .scoping import ScopedVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LedgerEntry:
+    """One transfer; entries order by source, target, category, scope."""
+
     source: ComponentRef
     target: ComponentRef
     category: str
     scope: str
     amount: float
     weight: float
-
-    def sort_key(self):
-        return (*self.source.sort_key(), *self.target.sort_key(), self.category, self.scope)
 
 
 @dataclass
@@ -61,25 +60,18 @@ def _select_targets(rule: AllocationRule, al: AnnotatedLog) -> list[ComponentRef
             raise SchemaError(
                 f"related_events selection requires an object_instance source, got {rule.source}"
             )
-        events = al.log.events_related_to(rule.source.id, rule.qualifier)
-        refs = [ComponentRef(ComponentKind.ACTIVITY_INSTANCE, e.event_id) for e in events]
+        refs = [e.ref for e in al.log.events_related_to(rule.source.id, rule.qualifier)]
     else:
         refs = list(rule.targets)
         for ref in refs:
             resolve_component(ref, al.log)
-    return sorted(set(refs), key=lambda r: r.sort_key())
+    return sorted(set(refs))
 
 
 def _attribute_value(ref: ComponentRef, al: AnnotatedLog, attribute: str):
-    if ref.kind is ComponentKind.ACTIVITY_INSTANCE:
-        entity = al.log.event(ref.id)
-    elif ref.kind is ComponentKind.OBJECT_INSTANCE:
-        entity = al.log.object(ref.id)
-    else:
+    if ref.kind not in (ComponentKind.ACTIVITY_INSTANCE, ComponentKind.OBJECT_INSTANCE):
         return None  # type-level components carry no attributes
-    if entity is None:
-        return None
-    return entity.attributes.get(attribute)
+    return resolve_component(ref, al.log).attributes.get(attribute)
 
 
 def allocation_weights(
@@ -87,9 +79,10 @@ def allocation_weights(
 ) -> tuple[dict[ComponentRef, float], list[str]]:
     """Weights plus any fallback warnings for one rule.
 
-    Weights are non-negative and sum to 1. Proportional keys read the
-    named attribute off each target; a missing attribute is an error in
-    strict mode and a zero weight (with a warning) in lenient mode.
+    Weights, keyed in target order, are non-negative and sum to 1.
+    Proportional keys read the named attribute off each target; a missing
+    attribute is an error in strict mode and a zero weight (with a
+    warning) in lenient mode.
     """
     resolve_component(rule.source, al.log)
     targets = _select_targets(rule, al)
@@ -154,7 +147,7 @@ def apply_allocations(
     result: dict[ComponentRef, ScopedVector] = {ref: dict(sv) for ref, sv in impacts.items()}
     ledger = AllocationLedger()
 
-    for rule in sorted(rules, key=lambda r: r.source.sort_key()):
+    for rule in sorted(rules, key=lambda r: r.source):
         weights, warnings = allocation_weights(rule, al, mode)
         ledger.warnings.extend(warnings)
         fraction = float(rule.fraction)
@@ -169,7 +162,7 @@ def apply_allocations(
             vector_add(out_vector, (category, scope), -moved, q.unit)
             if fraction < 1.0:
                 residual[(category, scope)] = Quantity(kept, q.unit)
-            for target, weight in sorted(weights.items(), key=lambda kv: kv[0].sort_key()):
+            for target, weight in weights.items():
                 share = moved * weight
                 vector_add(result.setdefault(target, {}), (category, scope), share, q.unit)
                 ledger.entries.append(
@@ -178,6 +171,6 @@ def apply_allocations(
         if residual:
             ledger.residuals[rule.source] = residual
 
-    ledger.entries.sort(key=lambda e: e.sort_key())
+    ledger.entries.sort()
     ledger.warnings.sort()
     return result, ledger

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -199,6 +200,8 @@ def _as_decimal(value, where: str) -> Decimal:
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
     if not dec.is_finite():
         raise SchemaError(f"{where}: amount must be finite")
+    if math.isinf(float(dec)):  # impact arithmetic is in floats
+        raise SchemaError(f"{where}: {value} overflows a float")
     return dec
 
 
@@ -353,8 +356,7 @@ def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> Characteri
         for category, value in sorted(factors_raw.items()):
             if category not in table.categories:
                 raise SchemaError(f"factor entry '{flow}': undeclared category '{category}'")
-            factor = float(_as_decimal(value, f"factor {flow}->{category}"))
-            factors[category] = factor
+            factors[category] = float(_as_decimal(value, f"factor {flow}->{category}"))
         key = (flow, unit)
         if key in table.entries:
             raise SchemaError(f"duplicate factor entry for flow '{flow}' [{unit}]")
@@ -464,7 +466,7 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
         if existing is not None and existing != info:
             raise SchemaError(f"CSV line {i}: conflicting declaration for category '{category}'")
         table.categories[category] = info
-        factor = float(_as_decimal(row["factor"], f"CSV line {i} factor"))
+        factor = float(_as_decimal(row["factor"], f"CSV line {i} factor {flow}->{category}"))
         bucket = factors_by_key.setdefault((flow, unit), {})
         if category in bucket:
             raise SchemaError(f"CSV line {i}: duplicate factor for ({flow}, {unit}, {category})")
@@ -490,7 +492,8 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
     """Resolve every assignment against the log and expand type-level
     per-instance assignments to their instances.
 
-    Raises :class:`UnknownComponentError` for dangling references.
+    Raises :class:`UnknownComponentError` for dangling references and for
+    expanding over an instance with an empty id (lenient logs).
     Expansion conserves totals exactly: each instance receives the
     per-instance decimal amount unchanged.
     """
@@ -506,19 +509,8 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
             resolved.append((a.component, a))
             continue
         # per-instance expansion
-        if a.component.kind is ComponentKind.ACTIVITY_TYPE:
-            instances = [
-                ComponentRef(ComponentKind.ACTIVITY_INSTANCE, e.event_id)
-                for e in log.events
-                if e.activity == a.component.id
-            ]
-        else:
-            instances = [
-                ComponentRef(ComponentKind.OBJECT_INSTANCE, o.object_id)
-                for o in log.objects
-                if o.object_type == a.component.id
-            ]
-        for ref in instances:
+        for member in log.members(a.component):
+            ref = member.ref
             if (ref.id, a.flow, a.direction) in overrides:
                 continue
             resolved.append((ref, a))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import LogMismatchError
 from .model import EventLog
+from .ocel import log_summary
 from .scoping import ScopedVector, collapse_scopes
 
 
@@ -35,17 +36,13 @@ class AnnotatedDFG:
 
 
 def build_dfg(log: EventLog) -> AnnotatedDFG:
-    """Graph skeleton: every declared activity type becomes a node (so
-    objectless events still appear); one trace per object yields edges."""
+    """Graph skeleton: every declared or occurring activity type becomes a
+    node (so objectless events and a lenient load's undeclared activities
+    still appear); one trace per object yields edges."""
     dfg = AnnotatedDFG(log_digest=log.digest())
-    for activity in sorted(log.activity_types):
-        dfg.nodes[activity] = DFGNode(activity, 0)
-    for ev in log.events:
-        node = dfg.nodes.get(ev.activity)
-        if node is None:  # undeclared activity in a lenient load
-            node = DFGNode(ev.activity, 0)
-            dfg.nodes[ev.activity] = node
-        node.event_count += 1
+    counts = log_summary(log).per_activity
+    for activity in sorted(log.activity_types | counts.keys()):
+        dfg.nodes[activity] = DFGNode(activity, counts.get(activity, 0))
     for obj in log.objects:
         trace = sorted(log.events_related_to(obj.object_id), key=lambda e: (e.timestamp, e.event_id))
         for prev, nxt in zip(trace, trace[1:]):
@@ -85,10 +82,7 @@ def _quote(text: str) -> str:
 
 def format_amount(x: float) -> str:
     """Fixed shortest-form number rendering for labels ('5', '0.25')."""
-    if isinstance(x, int):
-        return str(x)
-    text = format(x, ".6g")
-    return text
+    return format(x, ".6g")
 
 
 def emit_dot(dfg: AnnotatedDFG) -> str:

@@ -21,7 +21,6 @@ from typing import Iterator, NamedTuple
 
 from .errors import UnitMismatchError, UnknownComponentError, ZeroOutputError
 from .model import (
-    PROCESS_REF,
     UNSCOPED,
     ComponentKind,
     ComponentRef,
@@ -37,9 +36,6 @@ class InvKey(NamedTuple):
     flow: str
     direction: Direction
     scope: str
-
-    def sort_key(self):
-        return (*self.component.sort_key(), self.flow, self.direction.value, self.scope)
 
 
 @dataclass
@@ -71,11 +67,11 @@ class Inventory:
         return out
 
     def sorted_entries(self) -> list[tuple[InvKey, Quantity]]:
-        return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.entries.items())
 
     def negative_entries(self) -> list[tuple[InvKey, Quantity]]:
         """Avoided-burden credits; surfaced in reports, never netted silently."""
-        return [(k, q) for k, q in self.sorted_entries() if q.amount < 0]
+        return sorted((k, q) for k, q in self.entries.items() if q.amount < 0)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -142,29 +138,15 @@ def rollup_inventory(al: AnnotatedLog, level: ComponentKind) -> Inventory:
         raise ValueError(f"roll-up level must be one of {sorted(k.value for k in _ROLLUP_LEVELS)}")
     inv = Inventory()
     for ref, a in al.resolved:
-        key = InvKey(ref, a.flow, a.direction, _scope_label(a.scope))
-        if level is ComponentKind.PROCESS:
-            inv.add(key._replace(component=PROCESS_REF), a.quantity)
-        elif level is ComponentKind.ACTIVITY_TYPE:
-            if ref.kind is ComponentKind.ACTIVITY_INSTANCE:
-                event = al.log.event(ref.id)
-                type_ref = ComponentRef(ComponentKind.ACTIVITY_TYPE, event.activity)
-                inv.add(key._replace(component=type_ref), a.quantity)
-            elif ref.kind is ComponentKind.ACTIVITY_TYPE:
-                inv.add(key, a.quantity)
-        else:
-            if ref.kind is ComponentKind.OBJECT_INSTANCE:
-                obj = al.log.object(ref.id)
-                type_ref = ComponentRef(ComponentKind.OBJECT_TYPE, obj.object_type)
-                inv.add(key._replace(component=type_ref), a.quantity)
-            elif ref.kind is ComponentKind.OBJECT_TYPE:
-                inv.add(key, a.quantity)
+        component = al.log.lift(ref, level)
+        if component is not None:
+            inv.add(InvKey(component, a.flow, a.direction, _scope_label(a.scope)), a.quantity)
     return inv
 
 
 def measured_output(al: AnnotatedLog, fu: FunctionalUnit) -> Decimal:
     """Total measured output of the functional unit's object type."""
-    objects = al.log.objects_of_type(fu.object_type)
+    objects = al.log.members(ComponentRef(ComponentKind.OBJECT_TYPE, fu.object_type))
     if fu.measured_attribute is None:
         return Decimal(len(objects))
     total = Decimal(0)

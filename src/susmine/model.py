@@ -68,11 +68,12 @@ class Quantity:
             raise TypeError(f"amount must be Decimal or float, got {type(self.amount).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ComponentRef:
     """Reference to one of the five process component kinds.
 
     ``id`` is None exactly when ``kind`` is PROCESS (the whole log).
+    Refs order by (kind value, id), the component order of every output.
     """
 
     kind: ComponentKind
@@ -84,9 +85,6 @@ class ComponentRef:
                 raise ValueError("process refs carry no id")
         elif not self.id:
             raise ValueError(f"{self.kind.value} ref requires an id")
-
-    def sort_key(self) -> tuple[str, str]:
-        return (self.kind.value, self.id or "")
 
     def __str__(self) -> str:
         return self.kind.value if self.id is None else f"{self.kind.value}:{self.id}"
@@ -104,6 +102,12 @@ class Event:
     timestamp: datetime
     attributes: dict[str, Scalar] = field(default_factory=dict)
 
+    @property
+    def ref(self) -> ComponentRef:
+        if not self.event_id:  # a lenient log may hold one
+            raise UnknownComponentError(f"activity type '{self.activity}' has an event with an empty id")
+        return ComponentRef(ComponentKind.ACTIVITY_INSTANCE, self.event_id)
+
 
 @dataclass(frozen=True)
 class ObjectInstance:
@@ -113,6 +117,12 @@ class ObjectInstance:
     object_id: str
     object_type: str
     attributes: dict[str, Scalar] = field(default_factory=dict)
+
+    @property
+    def ref(self) -> ComponentRef:
+        if not self.object_id:  # a lenient log may hold one
+            raise UnknownComponentError(f"object type '{self.object_type}' has an object with an empty id")
+        return ComponentRef(ComponentKind.OBJECT_INSTANCE, self.object_id)
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,12 @@ class EventLog:
     def __post_init__(self):
         self._events_by_id = {e.event_id: e for e in self.events}
         self._objects_by_id = {o.object_id: o for o in self.objects}
+        # keyed by (kind, name), not ComponentRef: a log built in code may hold empty names
+        self._members: dict[tuple[ComponentKind, str], list] = {}
+        for e in self.events:
+            self._members.setdefault((ComponentKind.ACTIVITY_TYPE, e.activity), []).append(e)
+        for o in self.objects:
+            self._members.setdefault((ComponentKind.OBJECT_TYPE, o.object_type), []).append(o)
 
     def event(self, event_id: str) -> Event | None:
         return self._events_by_id.get(event_id)
@@ -148,8 +164,26 @@ class EventLog:
     def object(self, object_id: str) -> ObjectInstance | None:
         return self._objects_by_id.get(object_id)
 
-    def objects_of_type(self, object_type: str) -> list[ObjectInstance]:
-        return [o for o in self.objects if o.object_type == object_type]
+    def members(self, type_ref: ComponentRef) -> list[Event] | list[ObjectInstance]:
+        """Events of an activity type or objects of an object type, in log order."""
+        return list(self._members.get((type_ref.kind, type_ref.id), ()))
+
+    def lift(self, ref: ComponentRef, level: ComponentKind) -> ComponentRef | None:
+        """The component ``ref`` rolls up into at ``level``: itself at its
+        own kind, its type for an instance, the process for anything.
+        None when ``ref`` does not roll up into ``level`` or names an
+        instance absent from the log."""
+        if ref.kind is level:
+            return ref
+        if level is ComponentKind.PROCESS:
+            return PROCESS_REF
+        if ref.kind is ComponentKind.ACTIVITY_INSTANCE and level is ComponentKind.ACTIVITY_TYPE:
+            event = self.event(ref.id)
+            return None if event is None else ComponentRef(level, event.activity)
+        if ref.kind is ComponentKind.OBJECT_INSTANCE and level is ComponentKind.OBJECT_TYPE:
+            obj = self.object(ref.id)
+            return None if obj is None else ComponentRef(level, obj.object_type)
+        return None
 
     def events_related_to(self, object_id: str, qualifier: str | None = None) -> list[Event]:
         """Events related to an object, in log order, deduplicated."""

@@ -25,6 +25,7 @@ can still be loaded and audited.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -112,20 +113,24 @@ def _parse_type_names(raw, where: str) -> set[str]:
     return names
 
 
-def _reject_constant(token: str):
-    raise SchemaError(f"non-finite number '{token}' is not valid JSON")
+def _finite_float(token: str) -> float:
+    """JSON number hook: rejects NaN, Infinity and overflowing literals (1e400)."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite number '{token}'")
+    return value
 
 
 def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     """Parse an OCEL 2.0 JSON subset document into an :class:`EventLog`.
 
     Raises ``json.JSONDecodeError`` for malformed JSON, ``SchemaError``
-    for structural problems and NaN/Infinity, and ``IntegrityError``
+    for structural problems and non-finite numbers, and ``IntegrityError``
     when strict and the log violates its invariants.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
-    data = json.loads(document, parse_constant=_reject_constant)
+    data = json.loads(document, parse_constant=_finite_float, parse_float=_finite_float)
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     _check_keys(data, _TOP_KEYS, "document")
@@ -148,6 +153,8 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
         otype = _require(raw, "type", "objects")
         if not isinstance(oid, str) or not isinstance(otype, str):
             raise SchemaError("objects: 'id' and 'type' must be strings")
+        if not otype:
+            raise SchemaError(f"object '{oid}': 'type' must be a non-empty string")
         objects.append(ObjectInstance(oid, otype, _parse_attributes(raw.get("attributes"), f"object '{oid}'")))
 
     events: list[Event] = []
@@ -163,6 +170,8 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
         time_raw = _require(raw, "time", "events")
         if not isinstance(eid, str) or not isinstance(etype, str) or not isinstance(time_raw, str):
             raise SchemaError("events: 'id', 'type' and 'time' must be strings")
+        if not etype:
+            raise SchemaError(f"event '{eid}': 'type' must be a non-empty string")
         try:
             ts = parse_timestamp(time_raw)
         except ValueError as exc:

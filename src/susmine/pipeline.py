@@ -55,18 +55,11 @@ def activity_type_totals(
     (objects, process) are excluded — they are the non-activity residual."""
     totals: dict[str, ScopedVector] = {}
     for ref, sv in vectors.items():
-        if ref.kind is ComponentKind.ACTIVITY_INSTANCE:
-            event = al.log.event(ref.id)
-            if event is None:
-                continue
-            activity = event.activity
-        elif ref.kind is ComponentKind.ACTIVITY_TYPE:
-            activity = ref.id
-        else:
-            continue
-        bucket = totals.setdefault(activity, {})
-        for key, q in sv.items():
-            vector_add(bucket, key, q.amount, q.unit)
+        type_ref = al.log.lift(ref, ComponentKind.ACTIVITY_TYPE)
+        if type_ref is not None:
+            bucket = totals.setdefault(type_ref.id, {})
+            for key, q in sv.items():
+                vector_add(bucket, key, q.amount, q.unit)
     return totals
 
 

@@ -55,10 +55,11 @@ def build_report(result: PipelineResult) -> dict:
     al = result.al
     summary = log_summary(al.log)
     totals = scoped_total(result.post_allocation)
-    by_class = classify_impacts(collapse_scopes(totals), al.table)
+    category_totals = collapse_scopes(totals)
+    by_class = classify_impacts(category_totals, al.table)
 
     process_totals: dict = {}
-    for category, q in sorted(collapse_scopes(totals).items()):
+    for category, q in sorted(category_totals.items()):
         info = al.table.categories[category]
         process_totals[category] = {
             "class": info.impact_class.value,
@@ -88,7 +89,7 @@ def build_report(result: PipelineResult) -> dict:
         "impacts": {
             "components": [
                 {"component": _component_obj(ref), "impacts": _scoped_obj(sv)}
-                for ref, sv in sorted(result.post_allocation.items(), key=lambda kv: kv[0].sort_key())
+                for ref, sv in sorted(result.post_allocation.items())
                 if sv
             ],
             "process_totals": process_totals,
@@ -118,7 +119,7 @@ def build_report(result: PipelineResult) -> dict:
                     "component": _component_obj(ref),
                     "impacts": _scoped_obj(sv),
                 }
-                for ref, sv in sorted(result.ledger.residuals.items(), key=lambda kv: kv[0].sort_key())
+                for ref, sv in sorted(result.ledger.residuals.items())
             ],
             "warnings": list(result.ledger.warnings),
         },
@@ -159,7 +160,7 @@ def impact_csv(result: PipelineResult) -> str:
     out = io.StringIO()
     writer = _csv_writer(out)
     writer.writerow(["component_kind", "component_id", "category", "class", "amount", "impact_unit"])
-    for ref, sv in sorted(result.post_allocation.items(), key=lambda kv: kv[0].sort_key()):
+    for ref, sv in sorted(result.post_allocation.items()):
         for category, q in sorted(collapse_scopes(sv).items()):
             info = result.al.table.categories[category]
             writer.writerow([
@@ -174,7 +175,7 @@ def scoped_impact_csv(result: PipelineResult) -> str:
     out = io.StringIO()
     writer = _csv_writer(out)
     writer.writerow(["component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit"])
-    for ref, sv in sorted(result.post_allocation.items(), key=lambda kv: kv[0].sort_key()):
+    for ref, sv in sorted(result.post_allocation.items()):
         for (category, scope), q in sorted(sv.items()):
             info = result.al.table.categories[category]
             writer.writerow([

@@ -231,7 +231,7 @@ def test_ledger_is_deterministic():
     post1, ledger1 = apply_allocations(al, vectors, al.rules)
     post2, ledger2 = apply_allocations(al, vectors, al.rules)
     assert ledger1.entries == ledger2.entries
-    assert [e.sort_key() for e in ledger1.entries] == sorted(e.sort_key() for e in ledger1.entries)
+    assert ledger1.entries == sorted(ledger1.entries)
 
 
 def test_equal_key_commutes_with_relabeling():

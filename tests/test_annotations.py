@@ -235,6 +235,12 @@ def test_characterization_csv_empty_impact_unit_rejected():
         characterization_from_csv(text)
 
 
+def test_csv_factor_overflow_rejected():
+    text = "flow,unit,category,factor,impact_unit,class\nCH4,kg,methane,1e400,kg CO2e,climate\n"
+    with pytest.raises(SchemaError, match="CSV line 2 factor CH4->methane: 1e400 overflows a float"):
+        characterization_from_csv(text)
+
+
 def test_duplicate_factor_entry_rejected():
     doc = bundle_doc()
     doc["characterization"]["factors"].append(
@@ -301,3 +307,17 @@ def test_json_booleans_are_not_numbers(edit, field):
     edit(doc)
     with pytest.raises(SchemaError, match=f"{field}: expected a number, got bool"):
         parse_annotations(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set_amount, "assignment #0 amount"),
+    (_set_factor, "factor CO2->climate_change"),
+    (_set_conversion, "conversion crate->kg"),
+])
+def test_json_numbers_beyond_float_range_rejected(edit, field):
+    # valid JSON and a finite decimal, but impact arithmetic is in floats
+    doc = bundle_doc()
+    edit(doc)
+    text = json.dumps(doc).replace("true", "1e400")
+    with pytest.raises(SchemaError, match=f"{field}: 1E[+]400 overflows a float"):
+        parse_annotations(text)

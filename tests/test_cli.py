@@ -277,12 +277,14 @@ def test_assess_rejects_boolean_amount(tmp_path, capsys, demo_log_path, machine_
     assert not (tmp_path / "out").exists()
 
 
-def test_assess_rejects_nan_attribute(tmp_path, capsys, demo_log_path, machine_bundle_path):
+def _assess_with_bottle_mass(tmp_path, capsys, demo_log_path, machine_bundle_path, literal):
+    """assess with bottle b1's mass_kg written as the raw JSON number
+    ``literal``, under a mass-keyed allocation onto the three bottles."""
     log_doc = json.loads(demo_log_path.read_text())
     bottle = next(o for o in log_doc["objects"] if o["id"] == "b1")
-    bottle["attributes"] = [{"name": "mass_kg", "value": float("nan")}]
+    bottle["attributes"] = [{"name": "mass_kg", "value": "@mass@"}]
     log = tmp_path / "log.json"
-    log.write_text(json.dumps(log_doc))  # writes the bare NaN token
+    log.write_text(json.dumps(log_doc).replace('"@mass@"', literal))
     bundle_doc = json.loads(machine_bundle_path.read_text())
     bundle_doc["allocations"][0]["targets"] = [
         {"kind": "object_instance", "id": b} for b in ("b1", "b2", "b3")
@@ -290,8 +292,53 @@ def test_assess_rejects_nan_attribute(tmp_path, capsys, demo_log_path, machine_b
     bundle_doc["allocations"][0]["key"] = "mass"
     bundle = tmp_path / "bundle.json"
     bundle.write_text(json.dumps(bundle_doc))
-    code, _, err = run(capsys, "assess", "--log", str(log),
-                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    return run(capsys, "assess", "--log", str(log),
+               "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+
+
+def test_assess_rejects_nan_attribute(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    code, _, err = _assess_with_bottle_mass(tmp_path, capsys, demo_log_path, machine_bundle_path, "NaN")
     assert code == 1
     assert err.startswith("error [load-log]: ")
     assert "NaN" in err
+
+
+def test_assess_rejects_overflowing_attribute(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    # 1e400 is valid JSON but no float: it must not load as inf
+    code, _, err = _assess_with_bottle_mass(tmp_path, capsys, demo_log_path, machine_bundle_path, "1e400")
+    assert code == 1
+    assert err.startswith("error [load-log]: ")
+    assert "non-finite number '1e400'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_assess_over_empty_instance_ids_names_the_type(tmp_path, capsys):
+    # a lenient log keeps empty ids; expanding or allocating over one must
+    # be a data error naming the type, not a crash
+    log_doc = {
+        "objectTypes": [{"name": "order"}, {"name": "machine"}],
+        "eventTypes": [{"name": "pack"}],
+        "objects": [{"id": "", "type": "order"}, {"id": "m1", "type": "machine"}],
+        "events": [
+            {"id": "e1", "type": "pack", "time": "2024-01-01T08:00:00Z"},
+            {"id": "", "type": "pack", "time": "2024-01-01T09:00:00Z",
+             "relationships": [{"objectId": "m1", "qualifier": "uses"}]},
+        ],
+    }
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(log_doc))
+    per_instance = {"basis": "per_instance", "flow": "CO2", "direction": "output", "amount": 1, "unit": "kg"}
+    cases = [
+        ({"assignments": [{"component": {"kind": "activity_type", "id": "pack"}, **per_instance}]},
+         "activity type 'pack' has an event with an empty id"),
+        ({"assignments": [{"component": {"kind": "object_type", "id": "order"}, **per_instance}]},
+         "object type 'order' has an object with an empty id"),
+        ({"allocations": [{"source": {"kind": "object_instance", "id": "m1"}}]},
+         "activity type 'pack' has an event with an empty id"),
+    ]
+    for i, (bundle_doc, message) in enumerate(cases):
+        bundle = tmp_path / f"bundle{i}.json"
+        bundle.write_text(json.dumps({"schema": "susmine/1", **bundle_doc}))
+        code, _, err = run(capsys, "assess", "--mode", "lenient", "--log", str(log),
+                           "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+        assert (code, err) == (1, f"error [pipeline]: {message}\n")

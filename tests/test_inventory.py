@@ -29,6 +29,7 @@ from susmine.generator import generate_bundle
 
 from conftest import make_log
 from test_annotations import bundle_doc, shipping_log
+from test_model import lenient_log
 
 
 def bound(log, assignments, **doc_overrides):
@@ -268,3 +269,52 @@ def test_process_ref_row_has_empty_id():
     text = inventory_to_csv(rollup_inventory(al, ComponentKind.PROCESS))
     assert "process,,CO2,output,unscoped,1,kg" in text
     assert PROCESS_REF.id is None
+
+
+def structure_bundles():
+    """Generated bundles beyond the 200-event ceiling, plus the lenient log
+    with instance assignments on its undeclared activity and object type."""
+    out = []
+    for seed in (3, 11):
+        gb = generate_bundle(seed, 1500)
+        out.append(bind_annotations(parse_ocel(gb.log_json), parse_annotations(gb.annotations_json)))
+    out.append(bound(lenient_log(), [
+        instance_assignment("e1", "2"),
+        instance_assignment("e4", "3", scope="scope1"),
+        instance_assignment("e3", "5"),
+        {"component": {"kind": "object_instance", "id": "p1"},
+         "flow": "CO2", "direction": "output", "amount": "7", "unit": "kg"},
+        {"component": {"kind": "activity_type", "id": "ship"},
+         "flow": "CO2", "direction": "output", "amount": "1", "unit": "kg", "basis": "per_instance"},
+        {"component": {"kind": "object_type", "id": "order"},
+         "flow": "CO2", "direction": "output", "amount": "11", "unit": "kg"},
+        {"component": {"kind": "process"},
+         "flow": "CO2", "direction": "input", "amount": "13", "unit": "kg"},
+    ]))
+    return out
+
+
+def test_rollup_equals_brute_force_sum_at_every_level():
+    for al in structure_bundles():
+        activity_of = {e.event_id: e.activity for e in al.log.events}
+        type_of = {o.object_id: o.object_type for o in al.log.objects}
+        kinds = {a.component.kind for _, a in al.resolved}
+        assert {ComponentKind.ACTIVITY_TYPE, ComponentKind.OBJECT_TYPE} <= kinds
+        for level in (ComponentKind.PROCESS, ComponentKind.ACTIVITY_TYPE, ComponentKind.OBJECT_TYPE):
+            expected: dict = {}
+            for ref, a in al.resolved:
+                if level is ComponentKind.PROCESS:
+                    target = PROCESS_REF
+                elif ref.kind is level:
+                    target = ref
+                elif level is ComponentKind.ACTIVITY_TYPE and ref.kind is ComponentKind.ACTIVITY_INSTANCE:
+                    target = ComponentRef(level, activity_of[ref.id])
+                elif level is ComponentKind.OBJECT_TYPE and ref.kind is ComponentKind.OBJECT_INSTANCE:
+                    target = ComponentRef(level, type_of[ref.id])
+                else:
+                    continue
+                key = (target, a.flow, a.direction, a.scope or UNSCOPED)
+                expected[key] = expected.get(key, Decimal(0)) + a.quantity.amount
+            got = {tuple(k): q.amount for k, q in rollup_inventory(al, level).entries.items()}
+            assert got == expected, level
+            assert expected

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from susmine import (
     ComponentKind,
@@ -8,12 +11,14 @@ from susmine import (
     ObjectInstance,
     Relation,
     UnknownComponentError,
+    parse_ocel,
     resolve_component,
     validate_log,
 )
+from susmine.generator import generate_bundle
 from susmine.model import PROCESS_REF, parse_timestamp
 
-from conftest import make_log
+from conftest import make_log, make_log_doc
 
 
 def two_event_log():
@@ -121,3 +126,84 @@ def test_component_ref_validation():
         ComponentRef(ComponentKind.PROCESS, "x")
     with pytest.raises(ValueError):
         ComponentRef(ComponentKind.ACTIVITY_TYPE, None)
+
+
+def lenient_log():
+    """Undeclared activity 'audit' and object type 'pallet', interleaved
+    with declared ones so log order differs from sorted order."""
+    doc = make_log_doc(
+        events=[
+            ("e3", "ship", "2024-01-01T08:00:00Z", [("o2", "handles")], {}),
+            ("e1", "audit", "2024-01-01T08:01:00Z", [("o1", "checks")], {}),
+            ("e2", "pack", "2024-01-01T08:02:00Z", [("p1", "loads")], {}),
+            ("e0", "ship", "2024-01-01T08:03:00Z", [("o1", "handles")], {}),
+            ("e4", "audit", "2024-01-01T08:04:00Z", [], {}),
+        ],
+        objects=[("o2", "order", {}), ("p1", "pallet", {}), ("o1", "order", {})],
+        activity_types=["pack", "ship"],
+        object_types=["order"],
+    )
+    return parse_ocel(json.dumps(doc), strict=False)
+
+
+def structure_logs():
+    """Generated logs beyond the 200-event ceiling plus a lenient log."""
+    logs = [parse_ocel(generate_bundle(seed, 1500).log_json) for seed in (3, 11)]
+    return logs + [lenient_log()]
+
+
+def type_refs(log):
+    activities = log.activity_types | {e.activity for e in log.events}
+    object_types = log.object_types | {o.object_type for o in log.objects}
+    return ([ComponentRef(ComponentKind.ACTIVITY_TYPE, a) for a in sorted(activities)]
+            + [ComponentRef(ComponentKind.OBJECT_TYPE, t) for t in sorted(object_types)])
+
+
+def test_members_equal_brute_force_filter_in_log_order():
+    for log in structure_logs():
+        for type_ref in type_refs(log):
+            if type_ref.kind is ComponentKind.ACTIVITY_TYPE:
+                expected = [e for e in log.events if e.activity == type_ref.id]
+            else:
+                expected = [o for o in log.objects if o.object_type == type_ref.id]
+            assert expected, type_ref
+            assert log.members(type_ref) == expected, type_ref
+        assert log.members(ComponentRef(ComponentKind.ACTIVITY_TYPE, "no_such_type")) == []
+        assert log.members(PROCESS_REF) == []
+
+
+def test_every_member_lifts_back_to_its_type():
+    for log in structure_logs():
+        for type_ref in type_refs(log):
+            for member in log.members(type_ref):
+                assert log.lift(member.ref, type_ref.kind) == type_ref
+                assert log.lift(member.ref, ComponentKind.PROCESS) == PROCESS_REF
+            assert log.lift(type_ref, type_ref.kind) == type_ref
+            assert log.lift(type_ref, ComponentKind.PROCESS) == PROCESS_REF
+
+
+def test_lift_returns_none_where_nothing_rolls_up():
+    log = lenient_log()
+    event = ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "e1")
+    obj = ComponentRef(ComponentKind.OBJECT_INSTANCE, "p1")
+    assert log.lift(event, ComponentKind.OBJECT_TYPE) is None
+    assert log.lift(obj, ComponentKind.ACTIVITY_TYPE) is None
+    assert log.lift(PROCESS_REF, ComponentKind.ACTIVITY_TYPE) is None
+    assert log.lift(ComponentRef(ComponentKind.OBJECT_TYPE, "order"), ComponentKind.ACTIVITY_TYPE) is None
+    assert log.lift(ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "missing"), ComponentKind.ACTIVITY_TYPE) is None
+    assert log.lift(PROCESS_REF, ComponentKind.PROCESS) == PROCESS_REF
+
+
+_refs = st.one_of(
+    st.just(PROCESS_REF),
+    st.builds(
+        ComponentRef,
+        st.sampled_from([k for k in ComponentKind if k is not ComponentKind.PROCESS]),
+        st.text(alphabet="ab_Z9", min_size=1, max_size=3),
+    ),
+)
+
+
+@given(st.lists(_refs, max_size=40))
+def test_component_order_is_kind_value_then_id(refs):
+    assert sorted(refs) == sorted(refs, key=lambda r: (r.kind.value, r.id or ""))

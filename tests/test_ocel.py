@@ -79,6 +79,14 @@ def test_non_finite_json_constants_rejected(token):
         parse_ocel(text)
 
 
+@pytest.mark.parametrize("section, name", [("events", "event 'e1'"), ("objects", "object 'o1'")])
+def test_empty_type_name_rejected_even_when_lenient(section, name):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[section][0]["type"] = ""
+    with pytest.raises(SchemaError, match=f"{name}: 'type' must be a non-empty string"):
+        parse_ocel(json.dumps(doc), strict=False)
+
+
 def test_malformed_json_raises_decode_error():
     with pytest.raises(json.JSONDecodeError):
         parse_ocel(b"{not json")
