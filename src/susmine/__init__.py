@@ -16,6 +16,7 @@ from .errors import (
     MissingAttributeError,
     MissingFixtureError,
     NoConversionPathError,
+    NonFiniteImpactError,
     NoTargetsError,
     SchemaError,
     SusmineError,

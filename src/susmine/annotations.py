@@ -28,9 +28,11 @@ import csv
 import io
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import SchemaError, UnknownScopeError, UnknownUnitError
 from .model import ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
@@ -115,16 +117,28 @@ class TableEntry:
         return self.direction is None or self.direction is direction
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterizationTable:
     """Map from (flow, unit) to per-category factors, plus the category
-    declarations (impact unit and climate/environmental/social class)."""
+    declarations (impact unit and climate/environmental/social class).
 
-    entries: dict[tuple[str, str], TableEntry] = field(default_factory=dict)
+    Construction indexes the entries by flow, so ``entries`` is a
+    read-only view: build a new table instead of writing into it.
+    """
+
+    entries: Mapping[tuple[str, str], TableEntry] = field(default_factory=dict)
     categories: dict[str, CategoryInfo] = field(default_factory=dict)
 
+    def __post_init__(self):
+        by_flow: dict[str, list[TableEntry]] = {}
+        for (flow, _), entry in sorted(self.entries.items()):
+            by_flow.setdefault(flow, []).append(entry)
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "_by_flow", by_flow)
+
     def entries_for_flow(self, flow: str) -> list[TableEntry]:
-        return [e for (f, _), e in sorted(self.entries.items()) if f == flow]
+        """The flow's entries, ordered by unit."""
+        return list(self._by_flow.get(flow, ()))
 
 
 @dataclass(frozen=True)
@@ -321,22 +335,23 @@ def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> C
 
 
 def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
-    table = CharacterizationTable()
     if raw is None:
-        return table
+        return CharacterizationTable()
     if not isinstance(raw, dict):
         raise SchemaError("'characterization' must be an object")
 
     categories_raw = raw.get("categories", {})
     if not isinstance(categories_raw, dict):
         raise SchemaError("characterization.categories must be an object")
+    categories: dict[str, CategoryInfo] = {}
     for name, info in sorted(categories_raw.items()):
         if not isinstance(info, dict):
             raise SchemaError(f"category '{name}': declaration must be an object")
-        table.categories[name] = _category_info(
+        categories[name] = _category_info(
             info.get("impact_unit"), info.get("class"), scope_set, f"category '{name}'"
         )
 
+    entries: dict[tuple[str, str], TableEntry] = {}
     for entry_raw in raw.get("factors", []):
         if not isinstance(entry_raw, dict):
             raise SchemaError("characterization.factors entries must be objects")
@@ -354,14 +369,14 @@ def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> Characteri
             raise SchemaError(f"factor entry '{flow}': 'factors' must be an object")
         factors: dict[str, float] = {}
         for category, value in sorted(factors_raw.items()):
-            if category not in table.categories:
+            if category not in categories:
                 raise SchemaError(f"factor entry '{flow}': undeclared category '{category}'")
             factors[category] = float(_as_decimal(value, f"factor {flow}->{category}"))
         key = (flow, unit)
-        if key in table.entries:
+        if key in entries:
             raise SchemaError(f"duplicate factor entry for flow '{flow}' [{unit}]")
-        table.entries[key] = TableEntry(flow, unit, direction, factors)
-    return table
+        entries[key] = TableEntry(flow, unit, direction, factors)
+    return CharacterizationTable(entries, categories)
 
 
 def _parse_key(raw, where: str) -> AllocationKey:
@@ -453,7 +468,7 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise SchemaError(f"characterization CSV requires columns {sorted(required)}")
 
-    table = CharacterizationTable()
+    categories: dict[str, CategoryInfo] = {}
     factors_by_key: dict[tuple[str, str], dict[str, float]] = {}
     for i, row in enumerate(reader, start=2):
         flow, unit, category = row["flow"], row["unit"], row["category"]
@@ -462,19 +477,21 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
         if not registry.has_unit(unit):
             raise UnknownUnitError(f"CSV line {i}: unit '{unit}' not in registry")
         info = _category_info(row["impact_unit"], row["class"], scope_set, f"CSV line {i}")
-        existing = table.categories.get(category)
+        existing = categories.get(category)
         if existing is not None and existing != info:
             raise SchemaError(f"CSV line {i}: conflicting declaration for category '{category}'")
-        table.categories[category] = info
+        categories[category] = info
         factor = float(_as_decimal(row["factor"], f"CSV line {i} factor {flow}->{category}"))
         bucket = factors_by_key.setdefault((flow, unit), {})
         if category in bucket:
             raise SchemaError(f"CSV line {i}: duplicate factor for ({flow}, {unit}, {category})")
         bucket[category] = factor
 
-    for (flow, unit), factors in sorted(factors_by_key.items()):
-        table.entries[(flow, unit)] = TableEntry(flow, unit, None, factors)
-    return table
+    entries = {
+        (flow, unit): TableEntry(flow, unit, None, factors)
+        for (flow, unit), factors in sorted(factors_by_key.items())
+    }
+    return CharacterizationTable(entries, categories)
 
 
 def empty_bundle(scope_set: ScopeSet | None = None) -> AnnotationBundle:

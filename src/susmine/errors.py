@@ -55,6 +55,10 @@ class UncharacterizedFlowError(SusmineError):
         super().__init__(f"no characterization entry for flow '{flow}' [{unit}, {direction}]")
 
 
+class NonFiniteImpactError(SusmineError):
+    """An impact product or sum overflowed the float range."""
+
+
 class ZeroOutputError(SusmineError):
     """Functional-unit scaling found zero measured output in the log."""
 

@@ -13,9 +13,10 @@ assessment is worse than a visibly partial one.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
-from .errors import UncharacterizedFlowError, UnitMismatchError
+from .errors import NonFiniteImpactError, UncharacterizedFlowError, UnitMismatchError
 from .model import ComponentRef, Direction, Quantity
 from .annotations import CharacterizationTable, ImpactClass, TableEntry
 from .inventory import Inventory
@@ -67,9 +68,14 @@ def _find_entry(
 
 def vector_add(vec: dict, key, amount: float, unit: str) -> None:
     """Add ``amount`` into ``vec[key]``; the one accumulator behind every
-    impact vector, plain (category keys) or scoped ((category, scope) keys)."""
+    impact vector, plain (category keys) or scoped ((category, scope) keys).
+    Raises :class:`NonFiniteImpactError` when the amount or the sum is not
+    a finite float."""
     prev = vec.get(key)
-    vec[key] = Quantity(amount if prev is None else prev.amount + amount, unit)
+    total = amount if prev is None else prev.amount + amount
+    if not math.isfinite(total):
+        raise NonFiniteImpactError(f"impact {key} is not finite ({total})")
+    vec[key] = Quantity(total, unit)
 
 
 def characterize(
@@ -112,7 +118,13 @@ def characterize(
         base = float(amount)
         vec = vectors.setdefault(key.component, {})
         for category, factor in sorted(entry.factors.items()):
-            vector_add(vec, category, base * factor, table.categories[category].impact_unit)
+            try:
+                vector_add(vec, category, base * factor, table.categories[category].impact_unit)
+            except NonFiniteImpactError:
+                raise NonFiniteImpactError(
+                    f"{key.component}: flow '{key.flow}' in category '{category}' "
+                    f"overflows a float ({q.amount} {q.unit} x factor {factor})"
+                ) from None
 
     return vectors, sorted(uncharacterized)
 

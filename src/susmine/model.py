@@ -139,7 +139,8 @@ class EventLog:
     """An object-centric event log.
 
     Construction does not validate; run :func:`validate_log` (empty report
-    means valid). Treat instances as immutable once built.
+    means valid). Construction indexes members by type and relations by
+    object, so treat instances as immutable once built.
     """
 
     activity_types: set[str] = field(default_factory=set)
@@ -157,6 +158,9 @@ class EventLog:
             self._members.setdefault((ComponentKind.ACTIVITY_TYPE, e.activity), []).append(e)
         for o in self.objects:
             self._members.setdefault((ComponentKind.OBJECT_TYPE, o.object_type), []).append(o)
+        self._relations_by_object: dict[str, list[Relation]] = {}
+        for rel in self.relations:
+            self._relations_by_object.setdefault(rel.object_id, []).append(rel)
 
     def event(self, event_id: str) -> Event | None:
         return self._events_by_id.get(event_id)
@@ -186,12 +190,11 @@ class EventLog:
         return None
 
     def events_related_to(self, object_id: str, qualifier: str | None = None) -> list[Event]:
-        """Events related to an object, in log order, deduplicated."""
+        """Events related to an object, in relation order, deduplicated;
+        relations to events absent from the log are skipped."""
         seen: set[str] = set()
         out: list[Event] = []
-        for rel in self.relations:
-            if rel.object_id != object_id:
-                continue
+        for rel in self._relations_by_object.get(object_id, ()):
             if qualifier is not None and rel.qualifier != qualifier:
                 continue
             if rel.event_id in seen:

@@ -23,16 +23,21 @@ from .inventory import (
     rollup_inventory,
     scale_to_functional_unit,
 )
-from .scoping import ScopedVector, scoped_impacts
+from .scoping import ScopedVector, scoped_impacts, scoped_total
 
 
 @dataclass
 class PipelineResult:
+    """Every stage's output. ``post_allocation`` is in component order;
+    ``totals`` is its sum taken in allocation order, which fixes the
+    float summation order and so the reported figures."""
+
     al: AnnotatedLog
     mode: Mode
     inventory: Inventory
     scoped: dict[ComponentRef, ScopedVector]
     post_allocation: dict[ComponentRef, ScopedVector]
+    totals: ScopedVector
     ledger: AllocationLedger
     uncharacterized: list[UncharacterizedFlow]
     audit_row: dict[str, SupportLevel]
@@ -82,7 +87,8 @@ def run_pipeline(
         mode=Mode(mode),
         inventory=inventory,
         scoped=scoped,
-        post_allocation=post,
+        post_allocation=dict(sorted(post.items())),
+        totals=scoped_total(post),
         ledger=ledger,
         uncharacterized=uncharacterized,
         audit_row=audit_row,

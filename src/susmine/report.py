@@ -21,7 +21,7 @@ from .impact import classify_impacts
 from .inventory import INVENTORY_COLUMNS, InvKey, inventory_row, inventory_to_csv
 from .ocel import log_summary
 from .pipeline import PipelineResult
-from .scoping import ScopedVector, collapse_scopes, scoped_total, unscoped_share
+from .scoping import ScopedVector, collapse_scopes, unscoped_share
 
 REPORT_SCHEMA_ID = "susmine-report/1"
 
@@ -54,7 +54,7 @@ def _scoped_obj(sv: ScopedVector) -> dict:
 def build_report(result: PipelineResult) -> dict:
     al = result.al
     summary = log_summary(al.log)
-    totals = scoped_total(result.post_allocation)
+    totals = result.totals
     category_totals = collapse_scopes(totals)
     by_class = classify_impacts(category_totals, al.table)
 
@@ -89,7 +89,7 @@ def build_report(result: PipelineResult) -> dict:
         "impacts": {
             "components": [
                 {"component": _component_obj(ref), "impacts": _scoped_obj(sv)}
-                for ref, sv in sorted(result.post_allocation.items())
+                for ref, sv in result.post_allocation.items()
                 if sv
             ],
             "process_totals": process_totals,
@@ -160,7 +160,7 @@ def impact_csv(result: PipelineResult) -> str:
     out = io.StringIO()
     writer = _csv_writer(out)
     writer.writerow(["component_kind", "component_id", "category", "class", "amount", "impact_unit"])
-    for ref, sv in sorted(result.post_allocation.items()):
+    for ref, sv in result.post_allocation.items():
         for category, q in sorted(collapse_scopes(sv).items()):
             info = result.al.table.categories[category]
             writer.writerow([
@@ -175,7 +175,7 @@ def scoped_impact_csv(result: PipelineResult) -> str:
     out = io.StringIO()
     writer = _csv_writer(out)
     writer.writerow(["component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit"])
-    for ref, sv in sorted(result.post_allocation.items()):
+    for ref, sv in result.post_allocation.items():
         for (category, scope), q in sorted(sv.items()):
             info = result.al.table.categories[category]
             writer.writerow([

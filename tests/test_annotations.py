@@ -17,7 +17,14 @@ from susmine import (
     empty_bundle,
     parse_annotations,
 )
-from susmine.annotations import SCOPE_PRESETS, parse_scope_set
+from susmine.annotations import (
+    SCOPE_PRESETS,
+    CategoryInfo,
+    CharacterizationTable,
+    ImpactClass,
+    TableEntry,
+    parse_scope_set,
+)
 from susmine.fixtures import fixture_path
 
 from conftest import make_log
@@ -321,3 +328,50 @@ def test_json_numbers_beyond_float_range_rejected(edit, field):
     text = json.dumps(doc).replace("true", "1e400")
     with pytest.raises(SchemaError, match=f"{field}: 1E[+]400 overflows a float"):
         parse_annotations(text)
+
+
+def _unsorted_factor_entries():
+    """Several units per flow, listed out of (flow, unit) order."""
+    return [
+        ("energy", "kWh", 0.4), ("CO2", "kg", 1.0), ("energy", "MJ", 0.1),
+        ("CH4", "kg", 28.0), ("energy", "Wh", 0.0004), ("CO2", "g", 0.001),
+    ]
+
+
+def _tables_from_every_constructor():
+    rows = _unsorted_factor_entries()
+    json_table = parse_annotations(json.dumps(bundle_doc(characterization={
+        "categories": {"climate_change": {"impact_unit": "kg CO2e", "class": "climate"}},
+        "factors": [{"flow": f, "unit": u, "factors": {"climate_change": x}} for f, u, x in rows],
+    }))).table
+    csv_table = characterization_from_csv(
+        "flow,unit,category,factor,impact_unit,class\n"
+        + "".join(f"{f},{u},climate_change,{x},kg CO2e,climate\n" for f, u, x in rows)
+    )
+    direct_table = CharacterizationTable(
+        entries={(f, u): TableEntry(f, u, None, {"climate_change": x}) for f, u, x in rows},
+        categories={"climate_change": CategoryInfo("kg CO2e", ImpactClass.CLIMATE)},
+    )
+    return [json_table, csv_table, direct_table, empty_bundle().table]
+
+
+def test_entries_for_flow_equals_sorted_scan():
+    for table in _tables_from_every_constructor():
+        for flow in ["energy", "CO2", "CH4", "no_such_flow"]:
+            expected = [e for (f, _), e in sorted(table.entries.items()) if f == flow]
+            assert table.entries_for_flow(flow) == expected, flow
+        # a caller may change the list it gets without touching the table
+        table.entries_for_flow("energy").clear()
+        assert len(table.entries_for_flow("energy")) == (3 if table.entries else 0)
+
+
+def test_table_entries_are_read_only_after_construction():
+    source = {("CO2", "kg"): TableEntry("CO2", "kg", None, {"climate_change": 1.0})}
+    direct = CharacterizationTable(entries=source)
+    source[("CH4", "kg")] = TableEntry("CH4", "kg", None, {"climate_change": 28.0})
+    assert direct.entries_for_flow("CH4") == [] and ("CH4", "kg") not in direct.entries
+    for table in [*_tables_from_every_constructor(), direct]:
+        with pytest.raises(TypeError):
+            table.entries[("noise", "h")] = TableEntry("noise", "h", None, {})
+        with pytest.raises(AttributeError):
+            table.entries = {}

@@ -342,3 +342,36 @@ def test_assess_over_empty_instance_ids_names_the_type(tmp_path, capsys):
         code, _, err = run(capsys, "assess", "--mode", "lenient", "--log", str(log),
                            "--annotations", str(bundle), "--out", str(tmp_path / "out"))
         assert (code, err) == (1, f"error [pipeline]: {message}\n")
+
+
+def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
+    # in-range amounts times in-range factors can leave the float range:
+    # in one product, in one component's sum, or in the process total
+    def co2(component, amount):
+        return {"component": component, "flow": "CO2", "direction": "output",
+                "amount": amount, "unit": "kg", "scope": "scope1"}
+
+    e1 = {"kind": "activity_instance", "id": "e1"}
+    cases = [
+        (1e10, [co2(e1, "1e300")],
+         "activity_instance:e1: flow 'CO2' in category 'climate_change' overflows a float"),
+        (1e8, [co2(e1, "1e300"), {**co2(e1, "1e300"), "direction": "input"}],
+         "activity_instance:e1: flow 'CO2' in category 'climate_change' overflows a float"),
+        (1e8, [co2(e1, "1e300"), co2({"kind": "process"}, "1e300")],
+         "impact ('climate_change', 'scope1') is not finite (inf)"),
+    ]
+    for i, (factor, assignments, message) in enumerate(cases):
+        bundle = tmp_path / f"bundle{i}.json"
+        bundle.write_text(json.dumps({
+            "schema": "susmine/1",
+            "assignments": assignments,
+            "characterization": {
+                "categories": {"climate_change": {"impact_unit": "kg CO2e", "class": "climate"}},
+                "factors": [{"flow": "CO2", "unit": "kg", "factors": {"climate_change": factor}}],
+            },
+        }))
+        code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                           "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+        assert code == 1, err
+        assert err.startswith(f"error [pipeline]: {message}"), err
+        assert not (tmp_path / "out").exists()

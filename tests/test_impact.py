@@ -117,8 +117,11 @@ def test_unit_mismatch_without_path():
 
 
 def test_entry_with_no_categories_reports_uncharacterized():
-    table = simple_table()
-    table.entries[("noise", "h")] = TableEntry("noise", "h", None, {})
+    base = simple_table()
+    table = CharacterizationTable(
+        entries={**base.entries, ("noise", "h"): TableEntry("noise", "h", None, {})},
+        categories=base.categories,
+    )
     vectors, gaps = characterize(inv_of(("e1", "noise", "output", UNSCOPED, 2, "h")), table)
     assert vectors == {}
     assert [tuple(g) for g in gaps] == [("noise", "h", "output")]

@@ -207,3 +207,57 @@ _refs = st.one_of(
 @given(st.lists(_refs, max_size=40))
 def test_component_order_is_kind_value_then_id(refs):
     assert sorted(refs) == sorted(refs, key=lambda r: (r.kind.value, r.id or ""))
+
+
+def brute_force_related(log, events, object_id, qualifier):
+    """Scan every relation: the unindexed definition of events_related_to
+    (``events`` maps event ids to events)."""
+    seen, out = set(), []
+    for rel in log.relations:
+        if rel.object_id != object_id or (qualifier is not None and rel.qualifier != qualifier):
+            continue
+        if rel.event_id not in seen:
+            seen.add(rel.event_id)
+            if rel.event_id in events:
+                out.append(events[rel.event_id])
+    return out
+
+
+def awkward_relations_log():
+    """Built in code, as only a lenient log could be: a duplicated relation,
+    one event related twice under different qualifiers, a relation to an
+    absent event, one to an absent object, and an object with no relations."""
+    ts = parse_timestamp("2024-01-01T08:00:00Z")
+    events = [Event("e1", "pack", ts), Event("e2", "ship", ts), Event("e3", "ship", ts)]
+    relations = [
+        Relation("e2", "o1", "a"),
+        Relation("e1", "o1", "b"),
+        Relation("e2", "o1", "a"),
+        Relation("ghost", "o1", "a"),
+        Relation("e2", "o1", "b"),
+        Relation("e3", "nowhere", "a"),
+    ]
+    return EventLog({"pack", "ship"}, {"order"}, events,
+                    [ObjectInstance("o1", "order"), ObjectInstance("o2", "order")], relations)
+
+
+def test_events_related_to_keeps_relation_order_and_skips_the_unknown():
+    log = awkward_relations_log()
+    ids = lambda events: [e.event_id for e in events]  # noqa: E731
+    assert ids(log.events_related_to("o1")) == ["e2", "e1"]
+    assert ids(log.events_related_to("o1", "a")) == ["e2"]
+    assert ids(log.events_related_to("o1", "b")) == ["e1", "e2"]
+    assert ids(log.events_related_to("nowhere")) == ["e3"]
+    assert log.events_related_to("o2") == []
+    assert log.events_related_to("no_such_object") == []
+
+
+def test_events_related_to_equals_brute_force_scan():
+    for log in [*structure_logs(), awkward_relations_log()]:
+        events = {e.event_id: e for e in log.events}
+        qualifiers = [None, "no_such_qualifier", *sorted({r.qualifier for r in log.relations})]
+        object_ids = [o.object_id for o in log.objects] + ["nowhere", "no_such_object"]
+        for object_id in object_ids:
+            for qualifier in qualifiers:
+                assert log.events_related_to(object_id, qualifier) == \
+                    brute_force_related(log, events, object_id, qualifier), (object_id, qualifier)
