@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LogMismatchError
-from .model import EventLog
-from .ocel import log_summary
+from .model import ComponentKind, EventLog
 from .scoping import ScopedVector, collapse_scopes
 
 
@@ -40,7 +39,7 @@ def build_dfg(log: EventLog) -> AnnotatedDFG:
     node (so objectless events and a lenient load's undeclared activities
     still appear); one trace per object yields edges."""
     dfg = AnnotatedDFG(log_digest=log.digest())
-    counts = log_summary(log).per_activity
+    counts = log.member_counts(ComponentKind.ACTIVITY_TYPE)
     for activity in sorted(log.activity_types | counts.keys()):
         dfg.nodes[activity] = DFGNode(activity, counts.get(activity, 0))
     for obj in log.objects:

@@ -140,7 +140,8 @@ class EventLog:
 
     Construction does not validate; run :func:`validate_log` (empty report
     means valid). Construction indexes members by type and relations by
-    object, so treat instances as immutable once built.
+    object, and :meth:`digest` is computed once, so treat instances as
+    immutable once built.
     """
 
     activity_types: set[str] = field(default_factory=set)
@@ -161,6 +162,7 @@ class EventLog:
         self._relations_by_object: dict[str, list[Relation]] = {}
         for rel in self.relations:
             self._relations_by_object.setdefault(rel.object_id, []).append(rel)
+        self._digest: str | None = None
 
     def event(self, event_id: str) -> Event | None:
         return self._events_by_id.get(event_id)
@@ -171,6 +173,13 @@ class EventLog:
     def members(self, type_ref: ComponentRef) -> list[Event] | list[ObjectInstance]:
         """Events of an activity type or objects of an object type, in log order."""
         return list(self._members.get((type_ref.kind, type_ref.id), ()))
+
+    def member_counts(self, kind: ComponentKind) -> dict[str, int]:
+        """Events per activity (``ACTIVITY_TYPE``) or objects per object type
+        (``OBJECT_TYPE``), sorted by name; read off the membership index."""
+        return dict(sorted(
+            (name, len(members)) for (k, name), members in self._members.items() if k is kind
+        ))
 
     def lift(self, ref: ComponentRef, level: ComponentKind) -> ComponentRef | None:
         """The component ``ref`` rolls up into at ``level``: itself at its
@@ -210,7 +219,10 @@ class EventLog:
         return sorted(self.events, key=lambda e: (e.timestamp, e.event_id))
 
     def digest(self) -> str:
-        """SHA-256 over a canonical rendering; identifies log content."""
+        """SHA-256 over a canonical rendering; identifies log content.
+        Computed on the first call; later calls return the stored value."""
+        if self._digest is not None:
+            return self._digest
         payload = {
             "activity_types": sorted(self.activity_types),
             "object_types": sorted(self.object_types),
@@ -227,7 +239,8 @@ class EventLog:
             "relations": [[r.event_id, r.object_id, r.qualifier] for r in self.relations],
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        self._digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self._digest
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from decimal import Decimal
 
 from .errors import IntegrityError, SchemaError
 from .model import (
+    ComponentKind,
     Event,
     EventLog,
     ObjectInstance,
@@ -249,15 +250,9 @@ def serialize_ocel(log: EventLog) -> str:
 
 
 def log_summary(log: EventLog) -> LogSummary:
-    per_activity: dict[str, int] = {}
-    for ev in log.events:
-        per_activity[ev.activity] = per_activity.get(ev.activity, 0) + 1
-    per_object_type: dict[str, int] = {}
-    for obj in log.objects:
-        per_object_type[obj.object_type] = per_object_type.get(obj.object_type, 0) + 1
     return LogSummary(
         event_count=len(log.events),
         object_count=len(log.objects),
-        per_activity=dict(sorted(per_activity.items())),
-        per_object_type=dict(sorted(per_object_type.items())),
+        per_activity=log.member_counts(ComponentKind.ACTIVITY_TYPE),
+        per_object_type=log.member_counts(ComponentKind.OBJECT_TYPE),
     )

@@ -6,16 +6,21 @@ byte-deterministic for identical inputs: keys are sorted, rows are sorted,
 and nothing time- or environment-dependent is embedded.
 
 Exact decimal amounts (inventory stage) are serialized as strings to
-preserve their digits; impact amounts are JSON numbers.
+preserve their digits; impact amounts are JSON numbers. ``report.json``
+is written by a one-pass emitter that reproduces
+``json.dumps(indent=2, sort_keys=True)`` byte for byte, without falling
+back to ``json``'s pure-Python encoder as any ``indent`` does.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
+from .errors import NonFiniteImpactError
 from .model import ComponentRef, Quantity
 from .impact import classify_impacts
 from .inventory import INVENTORY_COLUMNS, InvKey, inventory_row, inventory_to_csv
@@ -58,18 +63,15 @@ def build_report(result: PipelineResult) -> dict:
     category_totals = collapse_scopes(totals)
     by_class = classify_impacts(category_totals, al.table)
 
-    process_totals: dict = {}
-    for category, q in sorted(category_totals.items()):
-        info = al.table.categories[category]
-        process_totals[category] = {
-            "class": info.impact_class.value,
+    by_scope = _scoped_obj(totals)
+    process_totals = {
+        category: {
+            "class": al.table.categories[category].impact_class.value,
             "total": {"amount": q.amount, "unit": q.unit},
-            "by_scope": {
-                scope: {"amount": sq.amount, "unit": sq.unit}
-                for (cat, scope), sq in sorted(totals.items())
-                if cat == category
-            },
+            "by_scope": by_scope[category],
         }
+        for category, q in category_totals.items()
+    }
 
     report = {
         "schema": REPORT_SCHEMA_ID,
@@ -128,6 +130,16 @@ def build_report(result: PipelineResult) -> dict:
     }
 
     if result.fu is not None:
+        scale = float(result.fu_scale)
+        per_fu: ScopedVector = {}
+        for (category, scope), q in totals.items():
+            amount = q.amount * scale
+            if not math.isfinite(amount):
+                raise NonFiniteImpactError(
+                    f"impact per functional unit in category '{category}', scope '{scope}' "
+                    f"overflows a float ({q.amount} {q.unit} x scale {result.fu_scale})"
+                )
+            per_fu[category, scope] = Quantity(amount, q.unit)
         report["functional_unit"] = {
             "object_type": result.fu.object_type,
             "reference": {"amount": str(result.fu.reference.amount), "unit": result.fu.reference.unit},
@@ -135,20 +147,93 @@ def build_report(result: PipelineResult) -> dict:
             "measured_output": str(result.fu_output),
             "scale_factor": str(result.fu_scale),
             "inventory_per_fu": _inventory_entries(result.fu_inventory.sorted_entries()),
-            "impacts_per_fu": {
-                category: {
-                    scope: {"amount": q.amount * float(result.fu_scale), "unit": q.unit}
-                    for (cat, scope), q in sorted(totals.items())
-                    if cat == category
-                }
-                for category in sorted({cat for (cat, _) in totals})
-            },
+            "impacts_per_fu": _scoped_obj(per_fu),
         }
     return report
 
 
+class _Newlines(dict):
+    """Newline plus indent per nesting depth: a table covering any report,
+    deeper levels built on each use."""
+
+    def __missing__(self, depth: int) -> str:
+        return "\n" + "  " * depth
+
+
+_NEWLINES = _Newlines((depth, "\n" + "  " * depth) for depth in range(12))
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"out of range float {value!r} is not JSON compliant")
+
+
+def _emit(value, depth: int, append) -> None:
+    """Append the JSON text of ``value`` at nesting ``depth`` with the rules of
+    ``json.dumps(indent=2, sort_keys=True)``: sorted keys, ASCII escapes,
+    ``float.__repr__``, ``{}``/``[]`` when empty. Only the types
+    :func:`build_report` produces are accepted (exact dict with str keys,
+    list, str, float, int, bool, None); anything else raises ``TypeError``,
+    and a non-finite float raises ``ValueError``."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = _NEWLINES[depth + 1]
+        separator = "," + inner
+        lead = "{" + inner
+        # _quote raises TypeError for a key that is not a str; leaf strings
+        # and floats, most of a report, are written inline
+        for key in sorted(value):
+            item = value[key]
+            item_kind = type(item)
+            if item_kind is str:
+                append(f"{lead}{_quote(key)}: {_quote(item)}")
+            elif item_kind is float:
+                if item - item:  # nan for inf and nan
+                    raise _non_finite(item)
+                append(f"{lead}{_quote(key)}: {float.__repr__(item)}")
+            else:
+                append(f"{lead}{_quote(key)}: ")
+                _emit(item, depth + 1, append)
+            lead = separator
+        append(_NEWLINES[depth] + "}")
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = _NEWLINES[depth + 1]
+        separator = "," + inner
+        lead = "[" + inner
+        for item in value:
+            append(lead)
+            _emit(item, depth + 1, append)
+            lead = separator
+        append(_NEWLINES[depth] + "]")
+    elif kind is str:
+        append(_quote(value))
+    elif kind is float:
+        if value - value:
+            raise _non_finite(value)
+        append(float.__repr__(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif value is None or kind is bool:
+        append(_LITERALS[value])
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` in one pass."""
+    parts: list[str] = []
+    _emit(value, 0, parts.append)
+    return "".join(parts)
+
+
 def render_report(result: PipelineResult) -> str:
-    return json.dumps(build_report(result), indent=2, sort_keys=True) + "\n"
+    return _dumps(build_report(result)) + "\n"
 
 
 def _csv_writer(out: io.StringIO) -> "csv.writer":
@@ -206,8 +291,6 @@ def write_outputs(result: PipelineResult, outdir: str | Path) -> dict[str, Path]
     overwrites with identical bytes."""
     from .dfg import emit_dot
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     contents = {
         "report.json": render_report(result),
         "inventory.csv": inventory_to_csv(result.inventory),
@@ -216,6 +299,9 @@ def write_outputs(result: PipelineResult, outdir: str | Path) -> dict[str, Path]
         "ledger.csv": ledger_csv(result),
         "dfg.dot": emit_dot(result.dfg),
     }
+    # rendered before the directory is made: a failed render leaves nothing behind
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     for name, text in contents.items():
         path = outdir / name

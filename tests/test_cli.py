@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -375,3 +376,17 @@ def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
         assert code == 1, err
         assert err.startswith(f"error [pipeline]: {message}"), err
         assert not (tmp_path / "out").exists()
+
+
+def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys, demo_log_path,
+                                                                demo_bundle_path):
+    # totals are finite, but scaling them to a huge functional unit is not
+    for amount in ("1e307", "1e400"):
+        out = tmp_path / amount
+        code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                           "--annotations", str(demo_bundle_path), "--out", str(out),
+                           "--fu", f"order:{amount}")
+        assert code == 1, err
+        assert re.match(r"error \[write-outputs\]: impact per functional unit in category "
+                        r"'\w+', scope 'scope\d' overflows a float \(", err), err
+        assert not out.exists()

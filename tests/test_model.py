@@ -172,6 +172,36 @@ def test_members_equal_brute_force_filter_in_log_order():
         assert log.members(PROCESS_REF) == []
 
 
+def test_member_counts_equal_brute_force_counts():
+    for log in structure_logs():
+        for kind, names in ((ComponentKind.ACTIVITY_TYPE, [e.activity for e in log.events]),
+                            (ComponentKind.OBJECT_TYPE, [o.object_type for o in log.objects])):
+            counts = log.member_counts(kind)
+            assert counts == {name: names.count(name) for name in set(names)}
+            assert list(counts) == sorted(counts)
+    assert EventLog().member_counts(ComponentKind.ACTIVITY_TYPE) == {}
+
+
+def test_digest_is_computed_once_per_log(monkeypatch):
+    log = parse_ocel(generate_bundle(3, 300).log_json)
+    fresh = EventLog(log.activity_types, log.object_types, log.events, log.objects, log.relations)
+    renders = []
+    real_dumps = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        renders.append(1)
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr("susmine.model.json.dumps", counting_dumps)
+    first = log.digest()
+    assert len(renders) == 1
+    assert log.digest() == first and log.digest() == first
+    assert len(renders) == 1
+    assert fresh.digest() == first
+    assert len(renders) == 2
+    assert two_event_log().digest() != first  # the memo belongs to the instance
+
+
 def test_every_member_lifts_back_to_its_type():
     for log in structure_logs():
         for type_ref in type_refs(log):

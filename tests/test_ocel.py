@@ -100,6 +100,18 @@ def test_round_trip_is_fixed_point():
     assert serialize_ocel(once) == serialize_ocel(twice)
 
 
+@pytest.mark.parametrize("seed, size", [(2, 250), (19, 600), (71, 1200)])
+def test_round_trip_is_fixed_point_beyond_200_events(seed, size):
+    bundle = generate_bundle(seed, size)
+    once = parse_ocel(bundle.log_json)
+    assert len(once.events) > 200
+    text = serialize_ocel(once)
+    twice = parse_ocel(text)
+    assert once == twice
+    assert serialize_ocel(twice) == text
+    assert twice.digest() == once.digest()
+
+
 def test_generator_round_trip_matches_declared_counts():
     bundle = generate_bundle(11, 100)
     log = parse_ocel(bundle.log_json)

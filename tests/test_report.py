@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+from decimal import Decimal
+
+import pytest
+from hypothesis import given, strategies as st
 
 from susmine import build_report, parse_annotations, parse_ocel, render_report, run_pipeline
+from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
 from susmine.inventory import FunctionalUnit
 from susmine.model import Quantity
-from susmine.report import impact_csv, ledger_csv, scoped_impact_csv, write_outputs
+from susmine.report import _dumps, impact_csv, ledger_csv, scoped_impact_csv, write_outputs
 
 from conftest import dec, rel_close
 
@@ -133,3 +138,67 @@ def test_functional_unit_section(demo_log, demo_bundle):
     assert section["scale_factor"] in ("0.3333333333333333333333333333",)
     impacts = section["impacts_per_fu"]["climate_change"]
     assert rel_close(impacts["scope3"]["amount"], 10.0)  # 30 / 3 bottles
+
+
+# -- the one-pass emitter behind render_report ---------------------------------
+
+_texts = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=12),  # lone surrogates included
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "\ud800", "\udfff", "😀", ""]),
+)
+_leaves = st.one_of(
+    _texts,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(),
+    st.sampled_from([2**64, -(2**100), 10**300]),
+    st.booleans(),
+    st.none(),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_texts, children, max_size=5),
+    max_leaves=40,
+)
+
+
+def _nest(tree, wrappers):
+    for key in wrappers:
+        tree = [tree] if key is None else {key: tree}
+    return tree
+
+
+_deep_trees = st.builds(_nest, _trees, st.lists(st.none() | _texts, min_size=20, max_size=80))
+
+
+@given(st.one_of(_trees, _deep_trees))
+def test_emitter_equals_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("tree", [
+    {1: "int key"},
+    {"ok": {None: 1}},
+    {"amount": Decimal("1.5")},
+    [Decimal("1")],
+    {"t": ("a", "b")},
+])
+def test_emitter_rejects_what_build_report_never_produces(tree):
+    with pytest.raises(TypeError):
+        _dumps(tree)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_emitter_rejects_non_finite_floats(value):
+    for tree in ({"amount": value}, [value], value):
+        with pytest.raises(ValueError):
+            _dumps(tree)
+
+
+@pytest.mark.parametrize("bundle", ["mineral_water", "machine_allocation"])
+@pytest.mark.parametrize("fu", [None, FunctionalUnit("order", Quantity(dec(1), "count"))])
+def test_render_report_equals_json_dumps_on_demo_bundles(bundle, fu, demo_log):
+    annotations = parse_annotations(fixture_path(f"annotations/{bundle}.json").read_bytes())
+    result = run_pipeline(demo_log, annotations, fu=fu)
+    expected = json.dumps(build_report(result), indent=2, sort_keys=True) + "\n"
+    assert render_report(result) == expected
