@@ -63,7 +63,6 @@ from .annotations import (
 from .inventory import (
     FunctionalUnit,
     Inventory,
-    component_inventory,
     direct_inventory,
     inventory_to_csv,
     rollup_inventory,

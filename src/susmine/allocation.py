@@ -171,6 +171,11 @@ def apply_allocations(
         if residual:
             ledger.residuals[rule.source] = residual
 
-    ledger.entries.sort()
+    # the dataclass order as a tuple key: LedgerEntry.__lt__ builds two
+    # field tuples per comparison and is several times slower
+    ledger.entries.sort(key=lambda e: (
+        e.source.kind.value, e.source.id or "", e.target.kind.value, e.target.id or "",
+        e.category, e.scope, e.amount, e.weight,
+    ))
     ledger.warnings.sort()
     return result, ledger

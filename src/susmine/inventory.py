@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from .errors import UnitMismatchError, UnknownComponentError, ZeroOutputError
 from .model import (
@@ -26,7 +26,6 @@ from .model import (
     ComponentRef,
     Direction,
     Quantity,
-    resolve_component,
 )
 from .annotations import AnnotatedLog
 
@@ -55,10 +54,6 @@ class Inventory:
                 f"'{existing.unit}' and '{quantity.unit}'"
             )
         self.entries[key] = Quantity(existing.amount + quantity.amount, existing.unit)
-
-    def merge(self, other: "Inventory") -> None:
-        for key, q in other.entries.items():
-            self.add(key, q)
 
     def scaled(self, factor: Decimal) -> "Inventory":
         out = Inventory()
@@ -108,17 +103,6 @@ def direct_inventory(al: AnnotatedLog) -> Inventory:
     for ref, a in al.resolved:
         key = InvKey(ref, a.flow, a.direction, _scope_label(a.scope))
         inv.add(key, a.quantity)
-    return inv
-
-
-def component_inventory(al: AnnotatedLog, ref: ComponentRef) -> Inventory:
-    """Inventory slice for exactly one component (no roll-up)."""
-    resolve_component(ref, al.log)  # UnknownComponentError for dangling refs
-    inv = Inventory()
-    for comp, a in al.resolved:
-        if comp != ref:
-            continue
-        inv.add(InvKey(comp, a.flow, a.direction, _scope_label(a.scope)), a.quantity)
     return inv
 
 
@@ -185,9 +169,11 @@ def inventory_row(key: InvKey, q: Quantity) -> tuple:
             key.scope, str(q.amount), q.unit)
 
 
-def inventory_to_csv(inv: Inventory) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")  # writes None as ""
+def inventory_to_csv(inv: Inventory, out: TextIO | None = None) -> str | None:
+    """The inventory as CSV rows of INVENTORY_COLUMNS; written onto
+    ``out``, or returned without a stream."""
+    stream = io.StringIO() if out is None else out
+    writer = csv.writer(stream, lineterminator="\n")  # writes None as ""
     writer.writerow(INVENTORY_COLUMNS)
     writer.writerows(inventory_row(key, q) for key, q in inv.sorted_entries())
-    return out.getvalue()
+    return stream.getvalue() if out is None else None

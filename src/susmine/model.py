@@ -214,10 +214,6 @@ class EventLog:
                 out.append(ev)
         return out
 
-    def sorted_events(self) -> list[Event]:
-        """Events by (timestamp, event_id); ties broken lexicographically."""
-        return sorted(self.events, key=lambda e: (e.timestamp, e.event_id))
-
     def digest(self) -> str:
         """SHA-256 over a canonical rendering; identifies log content.
         Computed on the first call; later calls return the stored value."""

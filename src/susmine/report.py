@@ -9,7 +9,10 @@ Exact decimal amounts (inventory stage) are serialized as strings to
 preserve their digits; impact amounts are JSON numbers. ``report.json``
 is written by a one-pass emitter that reproduces
 ``json.dumps(indent=2, sort_keys=True)`` byte for byte, without falling
-back to ``json``'s pure-Python encoder as any ``indent`` does.
+back to ``json``'s pure-Python encoder as any ``indent`` does. Its bulk
+sections are written row by row straight from the
+:class:`PipelineResult`, so neither the report dict nor its text is ever
+held whole on the way to disk.
 """
 
 from __future__ import annotations
@@ -17,11 +20,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import shutil
+import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import TextIO
 
 from .errors import NonFiniteImpactError
-from .model import ComponentRef, Quantity
+from .allocation import LedgerEntry
+from .model import ComponentKind, ComponentRef, Direction, Quantity
 from .impact import classify_impacts
 from .inventory import INVENTORY_COLUMNS, InvKey, inventory_row, inventory_to_csv
 from .ocel import log_summary
@@ -40,13 +48,18 @@ OUTPUT_FILES = (
     "dfg.dot",
 )
 
+#: Enum values read once, not through the ``Enum`` descriptor on every row.
+_KIND_VALUES = {kind: kind.value for kind in ComponentKind}
+_KIND_TEXTS = {kind: _quote(kind.value) for kind in ComponentKind}
+_DIRECTION_TEXTS = {direction: _quote(direction.value) for direction in Direction}
+
 
 def _component_obj(ref: ComponentRef) -> dict:
     return {"kind": ref.kind.value, "id": ref.id}
 
 
-def _inventory_entries(entries: list[tuple[InvKey, Quantity]]) -> list[dict]:
-    return [dict(zip(INVENTORY_COLUMNS, inventory_row(key, q))) for key, q in entries]
+def _inventory_obj(entry: tuple[InvKey, Quantity]) -> dict:
+    return dict(zip(INVENTORY_COLUMNS, inventory_row(*entry)))
 
 
 def _scoped_obj(sv: ScopedVector) -> dict:
@@ -56,7 +69,61 @@ def _scoped_obj(sv: ScopedVector) -> dict:
     return out
 
 
-def build_report(result: PipelineResult) -> dict:
+def _component_impacts_obj(row: tuple[ComponentRef, ScopedVector]) -> dict:
+    ref, sv = row
+    return {"component": _component_obj(ref), "impacts": _scoped_obj(sv)}
+
+
+def _ledger_obj(e: LedgerEntry) -> dict:
+    return {
+        "source": _component_obj(e.source),
+        "target": _component_obj(e.target),
+        "category": e.category,
+        "scope": e.scope,
+        "amount": e.amount,
+        "weight": e.weight,
+    }
+
+
+class _Rows:
+    """A bulk list section of the report, kept as its source rows.
+
+    :func:`build_report` turns each row into a dict with ``as_dict``; the
+    streaming emitter writes each row with the text template that
+    ``template(depth)`` builds for rows at that nesting depth, so it holds
+    neither a row dict nor the section's text. Tests check the two forms
+    against each other through ``json.dumps``. ``rows`` is iterated once."""
+
+    __slots__ = ("rows", "as_dict", "template")
+
+    def __init__(self, rows, as_dict, template):
+        self.rows = rows
+        self.as_dict = as_dict
+        self.template = template
+
+    def emit(self, depth: int, append) -> None:
+        text = self.template(depth + 1)
+        inner = _NEWLINES[depth + 1]
+        lead = opening = "[" + inner
+        separator = "," + inner
+        for row in self.rows:
+            append(lead + text(row))
+            lead = separator
+        append("[]" if lead is opening else _NEWLINES[depth] + "]")
+
+
+def _materialize(value):
+    """``value`` with every :class:`_Rows` section turned into its list of dicts."""
+    if type(value) is _Rows:
+        return [value.as_dict(row) for row in value.rows]
+    if type(value) is dict:
+        return {key: _materialize(item) for key, item in value.items()}
+    return value
+
+
+def _layout(result: PipelineResult) -> dict:
+    """The report's one skeleton: :func:`build_report`'s dict, except that
+    each bulk list section is a :class:`_Rows`."""
     al = result.al
     summary = log_summary(al.log)
     totals = result.totals
@@ -85,15 +152,14 @@ def build_report(result: PipelineResult) -> dict:
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {
-            "entries": _inventory_entries(result.inventory.sorted_entries()),
-            "negative_entries": _inventory_entries(result.inventory.negative_entries()),
+            "entries": _Rows(result.inventory.sorted_entries(), _inventory_obj, _inventory_text),
+            "negative_entries": _Rows(result.inventory.negative_entries(), _inventory_obj, _inventory_text),
         },
         "impacts": {
-            "components": [
-                {"component": _component_obj(ref), "impacts": _scoped_obj(sv)}
-                for ref, sv in result.post_allocation.items()
-                if sv
-            ],
+            "components": _Rows(
+                ((ref, sv) for ref, sv in result.post_allocation.items() if sv),
+                _component_impacts_obj, _component_impacts_text,
+            ),
             "process_totals": process_totals,
             "class_totals": {
                 cls.value: {cat: {"amount": q.amount, "unit": q.unit} for cat, q in sorted(vec.items())}
@@ -105,24 +171,10 @@ def build_report(result: PipelineResult) -> dict:
             {"flow": f, "unit": u, "direction": d} for (f, u, d) in result.uncharacterized
         ],
         "allocation": {
-            "entries": [
-                {
-                    "source": _component_obj(e.source),
-                    "target": _component_obj(e.target),
-                    "category": e.category,
-                    "scope": e.scope,
-                    "amount": e.amount,
-                    "weight": e.weight,
-                }
-                for e in result.ledger.entries
-            ],
-            "residuals": [
-                {
-                    "component": _component_obj(ref),
-                    "impacts": _scoped_obj(sv),
-                }
-                for ref, sv in sorted(result.ledger.residuals.items())
-            ],
+            "entries": _Rows(result.ledger.entries, _ledger_obj, _ledger_text),
+            "residuals": _Rows(
+                sorted(result.ledger.residuals.items()), _component_impacts_obj, _component_impacts_text
+            ),
             "warnings": list(result.ledger.warnings),
         },
         "audit": {col: level.value for col, level in result.audit_row.items()},
@@ -146,10 +198,16 @@ def build_report(result: PipelineResult) -> dict:
             "measured_attribute": result.fu.measured_attribute,
             "measured_output": str(result.fu_output),
             "scale_factor": str(result.fu_scale),
-            "inventory_per_fu": _inventory_entries(result.fu_inventory.sorted_entries()),
+            "inventory_per_fu": _Rows(result.fu_inventory.sorted_entries(), _inventory_obj, _inventory_text),
             "impacts_per_fu": _scoped_obj(per_fu),
         }
     return report
+
+
+def build_report(result: PipelineResult) -> dict:
+    """The report as one dict; :func:`render_report` writes the same
+    document without building it."""
+    return _materialize(_layout(result))
 
 
 class _Newlines(dict):
@@ -168,13 +226,20 @@ def _non_finite(value: float) -> ValueError:
     return ValueError(f"out of range float {value!r} is not JSON compliant")
 
 
+def _float(value: float) -> str:
+    if value - value:  # nan for inf and nan
+        raise _non_finite(value)
+    return float.__repr__(value)
+
+
 def _emit(value, depth: int, append) -> None:
     """Append the JSON text of ``value`` at nesting ``depth`` with the rules of
     ``json.dumps(indent=2, sort_keys=True)``: sorted keys, ASCII escapes,
     ``float.__repr__``, ``{}``/``[]`` when empty. Only the types
     :func:`build_report` produces are accepted (exact dict with str keys,
-    list, str, float, int, bool, None); anything else raises ``TypeError``,
-    and a non-finite float raises ``ValueError``."""
+    list, str, float, int, bool, None), plus a :class:`_Rows` section;
+    anything else raises ``TypeError``, and a non-finite float raises
+    ``ValueError``."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -191,9 +256,7 @@ def _emit(value, depth: int, append) -> None:
             if item_kind is str:
                 append(f"{lead}{_quote(key)}: {_quote(item)}")
             elif item_kind is float:
-                if item - item:  # nan for inf and nan
-                    raise _non_finite(item)
-                append(f"{lead}{_quote(key)}: {float.__repr__(item)}")
+                append(f"{lead}{_quote(key)}: {_float(item)}")
             else:
                 append(f"{lead}{_quote(key)}: ")
                 _emit(item, depth + 1, append)
@@ -214,13 +277,13 @@ def _emit(value, depth: int, append) -> None:
     elif kind is str:
         append(_quote(value))
     elif kind is float:
-        if value - value:
-            raise _non_finite(value)
-        append(float.__repr__(value))
+        append(_float(value))
     elif kind is int:
         append(int.__repr__(value))
     elif value is None or kind is bool:
         append(_LITERALS[value])
+    elif kind is _Rows:
+        value.emit(depth, append)
     else:
         raise TypeError(f"{kind.__name__} is not a report value")
 
@@ -232,79 +295,193 @@ def _dumps(value) -> str:
     return "".join(parts)
 
 
-def render_report(result: PipelineResult) -> str:
-    return _dumps(build_report(result)) + "\n"
+# -- row templates: the text _emit writes for one row's dict, built directly.
+# Each takes the row's nesting depth and returns ``row -> text``.
+
+def _ref_text(depth: int):
+    """The text of a ref's ``{"id", "kind"}`` object, built once per ref."""
+    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
+    texts: dict[ComponentRef, str] = {}
+
+    def text(ref: ComponentRef) -> str:
+        known = texts.get(ref)
+        if known is None:
+            ref_id = "null" if ref.id is None else _quote(ref.id)
+            known = texts[ref] = f'{{{inner}"id": {ref_id},{inner}"kind": {_KIND_TEXTS[ref.kind]}{close}'
+        return known
+
+    return text
 
 
-def _csv_writer(out: io.StringIO) -> "csv.writer":
+def _scoped_text(depth: int):
+    """The text of :func:`_scoped_obj`: {category: {scope: {amount, unit}}}."""
+    category_lead, scope_lead, leaf = (_NEWLINES[depth + i] for i in (1, 2, 3))
+    close = f"{category_lead}}}{_NEWLINES[depth]}}}"
+
+    def text(sv: ScopedVector) -> str:
+        if not sv:
+            return "{}"
+        parts = []
+        current = None
+        for (category, scope), q in sorted(sv.items()):
+            if category != current:
+                opening = "{" if current is None else category_lead + "},"
+                parts.append(f"{opening}{category_lead}{_quote(category)}: {{{scope_lead}")
+                current = category
+            else:
+                parts.append("," + scope_lead)
+            parts.append(f'{_quote(scope)}: {{{leaf}"amount": {_float(q.amount)},'
+                         f'{leaf}"unit": {_quote(q.unit)}{scope_lead}}}')
+        parts.append(close)
+        return "".join(parts)
+
+    return text
+
+
+def _component_impacts_text(depth: int):
+    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
+    ref_text, scoped_text = _ref_text(depth + 1), _scoped_text(depth + 1)
+
+    def text(row: tuple[ComponentRef, ScopedVector]) -> str:
+        ref, sv = row
+        return f'{{{inner}"component": {ref_text(ref)},{inner}"impacts": {scoped_text(sv)}{close}'
+
+    return text
+
+
+def _ledger_text(depth: int):
+    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
+    ref_text = _ref_text(depth + 1)
+
+    def text(e: LedgerEntry) -> str:
+        return (f'{{{inner}"amount": {_float(e.amount)},{inner}"category": {_quote(e.category)},'
+                f'{inner}"scope": {_quote(e.scope)},{inner}"source": {ref_text(e.source)},'
+                f'{inner}"target": {ref_text(e.target)},{inner}"weight": {_float(e.weight)}{close}')
+
+    return text
+
+
+def _inventory_text(depth: int):
+    """The text of :func:`_inventory_obj`; its keys in sorted order."""
+    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
+    components: dict[ComponentRef, str] = {}
+
+    def text(entry: tuple[InvKey, Quantity]) -> str:
+        key, q = entry
+        ref = key.component
+        component = components.get(ref)
+        if component is None:
+            ref_id = "null" if ref.id is None else _quote(ref.id)
+            component = components[ref] = (f'{inner}"component_id": {ref_id},'
+                                           f'{inner}"component_kind": {_KIND_TEXTS[ref.kind]}')
+        return (f'{{{inner}"amount": {_quote(str(q.amount))},{component},'
+                f'{inner}"direction": {_DIRECTION_TEXTS[key.direction]},{inner}"flow": {_quote(key.flow)},'
+                f'{inner}"scope": {_quote(key.scope)},{inner}"unit": {_quote(q.unit)}{close}')
+
+    return text
+
+
+def render_report(result: PipelineResult, out: TextIO | None = None) -> str | None:
+    """Write ``report.json``'s text onto ``out``; without a stream, return it."""
+    stream = io.StringIO() if out is None else out
+    _emit(_layout(result), 0, stream.write)
+    stream.write("\n")
+    return stream.getvalue() if out is None else None
+
+
+def _csv_writer(out: TextIO) -> "csv.writer":
     return csv.writer(out, lineterminator="\n")
 
 
-def impact_csv(result: PipelineResult) -> str:
-    """Post-allocation per-component impacts, collapsed over scopes."""
-    out = io.StringIO()
-    writer = _csv_writer(out)
+def _class_values(result: PipelineResult) -> dict[str, str]:
+    return {category: info.impact_class.value for category, info in result.al.table.categories.items()}
+
+
+def impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
+    """Post-allocation per-component impacts, collapsed over scopes;
+    written onto ``out``, or returned without a stream."""
+    stream = io.StringIO() if out is None else out
+    classes = _class_values(result)
+    writer = _csv_writer(stream)
     writer.writerow(["component_kind", "component_id", "category", "class", "amount", "impact_unit"])
     for ref, sv in result.post_allocation.items():
-        for category, q in sorted(collapse_scopes(sv).items()):
-            info = result.al.table.categories[category]
-            writer.writerow([
-                ref.kind.value, ref.id or "", category, info.impact_class.value,
-                repr(q.amount), q.unit,
-            ])
-    return out.getvalue()
+        kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
+        writer.writerows(
+            (kind, ref_id, category, classes[category], repr(q.amount), q.unit)
+            for category, q in collapse_scopes(sv).items()
+        )
+    return stream.getvalue() if out is None else None
 
 
-def scoped_impact_csv(result: PipelineResult) -> str:
+def scoped_impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
     """As :func:`impact_csv` plus a scope column."""
-    out = io.StringIO()
-    writer = _csv_writer(out)
+    stream = io.StringIO() if out is None else out
+    classes = _class_values(result)
+    writer = _csv_writer(stream)
     writer.writerow(["component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit"])
     for ref, sv in result.post_allocation.items():
-        for (category, scope), q in sorted(sv.items()):
-            info = result.al.table.categories[category]
-            writer.writerow([
-                ref.kind.value, ref.id or "", category, info.impact_class.value, scope,
-                repr(q.amount), q.unit,
-            ])
-    return out.getvalue()
+        kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
+        writer.writerows(
+            (kind, ref_id, category, classes[category], scope, repr(q.amount), q.unit)
+            for (category, scope), q in sorted(sv.items())
+        )
+    return stream.getvalue() if out is None else None
 
 
-def ledger_csv(result: PipelineResult) -> str:
-    out = io.StringIO()
-    writer = _csv_writer(out)
+def ledger_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
+    """The allocation ledger, one row per transfer; written onto ``out``,
+    or returned without a stream."""
+    stream = io.StringIO() if out is None else out
+    writer = _csv_writer(stream)
     writer.writerow([
         "source_kind", "source_id", "target_kind", "target_id",
         "category", "scope", "amount", "weight",
     ])
-    for e in result.ledger.entries:
-        writer.writerow([
-            e.source.kind.value, e.source.id or "",
-            e.target.kind.value, e.target.id or "",
-            e.category, e.scope, repr(e.amount), repr(e.weight),
-        ])
-    return out.getvalue()
+    writer.writerows(
+        (_KIND_VALUES[e.source.kind], e.source.id or "", _KIND_VALUES[e.target.kind], e.target.id or "",
+         e.category, e.scope, repr(e.amount), repr(e.weight))
+        for e in result.ledger.entries
+    )
+    return stream.getvalue() if out is None else None
+
+
+def _nearest_existing(path: Path) -> Path:
+    while not path.exists() and path.parent != path:
+        path = path.parent
+    return path
 
 
 def write_outputs(result: PipelineResult, outdir: str | Path) -> dict[str, Path]:
     """Write the full artifact set; re-running on identical inputs
-    overwrites with identical bytes."""
+    overwrites with identical bytes.
+
+    Each artifact is streamed into a temporary directory, and all of them
+    are moved into ``outdir`` only once every one rendered: a failed
+    render leaves no new path behind and an existing ``outdir`` as it was.
+    The temporary directory is made in ``outdir`` itself when it exists,
+    else in its nearest existing parent, so it is writable whenever the
+    artifacts are and the moves stay on one file system."""
     from .dfg import emit_dot
 
-    contents = {
-        "report.json": render_report(result),
-        "inventory.csv": inventory_to_csv(result.inventory),
-        "impacts.csv": impact_csv(result),
-        "impacts_scoped.csv": scoped_impact_csv(result),
-        "ledger.csv": ledger_csv(result),
-        "dfg.dot": emit_dot(result.dfg),
+    renders = {
+        "report.json": lambda out: render_report(result, out),
+        "inventory.csv": lambda out: inventory_to_csv(result.inventory, out),
+        "impacts.csv": lambda out: impact_csv(result, out),
+        "impacts_scoped.csv": lambda out: scoped_impact_csv(result, out),
+        "ledger.csv": lambda out: ledger_csv(result, out),
+        "dfg.dot": lambda out: out.write(emit_dot(result.dfg)),
     }
-    # rendered before the directory is made: a failed render leaves nothing behind
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    for name, text in contents.items():
-        path = outdir / name
-        path.write_text(text, encoding="utf-8")
-        written[name] = path
+    staging = Path(tempfile.mkdtemp(prefix=".susmine-", dir=_nearest_existing(outdir)))
+    try:
+        for name, render in renders.items():
+            with open(staging / name, "w", encoding="utf-8") as out:
+                render(out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        written: dict[str, Path] = {}
+        for name in renders:
+            os.replace(staging / name, outdir / name)
+            written[name] = outdir / name
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return written

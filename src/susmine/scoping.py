@@ -12,7 +12,9 @@ which reports surface explicitly so partially scoped data stays visible.
 
 from __future__ import annotations
 
-from .errors import UnknownScopeError
+import math
+
+from .errors import NonFiniteImpactError, UnknownScopeError
 from .model import UNSCOPED, ComponentRef, Quantity
 from .annotations import AnnotatedLog, ScopeSet
 from .impact import ImpactVector, Mode, UncharacterizedFlow, characterize, vector_add
@@ -51,10 +53,19 @@ def scoped_impacts(
 
 
 def collapse_scopes(sv: ScopedVector) -> ImpactVector:
-    """Sum a scoped vector over its scope labels."""
-    out: ImpactVector = {}
+    """Sum a scoped vector over its scope labels, in (category, scope)
+    order; the result is in category order. Raises
+    :class:`NonFiniteImpactError` when a sum is not a finite float."""
+    sums: dict[str, tuple[float, str]] = {}
     for (category, _), q in sorted(sv.items()):
-        vector_add(out, category, q.amount, q.unit)
+        prev = sums.get(category)
+        # the first amount is taken as is: 0.0 + -0.0 would lose its sign
+        sums[category] = (q.amount if prev is None else prev[0] + q.amount, q.unit)
+    out: ImpactVector = {}
+    for category, (total, unit) in sums.items():
+        if not math.isfinite(total):
+            raise NonFiniteImpactError(f"impact {category} is not finite ({total})")
+        out[category] = Quantity(total, unit)
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from susmine.cli import main
 from susmine.fixtures import fixture_path
+from susmine.report import OUTPUT_FILES
 
 
 def run(capsys, *argv):
@@ -390,3 +391,32 @@ def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys
         assert re.match(r"error \[write-outputs\]: impact per functional unit in category "
                         r"'\w+', scope 'scope\d' overflows a float \(", err), err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("default_out", [False, True])
+def test_failed_assess_leaves_existing_outputs_unchanged(tmp_path, capsys, monkeypatch, demo_log_path,
+                                                         demo_bundle_path, machine_bundle_path, default_out):
+    out = tmp_path / "out"
+    base = ["assess", "--log", str(demo_log_path)]
+    code, _, err = run(capsys, *base, "--annotations", str(demo_bundle_path), "--out", str(out))
+    assert code == 0, err
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == sorted(OUTPUT_FILES)
+
+    # another bundle, whose artifacts would all differ, scaled past the float range
+    failing = [*base, "--annotations", str(machine_bundle_path), "--fu", "order:1e307"]
+    if default_out:
+        monkeypatch.chdir(out)  # the default is --out .
+    else:
+        failing += ["--out", str(out)]
+    code, _, err = run(capsys, *failing)
+    assert code == 1, err
+    assert err.startswith("error [write-outputs]: impact per functional unit"), err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    code, _, err = run(capsys, *base, "--annotations", str(machine_bundle_path), "--out", str(out))
+    assert code == 0, err
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(OUTPUT_FILES)
+    assert after["report.json"] != before["report.json"]

@@ -18,7 +18,6 @@ from susmine import (
 from susmine.inventory import (
     InvKey,
     Inventory,
-    component_inventory,
     direct_inventory,
     inventory_to_csv,
     rollup_inventory,
@@ -45,11 +44,15 @@ def instance_assignment(eid, amount, flow="CO2", unit="kg", scope=None, directio
     return a
 
 
+def component_slice(al, ref):
+    """The direct inventory's entries of exactly one component, sorted."""
+    return sorted((k, q) for k, q in direct_inventory(al).entries.items() if k.component == ref)
+
+
 def test_single_output_slice():
     log = shipping_log()
     al = bound(log, [instance_assignment("s0", 5)])
-    inv = component_inventory(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
-    ((key, q),) = inv.sorted_entries()
+    ((key, q),) = component_slice(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
     assert key.flow == "CO2"
     assert key.direction is Direction.OUTPUT
     assert key.scope == UNSCOPED
@@ -59,23 +62,21 @@ def test_single_output_slice():
 def test_component_without_assignments_is_empty():
     log = shipping_log()
     al = bound(log, [instance_assignment("s0", 5)])
-    inv = component_inventory(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s1"))
-    assert len(inv) == 0
+    assert len(component_slice(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s1"))) == 0
 
 
 def test_two_outputs_merge_exactly():
     log = shipping_log()
     al = bound(log, [instance_assignment("s0", 2), instance_assignment("s0", 3)])
-    inv = component_inventory(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
-    ((_, q),) = inv.sorted_entries()
+    ((_, q),) = component_slice(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
     assert q.amount == Decimal(5)
 
 
 def test_unknown_component_slice():
     log = shipping_log()
-    al = bound(log, [])
+    # a component the log lacks never reaches an inventory: binding rejects it
     with pytest.raises(UnknownComponentError):
-        component_inventory(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "ghost"))
+        bound(log, [instance_assignment("ghost", 5)])
 
 
 def test_mixed_units_same_key_rejected():
@@ -85,7 +86,7 @@ def test_mixed_units_same_key_rejected():
         instance_assignment("s0", 3, flow="residue", unit="g"),
     ])
     with pytest.raises(UnitMismatchError):
-        component_inventory(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
+        direct_inventory(al)
 
 
 def test_rollup_to_activity_type():
@@ -236,8 +237,9 @@ def test_additivity_over_disjoint_logs():
     al_union = bind_annotations(log_union, parse_annotations(json.dumps(ann_union)))
 
     merged = Inventory()
-    merged.merge(direct_inventory(al1))
-    merged.merge(direct_inventory(al2))
+    for part in (direct_inventory(al1), direct_inventory(al2)):
+        for key, q in part.entries.items():
+            merged.add(key, q)
     got = direct_inventory(al_union)
     assert {k: q.amount for k, q in got.entries.items()} == {
         k: q.amount for k, q in merged.entries.items()

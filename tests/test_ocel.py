@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from susmine import IntegrityError, SchemaError, log_summary, parse_ocel, serialize_ocel
+from susmine import IntegrityError, SchemaError, build_dfg, log_summary, parse_ocel, serialize_ocel
 from susmine.generator import generate_bundle
 
 from conftest import make_log_doc
@@ -124,15 +124,18 @@ def test_generator_round_trip_matches_declared_counts():
 
 
 def test_sorted_view_respects_timestamps_and_breaks_ties_by_id():
+    # each event's activity is its id, so the one object's trace in the
+    # directly-follows graph shows the order it was sorted into
     doc = make_log_doc(
         events=[
-            ("b", "pack", "2024-01-01T09:00:00Z", [], {}),
-            ("z", "pack", "2024-01-01T08:00:00Z", [], {}),
-            ("a", "pack", "2024-01-01T09:00:00Z", [], {}),
+            ("b", "b", "2024-01-01T09:00:00Z", [("o1", "q")], {}),
+            ("z", "z", "2024-01-01T08:00:00Z", [("o1", "q")], {}),
+            ("a", "a", "2024-01-01T09:00:00Z", [("o1", "q")], {}),
         ],
+        objects=[("o1", "box", {})],
     )
     log = parse_ocel(json.dumps(doc))
-    assert [e.event_id for e in log.sorted_events()] == ["z", "a", "b"]
+    assert build_dfg(log).edges == {("z", "a"): 1, ("a", "b"): 1}
     # document order is preserved on the unsorted view
     assert [e.event_id for e in log.events] == ["b", "z", "a"]
 

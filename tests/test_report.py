@@ -6,10 +6,20 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
-from susmine import build_report, parse_annotations, parse_ocel, render_report, run_pipeline
+import susmine.report as report_module
+from susmine import (
+    Mode,
+    NonFiniteImpactError,
+    build_report,
+    emit_dot,
+    parse_annotations,
+    parse_ocel,
+    render_report,
+    run_pipeline,
+)
 from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
-from susmine.inventory import FunctionalUnit
+from susmine.inventory import FunctionalUnit, inventory_to_csv
 from susmine.model import Quantity
 from susmine.report import _dumps, impact_csv, ledger_csv, scoped_impact_csv, write_outputs
 
@@ -202,3 +212,114 @@ def test_render_report_equals_json_dumps_on_demo_bundles(bundle, fu, demo_log):
     result = run_pipeline(demo_log, annotations, fu=fu)
     expected = json.dumps(build_report(result), indent=2, sort_keys=True) + "\n"
     assert render_report(result) == expected
+
+
+# -- the streamed report and projections ----------------------------------------
+
+#: One bundle on the demo log with what the demo bundles and generated seeds
+#: lack or rarely hold: a process-level assignment (a ref whose id is null),
+#: a negative inventory entry, a rule moving half its source (a residual) and
+#: a proportional key whose values are all missing (lenient fallback warnings).
+EDGE_BUNDLE = {
+    "schema": "susmine/1",
+    "scopes": "ghg",
+    "assignments": [
+        {"component": {"kind": "process"}, "flow": "CO2", "direction": "output",
+         "amount": "2", "unit": "kg"},
+        {"component": {"kind": "activity_instance", "id": "e1"}, "flow": "CO2", "direction": "output",
+         "amount": "-4", "unit": "kg", "scope": "scope1"},
+        {"component": {"kind": "object_instance", "id": "machine1"}, "flow": "CO2", "direction": "output",
+         "amount": "30", "unit": "kg", "scope": "scope3"},
+        {"component": {"kind": "object_instance", "id": "machine1"}, "flow": "electricity", "direction": "input",
+         "amount": "0.1", "unit": "kWh", "scope": "scope2"},
+        {"component": {"kind": "object_instance", "id": "o1"}, "flow": "CO2", "direction": "output",
+         "amount": "1.25", "unit": "kg", "scope": "scope3"},
+    ],
+    "characterization": {
+        "categories": {
+            "climate_change": {"impact_unit": "kg CO2e", "class": "climate"},
+            "energy_use": {"impact_unit": "MJ-eq", "class": "environmental"},
+        },
+        "factors": [
+            {"flow": "CO2", "unit": "kg", "factors": {"climate_change": 1.0}},
+            {"flow": "electricity", "unit": "kWh", "factors": {"energy_use": 3.6}},
+        ],
+    },
+    "allocations": [
+        {"source": {"kind": "object_instance", "id": "machine1"}, "targets": "related_events",
+         "key": "equal", "fraction": "0.5"},
+        {"source": {"kind": "object_instance", "id": "o1"}, "targets": "related_events",
+         "key": {"attribute": "mass_kg"}},
+    ],
+}
+
+
+def edge_result(demo_log, fu=None):
+    return run_pipeline(demo_log, parse_annotations(json.dumps(EDGE_BUNDLE)), Mode.LENIENT, fu=fu)
+
+
+def assert_render_matches_build(result):
+    expected = json.dumps(build_report(result), indent=2, sort_keys=True) + "\n"
+    assert render_report(result) == expected
+
+
+@pytest.mark.parametrize("fu", [None, FunctionalUnit("bottle", Quantity(dec(1), "count"))])
+def test_render_report_equals_json_dumps_on_edge_bundle(fu, demo_log):
+    result = edge_result(demo_log, fu)
+    report = build_report(result)
+    components = [c["component"] for c in report["impacts"]["components"]]
+    assert {"kind": "process", "id": None} in components
+    assert None in [e["component_id"] for e in report["inventory"]["entries"]]
+    assert [e["amount"] for e in report["inventory"]["negative_entries"]] == ["-4"]
+    assert [r["component"]["id"] for r in report["allocation"]["residuals"]] == ["machine1"]
+    assert any("falling back to equal split" in w for w in report["allocation"]["warnings"])
+    if fu is not None:
+        assert report["functional_unit"]["inventory_per_fu"]
+    assert_render_matches_build(result)
+
+
+@pytest.mark.parametrize("seed, size", [(3, 150), (17, 90), (42, 200)])
+def test_render_report_equals_json_dumps_on_generated_bundles_per_functional_unit(seed, size):
+    result, _ = pipeline_for(seed, size, fu=FunctionalUnit("order", Quantity(dec(1), "count")))
+    assert result.ledger.entries and result.fu_inventory
+    assert_render_matches_build(result)
+
+
+def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
+    result = edge_result(demo_log, FunctionalUnit("bottle", Quantity(dec(1), "count")))
+    written = write_outputs(result, tmp_path)
+    texts = {
+        "report.json": render_report(result),
+        "inventory.csv": inventory_to_csv(result.inventory),
+        "impacts.csv": impact_csv(result),
+        "impacts_scoped.csv": scoped_impact_csv(result),
+        "ledger.csv": ledger_csv(result),
+        "dfg.dot": emit_dot(result.dfg),
+    }
+    assert {name: path.read_bytes().decode("utf-8") for name, path in written.items()} == texts
+    for project, subject in ((render_report, result), (inventory_to_csv, result.inventory),
+                             (impact_csv, result), (scoped_impact_csv, result), (ledger_csv, result)):
+        stream = io.StringIO()
+        assert project(subject, stream) is None
+        assert stream.getvalue() == project(subject)
+
+
+def test_failed_render_leaves_existing_outputs_unchanged(tmp_path, monkeypatch, demo_log, demo_bundle):
+    out = tmp_path / "out"
+    write_outputs(run_pipeline(demo_log, demo_bundle), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_ledger_csv(result, stream):
+        stream.write("source_kind,half a ledger\n")
+        raise NonFiniteImpactError("render failed")
+
+    # a different result, so a partial move would show; the ledger fails
+    # after report.json and three CSVs were written
+    monkeypatch.setattr(report_module, "ledger_csv", failing_ledger_csv)
+    with pytest.raises(NonFiniteImpactError):
+        write_outputs(edge_result(demo_log), out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    with pytest.raises(NonFiniteImpactError):
+        write_outputs(edge_result(demo_log), tmp_path / "new" / "deeper")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
