@@ -156,26 +156,23 @@ def apply_allocations(
             continue
         residual: ScopedVector = {}
         out_vector = result.setdefault(rule.source, {})
-        for (category, scope), q in sorted(source_vector.items()):
+        moves = []
+        for cell, q in sorted(source_vector.items()):
             moved = q.amount * fraction
-            kept = q.amount - moved
-            vector_add(out_vector, (category, scope), -moved, q.unit)
+            vector_add(out_vector, cell, -moved, q.unit)
             if fraction < 1.0:
-                residual[(category, scope)] = Quantity(kept, q.unit)
-            for target, weight in weights.items():
-                share = moved * weight
-                vector_add(result.setdefault(target, {}), (category, scope), share, q.unit)
-                ledger.entries.append(
-                    LedgerEntry(rule.source, target, category, scope, share, weight)
-                )
+                residual[cell] = Quantity(q.amount - moved, q.unit)
+            moves.append((cell, moved, q.unit))
         if residual:
             ledger.residuals[rule.source] = residual
+        # rules in source order, targets in order, cells in order: the
+        # entries come out in ledger order
+        for target, weight in weights.items():
+            target_vector = result.setdefault(target, {})
+            for (category, scope), moved, unit in moves:
+                share = moved * weight
+                vector_add(target_vector, (category, scope), share, unit)
+                ledger.entries.append(LedgerEntry(rule.source, target, category, scope, share, weight))
 
-    # the dataclass order as a tuple key: LedgerEntry.__lt__ builds two
-    # field tuples per comparison and is several times slower
-    ledger.entries.sort(key=lambda e: (
-        e.source.kind.value, e.source.id or "", e.target.kind.value, e.target.id or "",
-        e.category, e.scope, e.amount, e.weight,
-    ))
     ledger.warnings.sort()
     return result, ledger

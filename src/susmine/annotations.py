@@ -264,8 +264,11 @@ def _parse_registry(raw) -> UnitRegistry:
     declare = raw.get("declare", [])
     if not isinstance(declare, list) or not all(isinstance(u, str) and u for u in declare):
         raise SchemaError("units.declare must be a list of unit names")
+    conversions_raw = raw.get("conversions", [])
+    if not isinstance(conversions_raw, list):
+        raise SchemaError("units.conversions must be an array")
     conversions: dict[tuple[str, str], Decimal] = {}
-    for conv in raw.get("conversions", []):
+    for conv in conversions_raw:
         if not isinstance(conv, dict):
             raise SchemaError("units.conversions entries must be objects")
         src, dst = conv.get("from"), conv.get("to")
@@ -351,8 +354,11 @@ def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> Characteri
             info.get("impact_unit"), info.get("class"), scope_set, f"category '{name}'"
         )
 
+    entries_raw = raw.get("factors", [])
+    if not isinstance(entries_raw, list):
+        raise SchemaError("characterization.factors must be an array")
     entries: dict[tuple[str, str], TableEntry] = {}
-    for entry_raw in raw.get("factors", []):
+    for entry_raw in entries_raw:
         if not isinstance(entry_raw, dict):
             raise SchemaError("characterization.factors entries must be objects")
         flow = entry_raw.get("flow")
@@ -427,7 +433,9 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
-    data = json.loads(document, parse_float=Decimal)
+    # integers as decimals too: no int() digit limit, and _as_decimal's
+    # overflow check sees every number
+    data = json.loads(document, parse_float=Decimal, parse_int=Decimal)
     if not isinstance(data, dict):
         raise SchemaError("annotation bundle must be a JSON object")
     if data.get("schema") != SCHEMA_ID:

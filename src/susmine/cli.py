@@ -38,6 +38,8 @@ from .pipeline import run_pipeline
 from .report import ledger_csv, write_outputs
 
 _CONFIG_KEYS = ("log", "annotations", "out", "mode", "scopes", "fu", "seed", "size")
+#: config keys that may also be JSON integers
+_INT_CONFIG_KEYS = ("seed", "size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,8 +97,14 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         if not isinstance(config, dict):
             raise ValueError("--config file must contain a JSON object")
         for key in _CONFIG_KEYS:
-            if key in config and getattr(args, key, None) is None and hasattr(args, key):
-                setattr(args, key, config[key])
+            if key not in config:
+                continue
+            value = config[key]
+            if type(value) is not str and not (key in _INT_CONFIG_KEYS and type(value) is int):
+                expected = "a string or an integer" if key in _INT_CONFIG_KEYS else "a string"
+                raise ValueError(f"--config key '{key}' must be {expected}, got {json.dumps(value)}")
+            if getattr(args, key, None) is None and hasattr(args, key):
+                setattr(args, key, value)
     return args
 
 

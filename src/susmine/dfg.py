@@ -90,7 +90,7 @@ def emit_dot(dfg: AnnotatedDFG) -> str:
     for activity in sorted(dfg.nodes):
         node = dfg.nodes[activity]
         label_parts = [activity, f"events: {node.event_count}"]
-        for category, q in sorted(collapse_scopes(node.vector).items()):
+        for category, q in collapse_scopes(node.vector).items():
             label_parts.append(f"{category}: {format_amount(q.amount)} {q.unit}")
         label = "\\n".join(_escape(part) for part in label_parts)
         lines.append(f'  {_quote(activity)} [shape=box, label="{label}"];')

@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 from .errors import UnitMismatchError, UnknownComponentError, ZeroOutputError
 from .model import (
@@ -67,12 +67,6 @@ class Inventory:
     def negative_entries(self) -> list[tuple[InvKey, Quantity]]:
         """Avoided-burden credits; surfaced in reports, never netted silently."""
         return sorted((k, q) for k, q in self.entries.items() if q.amount < 0)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[InvKey, Quantity]]:
-        return iter(self.sorted_entries())
 
 
 @dataclass(frozen=True)

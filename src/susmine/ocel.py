@@ -56,18 +56,6 @@ class LogSummary:
     per_activity: dict[str, int]
     per_object_type: dict[str, int]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "event_count": self.event_count,
-                "object_count": self.object_count,
-                "per_activity": self.per_activity,
-                "per_object_type": self.per_object_type,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
 
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
@@ -122,6 +110,13 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    """JSON integer hook: rejects integers beyond float range, which the
+    weights and sums built from attributes could not hold."""
+    _finite_float(token)
+    return int(token)
+
+
 def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     """Parse an OCEL 2.0 JSON subset document into an :class:`EventLog`.
 
@@ -131,7 +126,9 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
-    data = json.loads(document, parse_constant=_finite_float, parse_float=_finite_float)
+    data = json.loads(
+        document, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int
+    )
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     _check_keys(data, _TOP_KEYS, "document")

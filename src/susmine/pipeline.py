@@ -28,9 +28,11 @@ from .scoping import ScopedVector, scoped_impacts, scoped_total
 
 @dataclass
 class PipelineResult:
-    """Every stage's output. ``post_allocation`` is in component order;
-    ``totals`` is its sum taken in allocation order, which fixes the
-    float summation order and so the reported figures."""
+    """Every stage's output. ``post_allocation`` is in component order,
+    each vector's cells in (category, scope) order: the order the impact
+    projections write, without sorting. ``totals`` is its sum taken in
+    allocation order, which fixes the float summation order and so the
+    reported figures."""
 
     al: AnnotatedLog
     mode: Mode
@@ -46,10 +48,6 @@ class PipelineResult:
     fu_scale: Decimal | None = None
     fu_output: Decimal | None = None
     fu_inventory: Inventory | None = None
-
-    @property
-    def log(self) -> EventLog:
-        return self.al.log
 
 
 def activity_type_totals(
@@ -87,7 +85,7 @@ def run_pipeline(
         mode=Mode(mode),
         inventory=inventory,
         scoped=scoped,
-        post_allocation=dict(sorted(post.items())),
+        post_allocation={ref: dict(sorted(sv.items())) for ref, sv in sorted(post.items())},
         totals=scoped_total(post),
         ledger=ledger,
         uncharacterized=uncharacterized,

@@ -2,8 +2,9 @@
 
 The JSON document (``"schema": "susmine-report/1"``) is the single
 machine-readable artifact; every CSV is a projection of it. All output is
-byte-deterministic for identical inputs: keys are sorted, rows are sorted,
-and nothing time- or environment-dependent is embedded.
+byte-deterministic for identical inputs: keys are sorted, rows come in
+the order :class:`PipelineResult` stores them, and nothing time- or
+environment-dependent is embedded.
 
 Exact decimal amounts (inventory stage) are serialized as strings to
 preserve their digits; impact amounts are JSON numbers. ``report.json``
@@ -103,13 +104,13 @@ class _Rows:
 
     def emit(self, depth: int, append) -> None:
         text = self.template(depth + 1)
-        inner = _NEWLINES[depth + 1]
+        inner = _newline(depth + 1)
         lead = opening = "[" + inner
         separator = "," + inner
         for row in self.rows:
             append(lead + text(row))
             lead = separator
-        append("[]" if lead is opening else _NEWLINES[depth] + "]")
+        append("[]" if lead is opening else _newline(depth) + "]")
 
 
 def _materialize(value):
@@ -162,7 +163,7 @@ def _layout(result: PipelineResult) -> dict:
             ),
             "process_totals": process_totals,
             "class_totals": {
-                cls.value: {cat: {"amount": q.amount, "unit": q.unit} for cat, q in sorted(vec.items())}
+                cls.value: {cat: {"amount": q.amount, "unit": q.unit} for cat, q in vec.items()}
                 for cls, vec in by_class.items()
             },
         },
@@ -172,9 +173,7 @@ def _layout(result: PipelineResult) -> dict:
         ],
         "allocation": {
             "entries": _Rows(result.ledger.entries, _ledger_obj, _ledger_text),
-            "residuals": _Rows(
-                sorted(result.ledger.residuals.items()), _component_impacts_obj, _component_impacts_text
-            ),
+            "residuals": _Rows(result.ledger.residuals.items(), _component_impacts_obj, _component_impacts_text),
             "warnings": list(result.ledger.warnings),
         },
         "audit": {col: level.value for col, level in result.audit_row.items()},
@@ -210,15 +209,10 @@ def build_report(result: PipelineResult) -> dict:
     return _materialize(_layout(result))
 
 
-class _Newlines(dict):
-    """Newline plus indent per nesting depth: a table covering any report,
-    deeper levels built on each use."""
-
-    def __missing__(self, depth: int) -> str:
-        return "\n" + "  " * depth
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
 
 
-_NEWLINES = _Newlines((depth, "\n" + "  " * depth) for depth in range(12))
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
@@ -245,35 +239,24 @@ def _emit(value, depth: int, append) -> None:
         if not value:
             append("{}")
             return
-        inner = _NEWLINES[depth + 1]
-        separator = "," + inner
-        lead = "{" + inner
-        # _quote raises TypeError for a key that is not a str; leaf strings
-        # and floats, most of a report, are written inline
+        inner = _newline(depth + 1)
+        lead, separator = "{" + inner, "," + inner
         for key in sorted(value):
-            item = value[key]
-            item_kind = type(item)
-            if item_kind is str:
-                append(f"{lead}{_quote(key)}: {_quote(item)}")
-            elif item_kind is float:
-                append(f"{lead}{_quote(key)}: {_float(item)}")
-            else:
-                append(f"{lead}{_quote(key)}: ")
-                _emit(item, depth + 1, append)
+            append(f"{lead}{_quote(key)}: ")  # TypeError for a key that is not a str
+            _emit(value[key], depth + 1, append)
             lead = separator
-        append(_NEWLINES[depth] + "}")
+        append(_newline(depth) + "}")
     elif kind is list:
         if not value:
             append("[]")
             return
-        inner = _NEWLINES[depth + 1]
-        separator = "," + inner
-        lead = "[" + inner
+        inner = _newline(depth + 1)
+        lead, separator = "[" + inner, "," + inner
         for item in value:
             append(lead)
             _emit(item, depth + 1, append)
             lead = separator
-        append(_NEWLINES[depth] + "]")
+        append(_newline(depth) + "]")
     elif kind is str:
         append(_quote(value))
     elif kind is float:
@@ -299,31 +282,28 @@ def _dumps(value) -> str:
 # Each takes the row's nesting depth and returns ``row -> text``.
 
 def _ref_text(depth: int):
-    """The text of a ref's ``{"id", "kind"}`` object, built once per ref."""
-    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
-    texts: dict[ComponentRef, str] = {}
+    """The text of a ref's ``{"id", "kind"}`` object."""
+    inner, close = _newline(depth + 1), _newline(depth) + "}"
 
     def text(ref: ComponentRef) -> str:
-        known = texts.get(ref)
-        if known is None:
-            ref_id = "null" if ref.id is None else _quote(ref.id)
-            known = texts[ref] = f'{{{inner}"id": {ref_id},{inner}"kind": {_KIND_TEXTS[ref.kind]}{close}'
-        return known
+        ref_id = "null" if ref.id is None else _quote(ref.id)
+        return f'{{{inner}"id": {ref_id},{inner}"kind": {_KIND_TEXTS[ref.kind]}{close}'
 
     return text
 
 
 def _scoped_text(depth: int):
-    """The text of :func:`_scoped_obj`: {category: {scope: {amount, unit}}}."""
-    category_lead, scope_lead, leaf = (_NEWLINES[depth + i] for i in (1, 2, 3))
-    close = f"{category_lead}}}{_NEWLINES[depth]}}}"
+    """The text of :func:`_scoped_obj`: {category: {scope: {amount, unit}}},
+    for a vector whose cells are in (category, scope) order."""
+    category_lead, scope_lead, leaf = (_newline(depth + i) for i in (1, 2, 3))
+    close = f"{category_lead}}}{_newline(depth)}}}"
 
     def text(sv: ScopedVector) -> str:
         if not sv:
             return "{}"
         parts = []
         current = None
-        for (category, scope), q in sorted(sv.items()):
+        for (category, scope), q in sv.items():
             if category != current:
                 opening = "{" if current is None else category_lead + "},"
                 parts.append(f"{opening}{category_lead}{_quote(category)}: {{{scope_lead}")
@@ -339,7 +319,7 @@ def _scoped_text(depth: int):
 
 
 def _component_impacts_text(depth: int):
-    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
+    inner, close = _newline(depth + 1), _newline(depth) + "}"
     ref_text, scoped_text = _ref_text(depth + 1), _scoped_text(depth + 1)
 
     def text(row: tuple[ComponentRef, ScopedVector]) -> str:
@@ -350,7 +330,7 @@ def _component_impacts_text(depth: int):
 
 
 def _ledger_text(depth: int):
-    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
+    inner, close = _newline(depth + 1), _newline(depth) + "}"
     ref_text = _ref_text(depth + 1)
 
     def text(e: LedgerEntry) -> str:
@@ -363,18 +343,14 @@ def _ledger_text(depth: int):
 
 def _inventory_text(depth: int):
     """The text of :func:`_inventory_obj`; its keys in sorted order."""
-    inner, close = _NEWLINES[depth + 1], _NEWLINES[depth] + "}"
-    components: dict[ComponentRef, str] = {}
+    inner, close = _newline(depth + 1), _newline(depth) + "}"
 
     def text(entry: tuple[InvKey, Quantity]) -> str:
         key, q = entry
         ref = key.component
-        component = components.get(ref)
-        if component is None:
-            ref_id = "null" if ref.id is None else _quote(ref.id)
-            component = components[ref] = (f'{inner}"component_id": {ref_id},'
-                                           f'{inner}"component_kind": {_KIND_TEXTS[ref.kind]}')
-        return (f'{{{inner}"amount": {_quote(str(q.amount))},{component},'
+        ref_id = "null" if ref.id is None else _quote(ref.id)
+        return (f'{{{inner}"amount": {_quote(str(q.amount))},{inner}"component_id": {ref_id},'
+                f'{inner}"component_kind": {_KIND_TEXTS[ref.kind]},'
                 f'{inner}"direction": {_DIRECTION_TEXTS[key.direction]},{inner}"flow": {_quote(key.flow)},'
                 f'{inner}"scope": {_quote(key.scope)},{inner}"unit": {_quote(q.unit)}{close}')
 
@@ -423,7 +399,7 @@ def scoped_impact_csv(result: PipelineResult, out: TextIO | None = None) -> str 
         kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
         writer.writerows(
             (kind, ref_id, category, classes[category], scope, repr(q.amount), q.unit)
-            for (category, scope), q in sorted(sv.items())
+            for (category, scope), q in sv.items()
         )
     return stream.getvalue() if out is None else None
 

@@ -330,6 +330,30 @@ def test_json_numbers_beyond_float_range_rejected(edit, field):
         parse_annotations(text)
 
 
+@pytest.mark.parametrize("digits", [401, 5000])
+@pytest.mark.parametrize("edit, field", [
+    (_set_amount, "assignment #0 amount"),
+    (_set_factor, "factor CO2->climate_change"),
+    (_set_conversion, "conversion crate->kg"),
+])
+def test_json_integers_beyond_float_range_rejected(edit, field, digits):
+    # 5000 digits is also past the digit limit of int(): decimals have none
+    doc = bundle_doc()
+    edit(doc)
+    text = json.dumps(doc).replace("true", "1" + "0" * (digits - 1))
+    with pytest.raises(SchemaError, match=f"{field}: 10{{{digits - 1}}} overflows a float"):
+        parse_annotations(text)
+
+
+@pytest.mark.parametrize("value", [None, 5, True])
+@pytest.mark.parametrize("section, field", [("characterization", "factors"), ("units", "conversions")])
+def test_bundle_arrays_must_be_arrays(section, field, value):
+    doc = bundle_doc()
+    doc.setdefault(section, {})[field] = value
+    with pytest.raises(SchemaError, match=f"{section}.{field} must be an array"):
+        parse_annotations(json.dumps(doc))
+
+
 def _unsorted_factor_entries():
     """Several units per flow, listed out of (flow, unit) order."""
     return [

@@ -190,6 +190,33 @@ def test_config_file_supplies_flags_and_flags_win(tmp_path, capsys, demo_log_pat
     assert code == 0
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"fu": 5}, "fu"),
+    ({"log": 5}, "log"),
+    ({"out": ["x"]}, "out"),
+    ({"mode": None}, "mode"),
+    ({"seed": True}, "seed"),
+    ({"size": 2.5}, "size"),
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(config, key, tmp_path, capsys,
+                                                          demo_log_path, demo_bundle_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path),
+                       "--out", str(tmp_path / "out"), "--config", str(path))
+    assert code == 2
+    assert err.startswith(f"error: --config key '{key}' must be a string")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_seed_and_size_may_be_integers(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 5, "size": 40, "out": str(tmp_path / "gen")}))
+    code, _, _ = run(capsys, "generate", "--config", str(path))
+    assert code == 0
+    assert (tmp_path / "gen" / "log.json").exists()
+
+
 def test_fu_flag(tmp_path, capsys, demo_log_path, demo_bundle_path):
     out = tmp_path / "out"
     code, _, _ = run(capsys, "assess", "--log", str(demo_log_path),
@@ -311,6 +338,41 @@ def test_assess_rejects_overflowing_attribute(tmp_path, capsys, demo_log_path, m
     assert code == 1
     assert err.startswith("error [load-log]: ")
     assert "non-finite number '1e400'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("digits", [401, 5000])
+def test_assess_rejects_integer_attribute_beyond_float_range(digits, tmp_path, capsys,
+                                                             demo_log_path, machine_bundle_path):
+    # 5000 digits is also past the digit limit of int()
+    literal = "1" + "0" * (digits - 1)
+    code, _, err = _assess_with_bottle_mass(tmp_path, capsys, demo_log_path, machine_bundle_path, literal)
+    assert code == 1
+    assert err.startswith("error [load-log]: ")
+    assert f"non-finite number '{literal}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_assess_rejects_bundle_integer_beyond_float_range(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    literal = "1" + "0" * 4999
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(machine_bundle_path.read_text().replace('"amount": "30"', f'"amount": {literal}'))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error [parse-annotations]: assignment #0 amount: 10")
+    assert err.rstrip().endswith("overflows a float")
+
+
+def test_assess_rejects_factors_that_are_not_an_array(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    doc = json.loads(demo_bundle_path.read_text())
+    doc["characterization"]["factors"] = 5
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "error [parse-annotations]: characterization.factors must be an array" in err
     assert not (tmp_path / "out").exists()
 
 

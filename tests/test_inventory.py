@@ -104,7 +104,7 @@ def test_rollup_to_activity_type():
 def test_rollup_empty_log():
     log = make_log()
     al = bound(log, [])
-    assert len(rollup_inventory(al, ComponentKind.PROCESS)) == 0
+    assert len(rollup_inventory(al, ComponentKind.PROCESS).entries) == 0
 
 
 def test_process_rollup_equals_flat_sum_oracle():
@@ -126,7 +126,7 @@ def test_rollup_does_not_cross_kinds():
         {"component": {"kind": "object_instance", "id": "o1"},
          "flow": "CO2", "direction": "output", "amount": "9", "unit": "kg"},
     ])
-    assert len(rollup_inventory(al, ComponentKind.ACTIVITY_TYPE)) == 0
+    assert len(rollup_inventory(al, ComponentKind.ACTIVITY_TYPE).entries) == 0
     obj_inv = rollup_inventory(al, ComponentKind.OBJECT_TYPE)
     key = InvKey(ComponentRef(ComponentKind.OBJECT_TYPE, "order"), "CO2", Direction.OUTPUT, UNSCOPED)
     assert obj_inv.entries[key].amount == Decimal(9)

@@ -172,8 +172,3 @@ def test_summary_matches_brute_force_recount():
     assert summary.per_activity == recount_activity
     assert summary.per_object_type == recount_types
 
-
-def test_summary_serialization_is_deterministic():
-    bundle = generate_bundle(5, 30)
-    log = parse_ocel(bundle.log_json)
-    assert log_summary(log).to_json() == log_summary(log).to_json()

@@ -281,8 +281,31 @@ def test_render_report_equals_json_dumps_on_edge_bundle(fu, demo_log):
 @pytest.mark.parametrize("seed, size", [(3, 150), (17, 90), (42, 200)])
 def test_render_report_equals_json_dumps_on_generated_bundles_per_functional_unit(seed, size):
     result, _ = pipeline_for(seed, size, fu=FunctionalUnit("order", Quantity(dec(1), "count")))
-    assert result.ledger.entries and result.fu_inventory
+    assert result.ledger.entries and result.fu_inventory.entries
     assert_render_matches_build(result)
+
+
+def assert_rows_in_output_order(result):
+    """The projections write rows as stored: components in order, each
+    vector's cells in (category, scope) order, ledger entries sorted."""
+    assert list(result.post_allocation) == sorted(result.post_allocation)
+    assert list(result.ledger.residuals) == sorted(result.ledger.residuals)
+    for sv in [*result.post_allocation.values(), *result.ledger.residuals.values()]:
+        assert list(sv) == sorted(sv)
+    assert result.ledger.entries == sorted(result.ledger.entries)
+
+
+def test_rows_are_stored_in_output_order_on_edge_bundle(demo_log):
+    result = edge_result(demo_log)
+    assert result.ledger.residuals and any(len(sv) > 1 for sv in result.post_allocation.values())
+    assert_rows_in_output_order(result)
+
+
+@pytest.mark.parametrize("seed, size", [(3, 150), (17, 90), (42, 200)])
+def test_rows_are_stored_in_output_order_on_generated_bundles(seed, size):
+    result, _ = pipeline_for(seed, size)
+    assert result.ledger.entries
+    assert_rows_in_output_order(result)
 
 
 def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
