@@ -18,6 +18,7 @@ visible, not silent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -114,6 +115,8 @@ def allocation_weights(
         values.append(value)
 
     total = sum(values)
+    if not math.isfinite(total):
+        raise InvalidAllocationKeyError(f"{rule.source}: '{attribute}' values sum beyond float range ({total})")
     if total == 0:
         warnings.append(
             f"{rule.source}: all '{attribute}' values zero, falling back to equal split"

@@ -34,7 +34,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import SchemaError, UnknownScopeError, UnknownUnitError
+from .errors import SchemaError, UnknownScopeError, UnknownUnitError, abbreviate
 from .model import ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
 from .units import UnitRegistry
 
@@ -207,7 +207,7 @@ def _as_decimal(value, where: str) -> Decimal:
         try:
             dec = Decimal(value)
         except InvalidOperation as exc:
-            raise SchemaError(f"{where}: invalid decimal '{value}'") from exc
+            raise SchemaError(f"{where}: invalid decimal '{abbreviate(value)}'") from exc
     elif isinstance(value, float):
         dec = Decimal(str(value))
     else:
@@ -215,7 +215,7 @@ def _as_decimal(value, where: str) -> Decimal:
     if not dec.is_finite():
         raise SchemaError(f"{where}: amount must be finite")
     if math.isinf(float(dec)):  # impact arithmetic is in floats
-        raise SchemaError(f"{where}: {value} overflows a float")
+        raise SchemaError(f"{where}: {abbreviate(value)} overflows a float")
     return dec
 
 
@@ -518,7 +518,8 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
     per-instance assignments to their instances.
 
     Raises :class:`UnknownComponentError` for dangling references and for
-    expanding over an instance with an empty id (lenient logs).
+    expanding over an instance with an empty id (lenient logs), and
+    :class:`UnknownScopeError` for a scope outside the bundle's scope set.
     Expansion conserves totals exactly: each instance receives the
     per-instance decimal amount unchanged.
     """
@@ -528,7 +529,11 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
         if a.override and a.component.id is not None:
             overrides.add((a.component.id, a.flow, a.direction))
 
-    for a in bundle.assignments:
+    for i, a in enumerate(bundle.assignments):
+        if a.scope is not None and a.scope not in bundle.scope_set:
+            raise UnknownScopeError(
+                f"assignment #{i}: scope '{a.scope}' not in scope set '{bundle.scope_set.name}'"
+            )
         resolve_component(a.component, log)  # raises UnknownComponentError
         if a.basis is Basis.ABSOLUTE:
             resolved.append((a.component, a))

@@ -7,6 +7,14 @@ everything past the byte level raises a :class:`SusmineError` subclass.
 from __future__ import annotations
 
 
+def abbreviate(literal) -> str:
+    """``literal`` as message text: whole up to 40 characters, else its first 24 and its length."""
+    text = str(literal)
+    if len(text) <= 40:
+        return text
+    return f"{text[:24]}... ({len(text)} {'digits' if text.isdigit() else 'characters'})"
+
+
 class SusmineError(Exception):
     """Base class for all engine errors."""
 

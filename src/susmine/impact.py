@@ -14,9 +14,11 @@ assessment is worse than a visibly partial one.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from enum import Enum
 
-from .errors import NonFiniteImpactError, UncharacterizedFlowError, UnitMismatchError
+from .errors import NonFiniteImpactError, NoConversionPathError, UnknownUnitError
+from .errors import UncharacterizedFlowError, UnitMismatchError
 from .model import ComponentRef, Direction, Quantity
 from .annotations import CharacterizationTable, ImpactClass, TableEntry
 from .inventory import Inventory
@@ -30,6 +32,9 @@ class Mode(str, Enum):
 
 #: category -> Quantity in the category's impact unit (float amounts).
 ImpactVector = dict[str, Quantity]
+
+#: (impact category, scope label) -> Quantity (float amounts).
+ScopedVector = dict[tuple[str, str], Quantity]
 
 
 class UncharacterizedFlow(tuple):
@@ -48,22 +53,25 @@ def _find_entry(
     unit: str,
     direction: Direction,
     registry: UnitRegistry,
-) -> tuple[TableEntry | None, bool]:
-    """Locate the applicable entry; returns (entry, flow_known).
+) -> tuple[TableEntry | None, Decimal | None, bool]:
+    """Locate the applicable entry; returns (entry, conversion, flow_known).
 
-    ``flow_known`` distinguishes "no entry for this flow+direction at
-    all" from "entries exist but no unit conversion path reaches them".
+    ``conversion`` is the factor onto the entry's unit (None when they
+    match). ``flow_known`` distinguishes "no entry for this flow+direction
+    at all" from "entries exist but no unit conversion path reaches them".
     """
     candidates = [e for e in table.entries_for_flow(flow) if e.matches_direction(direction)]
     if not candidates:
-        return None, False
+        return None, None, False
     for entry in candidates:
         if entry.unit == unit:
-            return entry, True
+            return entry, None, True
     for entry in candidates:  # entries_for_flow is sorted, so this is deterministic
-        if registry.can_convert(unit, entry.unit):
-            return entry, True
-    return None, True
+        try:
+            return entry, registry.factor(unit, entry.unit), True
+        except (NoConversionPathError, UnknownUnitError):
+            continue
+    return None, None, True
 
 
 def vector_add(vec: dict, key, amount: float, unit: str) -> None:
@@ -83,8 +91,9 @@ def characterize(
     table: CharacterizationTable,
     mode: Mode = Mode.STRICT,
     registry: UnitRegistry | None = None,
-) -> tuple[dict[ComponentRef, ImpactVector], list[UncharacterizedFlow]]:
-    """Characterize an inventory into per-component impact vectors.
+) -> tuple[dict[ComponentRef, ScopedVector], list[UncharacterizedFlow]]:
+    """Characterize an inventory into per-component scoped vectors, cells
+    keyed (category, scope), walking the entries in stored order.
 
     Returns the vectors plus the sorted list of flows that matched no
     factor entry (or no category). Strict mode raises
@@ -93,11 +102,11 @@ def characterize(
     """
     registry = registry or UnitRegistry()
     mode = Mode(mode)
-    vectors: dict[ComponentRef, ImpactVector] = {}
+    vectors: dict[ComponentRef, ScopedVector] = {}
     uncharacterized: set[UncharacterizedFlow] = set()
 
-    for key, q in inv.sorted_entries():
-        entry, flow_known = _find_entry(table, key.flow, q.unit, key.direction, registry)
+    for key, q in inv.entries.items():
+        entry, conversion, flow_known = _find_entry(table, key.flow, q.unit, key.direction, registry)
         if entry is None:
             if mode is Mode.STRICT:
                 if flow_known:
@@ -112,14 +121,11 @@ def characterize(
             # flow unassessed; report it, in either mode
             uncharacterized.add(UncharacterizedFlow(key.flow, q.unit, key.direction.value))
             continue
-        amount = q.amount
-        if entry.unit != q.unit:
-            amount = amount * registry.factor(q.unit, entry.unit)
-        base = float(amount)
+        base = float(q.amount if conversion is None else q.amount * conversion)
         vec = vectors.setdefault(key.component, {})
         for category, factor in sorted(entry.factors.items()):
             try:
-                vector_add(vec, category, base * factor, table.categories[category].impact_unit)
+                vector_add(vec, (category, key.scope), base * factor, table.categories[category].impact_unit)
             except NonFiniteImpactError:
                 raise NonFiniteImpactError(
                     f"{key.component}: flow '{key.flow}' in category '{category}' "

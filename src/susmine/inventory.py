@@ -56,17 +56,12 @@ class Inventory:
         self.entries[key] = Quantity(existing.amount + quantity.amount, existing.unit)
 
     def scaled(self, factor: Decimal) -> "Inventory":
-        out = Inventory()
-        for key, q in self.entries.items():
-            out.entries[key] = Quantity(q.amount * factor, q.unit)
-        return out
-
-    def sorted_entries(self) -> list[tuple[InvKey, Quantity]]:
-        return sorted(self.entries.items())
+        """Every amount times ``factor``, in the same entry order."""
+        return Inventory({key: Quantity(q.amount * factor, q.unit) for key, q in self.entries.items()})
 
     def negative_entries(self) -> list[tuple[InvKey, Quantity]]:
-        """Avoided-burden credits; surfaced in reports, never netted silently."""
-        return sorted((k, q) for k, q in self.entries.items() if q.amount < 0)
+        """Avoided-burden credits in stored order; surfaced, never netted silently."""
+        return [(k, q) for k, q in self.entries.items() if q.amount < 0]
 
 
 @dataclass(frozen=True)
@@ -92,12 +87,12 @@ def _scope_label(scope: str | None) -> str:
 
 
 def direct_inventory(al: AnnotatedLog) -> Inventory:
-    """Every resolved assignment summed onto exactly its own component."""
+    """Every resolved assignment summed onto exactly its own component, in key order."""
     inv = Inventory()
     for ref, a in al.resolved:
         key = InvKey(ref, a.flow, a.direction, _scope_label(a.scope))
         inv.add(key, a.quantity)
-    return inv
+    return Inventory(dict(sorted(inv.entries.items())))
 
 
 _ROLLUP_LEVELS = {ComponentKind.ACTIVITY_TYPE, ComponentKind.OBJECT_TYPE, ComponentKind.PROCESS}
@@ -110,7 +105,7 @@ def rollup_inventory(al: AnnotatedLog, level: ComponentKind) -> Inventory:
     Type-level totals are instance sums plus the type's own absolute
     assignments; the process total is a flat sum over all resolved
     assignments (each counted once — type totals are derived here, never
-    re-added).
+    re-added). Entries are in key order.
     """
     if level not in _ROLLUP_LEVELS:
         raise ValueError(f"roll-up level must be one of {sorted(k.value for k in _ROLLUP_LEVELS)}")
@@ -119,7 +114,7 @@ def rollup_inventory(al: AnnotatedLog, level: ComponentKind) -> Inventory:
         component = al.log.lift(ref, level)
         if component is not None:
             inv.add(InvKey(component, a.flow, a.direction, _scope_label(a.scope)), a.quantity)
-    return inv
+    return Inventory(dict(sorted(inv.entries.items())))
 
 
 def measured_output(al: AnnotatedLog, fu: FunctionalUnit) -> Decimal:
@@ -169,5 +164,5 @@ def inventory_to_csv(inv: Inventory, out: TextIO | None = None) -> str | None:
     stream = io.StringIO() if out is None else out
     writer = csv.writer(stream, lineterminator="\n")  # writes None as ""
     writer.writerow(INVENTORY_COLUMNS)
-    writer.writerows(inventory_row(key, q) for key, q in inv.sorted_entries())
+    writer.writerows(inventory_row(key, q) for key, q in inv.entries.items())
     return stream.getvalue() if out is None else None

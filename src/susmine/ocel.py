@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .errors import IntegrityError, SchemaError
+from .errors import IntegrityError, SchemaError, abbreviate
 from .model import (
     ComponentKind,
     Event,
@@ -106,7 +106,7 @@ def _finite_float(token: str) -> float:
     """JSON number hook: rejects NaN, Infinity and overflowing literals (1e400)."""
     value = float(token)
     if not math.isfinite(value):
-        raise SchemaError(f"non-finite number '{token}'")
+        raise SchemaError(f"non-finite number '{abbreviate(token)}'")
     return value
 
 

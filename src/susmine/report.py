@@ -153,7 +153,7 @@ def _layout(result: PipelineResult) -> dict:
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {
-            "entries": _Rows(result.inventory.sorted_entries(), _inventory_obj, _inventory_text),
+            "entries": _Rows(result.inventory.entries.items(), _inventory_obj, _inventory_text),
             "negative_entries": _Rows(result.inventory.negative_entries(), _inventory_obj, _inventory_text),
         },
         "impacts": {
@@ -197,7 +197,7 @@ def _layout(result: PipelineResult) -> dict:
             "measured_attribute": result.fu.measured_attribute,
             "measured_output": str(result.fu_output),
             "scale_factor": str(result.fu_scale),
-            "inventory_per_fu": _Rows(result.fu_inventory.sorted_entries(), _inventory_obj, _inventory_text),
+            "inventory_per_fu": _Rows(result.fu_inventory.entries.items(), _inventory_obj, _inventory_text),
             "impacts_per_fu": _scoped_obj(per_fu),
         }
     return report

@@ -17,39 +17,26 @@ import math
 from .errors import NonFiniteImpactError, UnknownScopeError
 from .model import UNSCOPED, ComponentRef, Quantity
 from .annotations import AnnotatedLog, ScopeSet
-from .impact import ImpactVector, Mode, UncharacterizedFlow, characterize, vector_add
+from .impact import ImpactVector, Mode, ScopedVector, UncharacterizedFlow, characterize, vector_add
 from .inventory import Inventory, direct_inventory
-
-#: (impact category, scope label) -> Quantity (float amounts).
-ScopedVector = dict[tuple[str, str], Quantity]
 
 
 def scoped_impacts(
     al: AnnotatedLog, mode: Mode = Mode.STRICT
 ) -> tuple[dict[ComponentRef, ScopedVector], list[UncharacterizedFlow]]:
-    """Characterize each scope bucket independently.
+    """Characterize the direct inventory into scoped vectors in one pass.
 
     Buckets are disjoint by construction: every inventory entry carries
-    exactly one scope label, so the per-scope inventories partition the
-    full one and totals are conserved.
+    exactly one scope label, so each (category, scope) cell sums one
+    bucket's entries and totals are conserved.
     """
-    full = direct_inventory(al)
-    vectors: dict[ComponentRef, ScopedVector] = {}
-    uncharacterized: set[UncharacterizedFlow] = set()
-    # Walk the buckets in scope-set order, not the inventory in one pass:
-    # the order components enter ``vectors`` fixes the float summation
-    # order in scoped_total, and with it the report bytes.
-    for scope in [*al.scope_set.scopes, UNSCOPED]:
-        bucket = Inventory(entries={k: q for k, q in full.entries.items() if k.scope == scope})
-        if not bucket.entries:
-            continue
-        by_component, gaps = characterize(bucket, al.table, mode, al.registry)
-        uncharacterized.update(gaps)
-        for component, vec in by_component.items():
-            scoped = vectors.setdefault(component, {})
-            for category, q in vec.items():
-                scoped[(category, scope)] = q  # buckets are disjoint: each cell is new
-    return vectors, sorted(uncharacterized)
+    rank = {scope: i for i, scope in enumerate([*al.scope_set.scopes, UNSCOPED])}
+    # Walk the key-ordered inventory stably re-sorted by scope-set rank,
+    # as if bucket by bucket: that fixes the order components and cells
+    # enter the vectors, hence the float summation order in scoped_total,
+    # and with it the report bytes.
+    entries = sorted(direct_inventory(al).entries.items(), key=lambda item: rank[item[0].scope])
+    return characterize(Inventory(dict(entries)), al.table, mode, al.registry)
 
 
 def collapse_scopes(sv: ScopedVector) -> ImpactVector:

@@ -123,13 +123,6 @@ class UnitRegistry:
             raise NoConversionPathError(f"no conversion path {from_unit} -> {to_unit}")
         return best[to_unit]
 
-    def can_convert(self, from_unit: str, to_unit: str) -> bool:
-        try:
-            self.factor(from_unit, to_unit)
-            return True
-        except (NoConversionPathError, UnknownUnitError):
-            return False
-
     def convert(self, q: Quantity, to_unit: str) -> Quantity:
         """Convert a quantity; Decimal amounts stay Decimal."""
         f = self.factor(q.unit, to_unit)

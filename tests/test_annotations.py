@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from decimal import Decimal
 
@@ -91,6 +92,14 @@ def test_unknown_scope_label_rejected_at_parse():
     }])
     with pytest.raises(UnknownScopeError):
         parse_annotations(json.dumps(doc))
+
+
+def test_unknown_scope_label_rejected_at_bind(demo_log, demo_bundle):
+    # a bundle built in code skips the parser's check; binding it must not
+    # keep the flow in the inventory but drop it from every impact total
+    demo_bundle.assignments[0] = dataclasses.replace(demo_bundle.assignments[0], scope="scope9")
+    with pytest.raises(UnknownScopeError, match=r"assignment #0: scope 'scope9' not in scope set 'ghg'"):
+        bind_annotations(demo_log, demo_bundle)
 
 
 def test_unknown_unit_rejected():
@@ -341,7 +350,8 @@ def test_json_integers_beyond_float_range_rejected(edit, field, digits):
     doc = bundle_doc()
     edit(doc)
     text = json.dumps(doc).replace("true", "1" + "0" * (digits - 1))
-    with pytest.raises(SchemaError, match=f"{field}: 10{{{digits - 1}}} overflows a float"):
+    # the message keeps a 24-digit head and the digit count, not the literal
+    with pytest.raises(SchemaError, match=rf"{field}: 10{{23}}\.\.\. \({digits} digits\) overflows a float$"):
         parse_annotations(text)
 
 

@@ -349,7 +349,8 @@ def test_assess_rejects_integer_attribute_beyond_float_range(digits, tmp_path, c
     code, _, err = _assess_with_bottle_mass(tmp_path, capsys, demo_log_path, machine_bundle_path, literal)
     assert code == 1
     assert err.startswith("error [load-log]: ")
-    assert f"non-finite number '{literal}'" in err
+    assert f"non-finite number '{literal[:24]}... ({digits} digits)'" in err
+    assert len(err) < 200
     assert not (tmp_path / "out").exists()
 
 
@@ -360,8 +361,30 @@ def test_assess_rejects_bundle_integer_beyond_float_range(tmp_path, capsys, demo
     code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                        "--annotations", str(bundle), "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err.startswith("error [parse-annotations]: assignment #0 amount: 10")
-    assert err.rstrip().endswith("overflows a float")
+    assert err == ("error [parse-annotations]: assignment #0 amount: "
+                   f"{literal[:24]}... (5000 digits) overflows a float\n")
+    assert len(err) < 200
+
+
+def test_assess_rejects_allocation_key_values_summing_beyond_float_range(tmp_path, capsys, demo_log_path,
+                                                                         machine_bundle_path):
+    # each 1e308 is a finite float, their sum is not: every weight would
+    # read 0 and the machine's 30 kg CO2e would vanish from the totals
+    log_doc = json.loads(demo_log_path.read_text())
+    for event in log_doc["events"]:
+        if event["id"] in ("e2", "e3", "e4"):
+            event["attributes"] = [{"name": "mass_kg", "value": 1e308}]
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(log_doc))
+    bundle_doc = json.loads(machine_bundle_path.read_text())
+    bundle_doc["allocations"][0]["key"] = "mass"
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(bundle_doc))
+    code, _, err = run(capsys, "assess", "--log", str(log),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error [pipeline]: object_instance:machine1: 'mass_kg' values sum beyond float range")
+    assert not (tmp_path / "out").exists()
 
 
 def test_assess_rejects_factors_that_are_not_an_array(tmp_path, capsys, demo_log_path, demo_bundle_path):

@@ -20,7 +20,7 @@ from susmine import (
 from susmine.annotations import CategoryInfo, CharacterizationTable, ImpactClass, TableEntry
 from susmine.inventory import InvKey, Inventory, direct_inventory
 from susmine.model import Direction, UNSCOPED
-from susmine.scoping import scoped_total
+from susmine.scoping import collapse_scopes, scoped_total
 
 from conftest import rel_close
 from test_annotations import bundle_doc, shipping_log
@@ -57,12 +57,12 @@ def simple_table(**extra_factors):
 def test_unit_factor_reproduces_climate_example():
     vectors, gaps = characterize(inv_of(("e1", "CO2", "output", UNSCOPED, 5, "kg")), simple_table())
     assert gaps == []
-    assert vectors[ref("e1")]["climate_change"] == Quantity(5.0, "kg CO2e")
+    assert vectors[ref("e1")][("climate_change", UNSCOPED)] == Quantity(5.0, "kg CO2e")
 
 
 def test_ozone_example():
     vectors, _ = characterize(inv_of(("e2", "CFC-11", "output", UNSCOPED, 3, "kg")), simple_table())
-    assert vectors[ref("e2")]["ozone_depletion"] == Quantity(3.0, "kg CFCe")
+    assert vectors[ref("e2")][("ozone_depletion", UNSCOPED)] == Quantity(3.0, "kg CFCe")
 
 
 def test_empty_inventory():
@@ -83,7 +83,7 @@ def test_lenient_reports_gaps_and_partial_impacts():
         ("e1", "gravel", "output", UNSCOPED, 1, "kg"),
     )
     vectors, gaps = characterize(inv, simple_table(), Mode.LENIENT)
-    assert vectors[ref("e1")]["climate_change"].amount == 5.0
+    assert vectors[ref("e1")][("climate_change", UNSCOPED)].amount == 5.0
     assert [tuple(g) for g in gaps] == [("gravel", "kg", "output")]
 
 
@@ -100,7 +100,7 @@ def test_conversion_applied_at_lookup():
     )
     inv = inv_of(("e1", "energy", "input", UNSCOPED, 1000, "Wh"))
     vectors, _ = characterize(inv, table, registry=UnitRegistry())
-    assert rel_close(vectors[ref("e1")]["climate_change"].amount, 0.4)
+    assert rel_close(vectors[ref("e1")][("climate_change", UNSCOPED)].amount, 0.4)
 
 
 def test_unit_mismatch_without_path():
@@ -144,7 +144,7 @@ def test_random_inventory_matches_double_loop_oracle():
             if tflow != key.flow or tunit != q.unit:
                 continue
             for category, factor in entry.factors.items():
-                k = (key.component, category)
+                k = (key.component, (category, key.scope))
                 expected[k] = expected.get(k, 0.0) + float(q.amount) * factor
     vectors, gaps = characterize(inv, table)
     assert gaps == []
@@ -199,7 +199,7 @@ def test_all_environmental_table_leaves_social_empty():
         categories={"ozone_depletion": CategoryInfo("kg CFCe", ImpactClass.ENVIRONMENTAL)},
     )
     vectors, _ = characterize(inv_of(("e1", "CFC-11", "output", UNSCOPED, 3, "kg")), table)
-    by_class = classify_impacts(scoped_total(vectors), table)
+    by_class = classify_impacts(collapse_scopes(scoped_total(vectors)), table)
     assert by_class[ImpactClass.SOCIAL] == {}
 
 
@@ -215,7 +215,7 @@ def test_additivity_over_components():
     al = bind_annotations(log, parse_annotations(json.dumps(doc)))
     vectors, _ = characterize(direct_inventory(al), al.table, registry=al.registry)
     total = scoped_total(vectors)
-    assert rel_close(total["climate_change"].amount, 17.0)
+    assert rel_close(total[("climate_change", UNSCOPED)].amount, 17.0)
 
 
 def test_exact_unit_entry_preferred_over_conversion():
@@ -229,4 +229,4 @@ def test_exact_unit_entry_preferred_over_conversion():
     inv = inv_of(("e1", "energy", "input", UNSCOPED, 500, "Wh"))
     vectors, _ = characterize(inv, table, registry=UnitRegistry())
     # the Wh entry matches exactly; no detour through the kWh entry
-    assert vectors[ref("e1")]["climate_change"].amount == 500.0
+    assert vectors[ref("e1")][("climate_change", UNSCOPED)].amount == 500.0

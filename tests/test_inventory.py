@@ -146,7 +146,7 @@ def test_scale_to_functional_unit():
     log = order_log(3)
     al = bound(log, [instance_assignment("e1", 15)])
     scaled = scale_to_functional_unit(direct_inventory(al), fu(1), al)
-    ((_, q),) = scaled.sorted_entries()
+    ((_, q),) = scaled.entries.items()
     assert q.amount == Decimal(5)
 
 
@@ -154,7 +154,7 @@ def test_scale_identity_when_reference_equals_output():
     log = order_log(3)
     al = bound(log, [instance_assignment("e1", 15)])
     scaled = scale_to_functional_unit(direct_inventory(al), fu(3), al)
-    ((_, q),) = scaled.sorted_entries()
+    ((_, q),) = scaled.entries.items()
     assert q.amount == Decimal(15)
 
 
@@ -177,7 +177,7 @@ def test_scale_by_measured_attribute():
     al = bound(log, [instance_assignment("e1", 15)])
     unit = FunctionalUnit("order", Quantity(Decimal(1), "kg"), "mass_kg")
     scaled = scale_to_functional_unit(direct_inventory(al), unit, al)
-    ((_, q),) = scaled.sorted_entries()
+    ((_, q),) = scaled.entries.items()
     assert q.amount == Decimal(3)
 
 
@@ -187,7 +187,7 @@ def test_scaling_linearity():
     base = scale_to_functional_unit(direct_inventory(al), fu(1), al)
     for k in (Decimal("0.5"), Decimal(2), Decimal(10)):
         scaled = scale_to_functional_unit(direct_inventory(al), fu(k), al)
-        for (key, q), (_, qb) in zip(scaled.sorted_entries(), base.sorted_entries()):
+        for (key, q), (_, qb) in zip(scaled.entries.items(), base.entries.items()):
             expect = qb.amount * k
             assert abs(q.amount - expect) <= Decimal("1e-12") * max(abs(expect), Decimal(1))
 
@@ -320,3 +320,17 @@ def test_rollup_equals_brute_force_sum_at_every_level():
             got = {tuple(k): q.amount for k, q in rollup_inventory(al, level).entries.items()}
             assert got == expected, level
             assert expected
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_inventory_producers_store_entries_in_key_order(seed):
+    bundle = generate_bundle(seed, 1500)
+    al = bind_annotations(parse_ocel(bundle.log_json), parse_annotations(bundle.annotations_json))
+    direct = direct_inventory(al)
+    assert len(direct.entries) > 1 and list(direct.entries) == sorted(direct.entries)
+    for level in (ComponentKind.ACTIVITY_TYPE, ComponentKind.OBJECT_TYPE, ComponentKind.PROCESS):
+        rolled = rollup_inventory(al, level)
+        assert rolled.entries and list(rolled.entries) == sorted(rolled.entries), level
+    process = rollup_inventory(al, ComponentKind.PROCESS)
+    scaled = scale_to_functional_unit(process, fu(1), al)
+    assert list(scaled.entries) == list(process.entries) == sorted(process.entries)

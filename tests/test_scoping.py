@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import susmine.scoping
 from susmine import (
     ComponentKind,
     ComponentRef,
@@ -10,7 +11,10 @@ from susmine import (
     parse_annotations,
 )
 from susmine.annotations import parse_scope_set
+from susmine.generator import generate_bundle
 from susmine.model import Quantity, UNSCOPED
+from susmine.ocel import parse_ocel
+from susmine.pipeline import run_pipeline
 from susmine.scoping import collapse_scopes, cumulative_view, scoped_impacts, scoped_total, unscoped_share
 
 from conftest import make_log, rel_close
@@ -157,3 +161,20 @@ def test_unscoped_share_surfaces_partial_scoping():
     vectors, _ = scoped_impacts(al)
     share = unscoped_share(scoped_total(vectors))
     assert rel_close(share["climate_change"], 0.75)
+
+
+def test_pipeline_characterizes_the_inventory_once(monkeypatch):
+    gb = generate_bundle(3, 300)
+    log, bundle = parse_ocel(gb.log_json), parse_annotations(gb.annotations_json)
+    calls = []
+    characterize = susmine.scoping.characterize
+
+    def counted(inv, *args, **kwargs):
+        calls.append(len(inv.entries))
+        return characterize(inv, *args, **kwargs)
+
+    monkeypatch.setattr(susmine.scoping, "characterize", counted)
+    result = run_pipeline(log, bundle)
+    # several scope buckets, one characterization over the whole inventory
+    assert len({scope for sv in result.scoped.values() for (_, scope) in sv}) > 1
+    assert calls == [len(result.inventory.entries)]
