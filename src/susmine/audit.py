@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .errors import SchemaError
+from .fixtures import fixture_path
 from .model import UNSCOPED, ComponentRef
 from .annotations import AnnotatedLog, ImpactClass
 from .allocation import AllocationLedger
@@ -93,9 +93,7 @@ class CapabilityMatrix:
         return cls(rows)
 
     @classmethod
-    def from_json(cls, text: str | bytes) -> "CapabilityMatrix":
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+    def from_json(cls, text: str) -> "CapabilityMatrix":
         return cls.from_json_obj(json.loads(text))
 
     def render_text(self) -> str:
@@ -148,17 +146,6 @@ def pattern_audit(
     return cells
 
 
-def load_literature_matrix(source: str | bytes | Path | None = None) -> CapabilityMatrix:
-    """Load the published-approaches reference matrix.
-
-    With no argument, loads the fixture shipped with the package.
-    """
-    if source is None:
-        from .fixtures import fixture_path
-
-        text = fixture_path("literature/approaches.json").read_text("utf-8")
-    elif isinstance(source, Path):
-        text = source.read_text("utf-8")
-    else:
-        text = source if isinstance(source, str) else source.decode("utf-8")
-    return CapabilityMatrix.from_json(text)
+def load_literature_matrix() -> CapabilityMatrix:
+    """Load the published-approaches reference matrix shipped with the package."""
+    return CapabilityMatrix.from_json(fixture_path("literature/approaches.json").read_text("utf-8"))

@@ -13,7 +13,9 @@ Subcommands wire the pipeline end to end:
     generate   seeded synthetic bundle with ground truth
 
 Exit codes: 0 success; 1 analysis/data error; 2 I/O, syntax or usage
-error. Configuration comes from flags only; ``--config FILE`` may supply
+error. Errors print ``error [<stage>]: <message>`` once a stage
+(load-log, parse-annotations, pipeline, write-outputs) has begun.
+Configuration comes from flags only; ``--config FILE`` may supply
 the same keys as JSON, with flags winning on conflict.
 """
 
@@ -29,12 +31,12 @@ from .errors import SusmineError
 from .model import Quantity, validate_log
 from .annotations import parse_annotations, parse_scope_set, empty_bundle
 from .audit import CapabilityMatrix, load_literature_matrix
-from .dfg import build_dfg, emit_dot
+from .dfg import emit_dot
 from .generator import generate_bundle
 from .impact import Mode
 from .inventory import FunctionalUnit, inventory_to_csv
 from .ocel import parse_ocel
-from .pipeline import run_pipeline
+from .pipeline import PipelineResult, run_pipeline
 from .report import ledger_csv, write_outputs
 
 _CONFIG_KEYS = ("log", "annotations", "out", "mode", "scopes", "fu", "seed", "size")
@@ -132,25 +134,20 @@ def _read(path: str | None, what: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _mode(args) -> Mode:
-    return Mode(args.mode or "strict")
-
-
-def _load_log(args, mode: Mode):
-    return parse_ocel(_read(args.log, "log"), strict=(mode is Mode.STRICT))
-
-
-def _load_annotations(args):
-    if not getattr(args, "annotations", None):
-        return empty_bundle()
-    override = None
-    if getattr(args, "scopes", None):
-        override = _load_scopes_override(args.scopes)
-    return parse_annotations(_read(args.annotations, "annotations"), scopes_override=override)
-
-
-def _load_bundle(args, mode: Mode):
-    return _load_log(args, mode), _load_annotations(args)
+def _analyse(args) -> PipelineResult:
+    """Load the log and the bundle (empty without ``--annotations``) and
+    run the pipeline, recording the stage under way in ``args.stage``."""
+    mode = Mode(args.mode or "strict")
+    fu = _parse_fu(args.fu) if getattr(args, "fu", None) else None
+    args.stage = "load-log"
+    log = parse_ocel(_read(args.log, "log"), strict=(mode is Mode.STRICT))
+    args.stage = "parse-annotations"
+    bundle = empty_bundle()
+    if args.annotations:
+        override = _load_scopes_override(args.scopes) if args.scopes else None
+        bundle = parse_annotations(_read(args.annotations, "annotations"), scopes_override=override)
+    args.stage = "pipeline"
+    return run_pipeline(log, bundle, mode, fu)
 
 
 def _emit(text: str, out_dir: str | None, filename: str) -> None:
@@ -166,7 +163,8 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    mode = _mode(args)
+    mode = Mode(args.mode or "strict")
+    args.stage = "load-log"
     log = parse_ocel(_read(args.log, "log"), strict=False)
     violations = validate_log(log)
     if not violations:
@@ -182,40 +180,26 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_assess(args) -> int:
-    stage = "load-log"
-    try:
-        mode = _mode(args)
-        fu = _parse_fu(args.fu) if getattr(args, "fu", None) else None
-        log = _load_log(args, mode)
-        stage = "parse-annotations"
-        bundle = _load_annotations(args)
-        stage = "pipeline"
-        result = run_pipeline(log, bundle, mode, fu)
-        stage = "write-outputs"
-        written = write_outputs(result, args.out or ".")
-        for name in sorted(written):
-            print(f"wrote {written[name]}")
-        return 0
-    except SusmineError as exc:
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
-        return 1
+    result = _analyse(args)
+    args.stage = "write-outputs"
+    written = write_outputs(result, args.out or ".")
+    for name in sorted(written):
+        print(f"wrote {written[name]}")
+    return 0
 
 
 def _cmd_inventory(args) -> int:
-    mode = _mode(args)
-    fu = _parse_fu(args.fu) if getattr(args, "fu", None) else None
-    log, bundle = _load_bundle(args, mode)
-    result = run_pipeline(log, bundle, mode, fu)
+    result = _analyse(args)
+    args.stage = "write-outputs"
     # with a functional unit, the per-FU process inventory is the artifact
-    text = inventory_to_csv(result.fu_inventory if fu else result.inventory)
+    text = inventory_to_csv(result.fu_inventory if result.fu else result.inventory)
     _emit(text, args.out, "inventory.csv")
     return 0
 
 
 def _cmd_allocate(args) -> int:
-    mode = _mode(args)
-    log, bundle = _load_bundle(args, mode)
-    result = run_pipeline(log, bundle, mode)
+    result = _analyse(args)
+    args.stage = "write-outputs"
     _emit(ledger_csv(result), args.out, "ledger.csv")
     for warning in result.ledger.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -223,14 +207,11 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_dfg(args) -> int:
-    mode = _mode(args)
-    if getattr(args, "annotations", None):
-        log, bundle = _load_bundle(args, mode)
-        result = run_pipeline(log, bundle, mode)
-        dot = emit_dot(result.dfg)
-    else:
-        dot = emit_dot(build_dfg(_load_log(args, mode)))
-    _emit(dot, args.out, "dfg.dot")
+    # without --annotations the pipeline runs on the empty bundle, whose
+    # annotated graph renders exactly as the bare one
+    result = _analyse(args)
+    args.stage = "write-outputs"
+    _emit(emit_dot(result.dfg), args.out, "dfg.dot")
     return 0
 
 
@@ -238,9 +219,8 @@ def _cmd_audit(args) -> int:
     if args.literature:
         matrix = load_literature_matrix()
     else:
-        mode = _mode(args)
-        log, bundle = _load_bundle(args, mode)
-        result = run_pipeline(log, bundle, mode)
+        result = _analyse(args)
+        args.stage = "write-outputs"
         name = Path(args.annotations).stem if args.annotations else "bundle"
         matrix = CapabilityMatrix([(name, result.audit_row)])
     sys.stdout.write(matrix.render_text())
@@ -279,24 +259,26 @@ _COMMANDS = {
 }
 
 
+def _fail(args, message, code: int) -> int:
+    """Report a failure on stderr, naming the stage under way if one began."""
+    prefix = f"error [{args.stage}]" if args.stage else "error"
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.stage = None
     try:
         args = _apply_config(args)
         return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, f"malformed JSON: {exc}", 2)
+    except (OSError, ValueError) as exc:
+        return _fail(args, exc, 2)
     except SusmineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc, 1)
 
 
 if __name__ == "__main__":

@@ -37,14 +37,8 @@ ImpactVector = dict[str, Quantity]
 ScopedVector = dict[tuple[str, str], Quantity]
 
 
-class UncharacterizedFlow(tuple):
-    """(flow, unit, direction) triple with readable rendering."""
-
-    def __new__(cls, flow: str, unit: str, direction: str):
-        return super().__new__(cls, (flow, unit, direction))
-
-    def __str__(self) -> str:
-        return f"{self[0]} [{self[1]}, {self[2]}]"
+#: A flow left uncharacterized: (flow, unit, direction).
+UncharacterizedFlow = tuple[str, str, str]
 
 
 def _find_entry(
@@ -114,12 +108,12 @@ def characterize(
                         f"no conversion path from '{q.unit}' to any table unit for flow '{key.flow}'"
                     )
                 raise UncharacterizedFlowError(key.flow, q.unit, key.direction.value)
-            uncharacterized.add(UncharacterizedFlow(key.flow, q.unit, key.direction.value))
+            uncharacterized.add((key.flow, q.unit, key.direction.value))
             continue
         if not entry.factors:
             # an entry that characterizes into no category still leaves the
             # flow unassessed; report it, in either mode
-            uncharacterized.add(UncharacterizedFlow(key.flow, q.unit, key.direction.value))
+            uncharacterized.add((key.flow, q.unit, key.direction.value))
             continue
         base = float(q.amount if conversion is None else q.amount * conversion)
         vec = vectors.setdefault(key.component, {})

@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import NamedTuple, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import UnitMismatchError, UnknownComponentError, ZeroOutputError
 from .model import (
@@ -27,7 +27,7 @@ from .model import (
     Direction,
     Quantity,
 )
-from .annotations import AnnotatedLog
+from .annotations import AnnotatedLog, FlowAssignment
 
 
 class InvKey(NamedTuple):
@@ -82,17 +82,18 @@ class FunctionalUnit:
             raise ValueError("functional unit reference amount must be a positive decimal")
 
 
-def _scope_label(scope: str | None) -> str:
-    return scope if scope is not None else UNSCOPED
+def _summed(pairs: Iterable[tuple[ComponentRef, FlowAssignment]]) -> Inventory:
+    """Each assignment's quantity summed onto its paired component, in key order."""
+    inv = Inventory()
+    for component, a in pairs:
+        scope = a.scope if a.scope is not None else UNSCOPED
+        inv.add(InvKey(component, a.flow, a.direction, scope), a.quantity)
+    return Inventory(dict(sorted(inv.entries.items())))
 
 
 def direct_inventory(al: AnnotatedLog) -> Inventory:
     """Every resolved assignment summed onto exactly its own component, in key order."""
-    inv = Inventory()
-    for ref, a in al.resolved:
-        key = InvKey(ref, a.flow, a.direction, _scope_label(a.scope))
-        inv.add(key, a.quantity)
-    return Inventory(dict(sorted(inv.entries.items())))
+    return _summed(al.resolved)
 
 
 _ROLLUP_LEVELS = {ComponentKind.ACTIVITY_TYPE, ComponentKind.OBJECT_TYPE, ComponentKind.PROCESS}
@@ -109,12 +110,8 @@ def rollup_inventory(al: AnnotatedLog, level: ComponentKind) -> Inventory:
     """
     if level not in _ROLLUP_LEVELS:
         raise ValueError(f"roll-up level must be one of {sorted(k.value for k in _ROLLUP_LEVELS)}")
-    inv = Inventory()
-    for ref, a in al.resolved:
-        component = al.log.lift(ref, level)
-        if component is not None:
-            inv.add(InvKey(component, a.flow, a.direction, _scope_label(a.scope)), a.quantity)
-    return Inventory(dict(sorted(inv.entries.items())))
+    lifted = ((al.log.lift(ref, level), a) for ref, a in al.resolved)
+    return _summed((component, a) for component, a in lifted if component is not None)
 
 
 def measured_output(al: AnnotatedLog, fu: FunctionalUnit) -> Decimal:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from enum import Enum
+from operator import itemgetter
 from typing import Union
 
 from .errors import UnknownComponentError
@@ -68,23 +69,30 @@ class Quantity:
             raise TypeError(f"amount must be Decimal or float, got {type(self.amount).__name__}")
 
 
-@dataclass(frozen=True, order=True)
-class ComponentRef:
-    """Reference to one of the five process component kinds.
+class ComponentRef(tuple):
+    """Reference to one of the five process component kinds, as the
+    tuple ``(kind, id)``.
 
     ``id`` is None exactly when ``kind`` is PROCESS (the whole log).
-    Refs order by (kind value, id), the component order of every output.
+    Refs compare and hash as tuples, so they order by (kind value, id),
+    the component order of every output.
     """
 
-    kind: ComponentKind
-    id: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is ComponentKind.PROCESS:
-            if self.id is not None:
+    def __new__(cls, kind: ComponentKind, id: str | None = None):
+        if kind is ComponentKind.PROCESS:
+            if id is not None:
                 raise ValueError("process refs carry no id")
-        elif not self.id:
-            raise ValueError(f"{self.kind.value} ref requires an id")
+        elif not id:
+            raise ValueError(f"{kind.value} ref requires an id")
+        return super().__new__(cls, (kind, id))
+
+    kind = property(itemgetter(0))
+    id = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[ComponentKind, str | None]:
+        return tuple(self)
 
     def __str__(self) -> str:
         return self.kind.value if self.id is None else f"{self.kind.value}:{self.id}"

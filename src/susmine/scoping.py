@@ -68,7 +68,7 @@ def scoped_total(vectors: dict[ComponentRef, ScopedVector]) -> ScopedVector:
 def cumulative_view(
     sv: ScopedVector,
     order: list[str] | tuple[str, ...],
-    scope_set: ScopeSet | None = None,
+    scope_set: ScopeSet,
 ) -> dict[tuple[str, str], Quantity]:
     """Running totals along an ordered scope list.
 
@@ -82,17 +82,11 @@ def cumulative_view(
         raise ValueError("scope order contains duplicates")
     if UNSCOPED in order:
         raise UnknownScopeError(f"'{UNSCOPED}' cannot appear in a cumulative order")
-    if scope_set is not None:
-        unknown = [s for s in order if s not in scope_set]
-        if unknown:
-            raise UnknownScopeError(f"scope(s) {unknown} not in scope set '{scope_set.name}'")
-        if set(order) != set(scope_set.scopes):
-            raise ValueError("scope order must be a permutation of the scope set")
-    else:
-        present = {scope for (_, scope) in sv if scope != UNSCOPED}
-        missing = sorted(present - set(order))
-        if missing:
-            raise UnknownScopeError(f"scope order omits bucket(s) {missing} present in the data")
+    unknown = [s for s in order if s not in scope_set]
+    if unknown:
+        raise UnknownScopeError(f"scope(s) {unknown} not in scope set '{scope_set.name}'")
+    if set(order) != set(scope_set.scopes):
+        raise ValueError("scope order must be a permutation of the scope set")
 
     categories = sorted({category for (category, _) in sv})
     out: dict[tuple[str, str], Quantity] = {}

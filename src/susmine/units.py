@@ -34,15 +34,9 @@ class UnitRegistry:
         self,
         units: set[str] | None = None,
         conversions: dict[tuple[str, str], Decimal] | None = None,
-        include_defaults: bool = True,
     ):
-        self.units: set[str] = set(units or ())
-        declared: dict[tuple[str, str], Decimal] = {}
-        if include_defaults:
-            self.units.update(DEFAULT_UNITS)
-            declared.update(DEFAULT_CONVERSIONS)
-        if conversions:
-            declared.update(conversions)
+        self.units: set[str] = {*DEFAULT_UNITS, *(units or ())}
+        declared = {**DEFAULT_CONVERSIONS, **(conversions or {})}
 
         self.conversions: dict[tuple[str, str], Decimal] = {}
         for (src, dst), factor in declared.items():

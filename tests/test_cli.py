@@ -4,7 +4,10 @@ import re
 import pytest
 
 from susmine.cli import main
+from susmine.dfg import build_dfg, emit_dot
 from susmine.fixtures import fixture_path
+from susmine.generator import generate_bundle
+from susmine.ocel import parse_ocel
 from susmine.report import OUTPUT_FILES
 
 
@@ -157,6 +160,19 @@ def test_dfg_subcommand_without_annotations(capsys, orders_log_path):
     assert '"ship_order" -> "deliver_order"' in out
 
 
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("log_name", ["orders", "generated"])
+def test_dfg_without_annotations_prints_the_bare_graph(log_name, mode, tmp_path, capsys, orders_log_path):
+    if log_name == "orders":
+        path = orders_log_path
+    else:
+        path = tmp_path / "log.json"
+        path.write_text(generate_bundle(3, 300).log_json)
+    code, out, _ = run(capsys, "dfg", "--log", str(path), "--mode", mode)
+    assert code == 0
+    assert out == emit_dot(build_dfg(parse_ocel(path.read_bytes(), strict=(mode == "strict"))))
+
+
 def test_audit_literature_matches_fixture(capsys):
     code, out, _ = run(capsys, "audit", "--literature")
     assert code == 0
@@ -291,6 +307,22 @@ def test_assess_names_annotation_stage(tmp_path, capsys, demo_log_path):
     assert code == 1
     assert "parse-annotations" in err
     assert "scope9" in err
+
+
+@pytest.mark.parametrize("command", ["inventory", "allocate", "dfg", "audit"])
+def test_every_analysing_command_names_the_failed_stage(command, capsys, demo_log_path):
+    code, _, err = run(capsys, command, "--log", str(demo_log_path),
+                       "--annotations", str(fixture_path("annotations/invalid_unknown_scope.json")))
+    assert code == 1
+    assert err.startswith("error [parse-annotations]: "), err
+    assert "scope9" in err
+
+
+def test_assess_missing_bundle_names_its_stage(tmp_path, capsys, demo_log_path):
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", "/no/such.json", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error [parse-annotations]: "), err
 
 
 def test_assess_rejects_boolean_amount(tmp_path, capsys, demo_log_path, machine_bundle_path):

@@ -73,8 +73,8 @@ def test_valid_and_invalid_examples_for_every_schema():
     with pytest.raises(SchemaError):
         characterization_from_csv(fixture_path("annotations/invalid_factors.csv").read_text())
     # literature matrix
-    from susmine import load_literature_matrix
+    from susmine import CapabilityMatrix, load_literature_matrix
 
     assert len(load_literature_matrix().rows) == 6
     with pytest.raises(SchemaError):
-        load_literature_matrix(json.dumps({"schema": "other/1"}))
+        CapabilityMatrix.from_json(json.dumps({"schema": "other/1"}))

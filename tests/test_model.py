@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,6 +128,14 @@ def test_component_ref_validation():
         ComponentRef(ComponentKind.PROCESS, "x")
     with pytest.raises(ValueError):
         ComponentRef(ComponentKind.ACTIVITY_TYPE, None)
+
+
+@pytest.mark.parametrize("ref", [PROCESS_REF, ComponentRef(ComponentKind.OBJECT_INSTANCE, "o1")])
+def test_component_ref_survives_deepcopy_and_pickle(ref):
+    for again in (copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+        assert type(again) is ComponentRef
+        assert again == ref and hash(again) == hash(ref)
+        assert (again.kind, again.id, str(again)) == (ref.kind, ref.id, str(ref))
 
 
 def lenient_log():

@@ -1,6 +1,7 @@
 """Retype sweep: every field of a shipped document, replaced by a value of
-the wrong type or range, must make lenient ``assess`` succeed or fail with
-a data error (exit 0 or 1), never crash or exit as a usage error."""
+the wrong type or range, dropped, or (a list element) duplicated, must make
+lenient ``assess`` succeed or fail with a data error (exit 0 or 1), never
+crash or exit as a usage error."""
 
 import copy
 import json
@@ -26,13 +27,24 @@ def field_paths(node, prefix=()):
         yield from field_paths(child, prefix + (key,))
 
 
-def replaced(doc, path, value):
+def edited(doc, path, change):
+    """A copy of ``doc`` with ``change(parent, key)`` applied to the field at ``path``."""
     out = copy.deepcopy(doc)
     node = out
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    change(node, path[-1])
     return out
+
+
+def mutations(doc, path):
+    """(label, document) for each mutation of the field at ``path``: every
+    retype, the field dropped and, for a list element, a copy appended."""
+    for value in RETYPES:
+        yield f"= {str(value)[:12]}", edited(doc, path, lambda node, key: node.__setitem__(key, value))
+    yield "dropped", edited(doc, path, lambda node, key: node.__delitem__(key))
+    if isinstance(path[-1], int):
+        yield "duplicated", edited(doc, path, lambda node, key: node.append(node[key]))
 
 
 def machine_variant(machine_bundle_path):
@@ -44,8 +56,8 @@ def machine_variant(machine_bundle_path):
 
 
 def sweep(tmp_path, log_doc, bundle_doc, retyped):
-    """Run lenient ``assess`` once per (field, value) of the document named
-    by ``retyped``; return every case that exited 2 or raised."""
+    """Run lenient ``assess`` once per mutation of each field of the document
+    named by ``retyped``; return every case that exited 2 or raised."""
     log, bundle, out = tmp_path / "log.json", tmp_path / "bundle.json", tmp_path / "out"
     log.write_text(json.dumps(log_doc))
     bundle.write_text(json.dumps(bundle_doc))
@@ -54,9 +66,9 @@ def sweep(tmp_path, log_doc, bundle_doc, retyped):
     assert main(argv) == 0  # the documents as given assess cleanly
     failures = []
     for path in field_paths(doc):
-        for value in RETYPES:
-            target.write_text(json.dumps(replaced(doc, path, value)))
-            case = f"{'.'.join(map(str, path))} = {str(value)[:12]}"
+        for label, mutated in mutations(doc, path):
+            target.write_text(json.dumps(mutated))
+            case = f"{'.'.join(map(str, path))} {label}"
             try:
                 code = main(argv)
             except Exception as exc:  # any exception escaping main is the finding

@@ -42,7 +42,6 @@ def test_inconsistent_inverse_rejected():
         UnitRegistry(
             units={"a", "b"},
             conversions={("a", "b"): Decimal(2), ("b", "a"): Decimal(3)},
-            include_defaults=False,
         )
 
 
@@ -55,13 +54,12 @@ def test_contradictory_paths_rejected():
                 ("b", "c"): Decimal(2),
                 ("a", "c"): Decimal(5),  # disagrees with 2*2
             },
-            include_defaults=False,
         )
 
 
 def test_nonpositive_factor_rejected():
     with pytest.raises(SchemaError):
-        UnitRegistry(units={"a", "b"}, conversions={("a", "b"): Decimal(0)}, include_defaults=False)
+        UnitRegistry(units={"a", "b"}, conversions={("a", "b"): Decimal(0)})
 
 
 @given(
@@ -69,7 +67,7 @@ def test_nonpositive_factor_rejected():
     amount=st.decimals(min_value="-1000", max_value="1000", places=6),
 )
 def test_round_trip(factor, amount):
-    reg = UnitRegistry(units={"a", "b"}, conversions={("a", "b"): factor}, include_defaults=False)
+    reg = UnitRegistry(units={"a", "b"}, conversions={("a", "b"): factor})
     there = reg.convert(Quantity(amount, "a"), "b")
     back = reg.convert(there, "a")
     assert abs(float(back.amount) - float(amount)) <= 1e-9 * max(abs(float(amount)), 1e-30)
