@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--log", help="event log (OCEL 2.0 JSON subset)")
         if annotations:
             p.add_argument("--annotations", help="annotation bundle (susmine/1 JSON)")
-            p.add_argument("--scopes", help="scope set override: ghg, lca, or a JSON file")
+            p.add_argument("--scopes", help="scope set override for the bundle: ghg, lca, or a JSON file")
         if out:
             p.add_argument("--out", help="output directory")
         if fu:
@@ -137,6 +137,8 @@ def _read(path: str | None, what: str) -> bytes:
 def _analyse(args) -> PipelineResult:
     """Load the log and the bundle (empty without ``--annotations``) and
     run the pipeline, recording the stage under way in ``args.stage``."""
+    if args.scopes and not args.annotations:
+        raise ValueError("--scopes requires --annotations")
     mode = Mode(args.mode or "strict")
     fu = _parse_fu(args.fu) if getattr(args, "fu", None) else None
     args.stage = "load-log"

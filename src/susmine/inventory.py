@@ -149,17 +149,15 @@ def scale_to_functional_unit(inv: Inventory, fu: FunctionalUnit, al: AnnotatedLo
 INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
 
 
-def inventory_row(key: InvKey, q: Quantity) -> tuple:
-    """One entry's INVENTORY_COLUMNS values; the exact amount as a string."""
-    return (key.component.kind.value, key.component.id, key.flow, key.direction.value,
-            key.scope, str(q.amount), q.unit)
-
-
 def inventory_to_csv(inv: Inventory, out: TextIO | None = None) -> str | None:
-    """The inventory as CSV rows of INVENTORY_COLUMNS; written onto
-    ``out``, or returned without a stream."""
+    """The inventory as CSV rows of INVENTORY_COLUMNS, the exact amount as
+    a string; written onto ``out``, or returned without a stream."""
     stream = io.StringIO() if out is None else out
     writer = csv.writer(stream, lineterminator="\n")  # writes None as ""
     writer.writerow(INVENTORY_COLUMNS)
-    writer.writerows(inventory_row(key, q) for key, q in inv.entries.items())
+    writer.writerows(
+        (key.component.kind.value, key.component.id, key.flow, key.direction.value,
+         key.scope, str(q.amount), q.unit)
+        for key, q in inv.entries.items()
+    )
     return stream.getvalue() if out is None else None

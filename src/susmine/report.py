@@ -14,12 +14,17 @@ back to ``json``'s pure-Python encoder as any ``indent`` does. Its bulk
 sections are written row by row straight from the
 :class:`PipelineResult`, so neither the report dict nor its text is ever
 held whole on the way to disk.
+
+:func:`render_report` is the only writer of the document;
+:func:`build_report` parses its text. The tests check the emitter against
+an independently built dict, ``tests/oracles.report_dict``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import shutil
@@ -32,7 +37,7 @@ from .errors import NonFiniteImpactError
 from .allocation import LedgerEntry
 from .model import ComponentKind, ComponentRef, Direction, Quantity
 from .impact import classify_impacts
-from .inventory import INVENTORY_COLUMNS, InvKey, inventory_row, inventory_to_csv
+from .inventory import InvKey, inventory_to_csv
 from .ocel import log_summary
 from .pipeline import PipelineResult
 from .scoping import ScopedVector, collapse_scopes, unscoped_share
@@ -55,14 +60,6 @@ _KIND_TEXTS = {kind: _quote(kind.value) for kind in ComponentKind}
 _DIRECTION_TEXTS = {direction: _quote(direction.value) for direction in Direction}
 
 
-def _component_obj(ref: ComponentRef) -> dict:
-    return {"kind": ref.kind.value, "id": ref.id}
-
-
-def _inventory_obj(entry: tuple[InvKey, Quantity]) -> dict:
-    return dict(zip(INVENTORY_COLUMNS, inventory_row(*entry)))
-
-
 def _scoped_obj(sv: ScopedVector) -> dict:
     out: dict = {}
     for (category, scope), q in sorted(sv.items()):
@@ -70,36 +67,17 @@ def _scoped_obj(sv: ScopedVector) -> dict:
     return out
 
 
-def _component_impacts_obj(row: tuple[ComponentRef, ScopedVector]) -> dict:
-    ref, sv = row
-    return {"component": _component_obj(ref), "impacts": _scoped_obj(sv)}
-
-
-def _ledger_obj(e: LedgerEntry) -> dict:
-    return {
-        "source": _component_obj(e.source),
-        "target": _component_obj(e.target),
-        "category": e.category,
-        "scope": e.scope,
-        "amount": e.amount,
-        "weight": e.weight,
-    }
-
-
 class _Rows:
     """A bulk list section of the report, kept as its source rows.
 
-    :func:`build_report` turns each row into a dict with ``as_dict``; the
-    streaming emitter writes each row with the text template that
-    ``template(depth)`` builds for rows at that nesting depth, so it holds
-    neither a row dict nor the section's text. Tests check the two forms
-    against each other through ``json.dumps``. ``rows`` is iterated once."""
+    The emitter writes each row with the text template that ``template(depth)``
+    builds for rows at that nesting depth, so it holds neither a row dict
+    nor the section's text. ``rows`` is iterated once."""
 
-    __slots__ = ("rows", "as_dict", "template")
+    __slots__ = ("rows", "template")
 
-    def __init__(self, rows, as_dict, template):
+    def __init__(self, rows, template):
         self.rows = rows
-        self.as_dict = as_dict
         self.template = template
 
     def emit(self, depth: int, append) -> None:
@@ -113,18 +91,9 @@ class _Rows:
         append("[]" if lead is opening else _newline(depth) + "]")
 
 
-def _materialize(value):
-    """``value`` with every :class:`_Rows` section turned into its list of dicts."""
-    if type(value) is _Rows:
-        return [value.as_dict(row) for row in value.rows]
-    if type(value) is dict:
-        return {key: _materialize(item) for key, item in value.items()}
-    return value
-
-
 def _layout(result: PipelineResult) -> dict:
-    """The report's one skeleton: :func:`build_report`'s dict, except that
-    each bulk list section is a :class:`_Rows`."""
+    """The report's one skeleton: its small sections as dicts, each bulk
+    list section as a :class:`_Rows`."""
     al = result.al
     summary = log_summary(al.log)
     totals = result.totals
@@ -153,13 +122,12 @@ def _layout(result: PipelineResult) -> dict:
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {
-            "entries": _Rows(result.inventory.entries.items(), _inventory_obj, _inventory_text),
-            "negative_entries": _Rows(result.inventory.negative_entries(), _inventory_obj, _inventory_text),
+            "entries": _Rows(result.inventory.entries.items(), _inventory_text),
+            "negative_entries": _Rows(result.inventory.negative_entries(), _inventory_text),
         },
         "impacts": {
             "components": _Rows(
-                ((ref, sv) for ref, sv in result.post_allocation.items() if sv),
-                _component_impacts_obj, _component_impacts_text,
+                ((ref, sv) for ref, sv in result.post_allocation.items() if sv), _component_impacts_text
             ),
             "process_totals": process_totals,
             "class_totals": {
@@ -172,8 +140,8 @@ def _layout(result: PipelineResult) -> dict:
             {"flow": f, "unit": u, "direction": d} for (f, u, d) in result.uncharacterized
         ],
         "allocation": {
-            "entries": _Rows(result.ledger.entries, _ledger_obj, _ledger_text),
-            "residuals": _Rows(result.ledger.residuals.items(), _component_impacts_obj, _component_impacts_text),
+            "entries": _Rows(result.ledger.entries, _ledger_text),
+            "residuals": _Rows(result.ledger.residuals.items(), _component_impacts_text),
             "warnings": list(result.ledger.warnings),
         },
         "audit": {col: level.value for col, level in result.audit_row.items()},
@@ -197,16 +165,16 @@ def _layout(result: PipelineResult) -> dict:
             "measured_attribute": result.fu.measured_attribute,
             "measured_output": str(result.fu_output),
             "scale_factor": str(result.fu_scale),
-            "inventory_per_fu": _Rows(result.fu_inventory.entries.items(), _inventory_obj, _inventory_text),
+            "inventory_per_fu": _Rows(result.fu_inventory.entries.items(), _inventory_text),
             "impacts_per_fu": _scoped_obj(per_fu),
         }
     return report
 
 
 def build_report(result: PipelineResult) -> dict:
-    """The report as one dict; :func:`render_report` writes the same
-    document without building it."""
-    return _materialize(_layout(result))
+    """The report as one dict: :func:`render_report`'s text, parsed. Every
+    float round-trips exactly through its ``repr``."""
+    return json.loads(render_report(result))
 
 
 def _newline(depth: int) -> str:
@@ -229,11 +197,13 @@ def _float(value: float) -> str:
 def _emit(value, depth: int, append) -> None:
     """Append the JSON text of ``value`` at nesting ``depth`` with the rules of
     ``json.dumps(indent=2, sort_keys=True)``: sorted keys, ASCII escapes,
-    ``float.__repr__``, ``{}``/``[]`` when empty. Only the types
-    :func:`build_report` produces are accepted (exact dict with str keys,
-    list, str, float, int, bool, None), plus a :class:`_Rows` section;
-    anything else raises ``TypeError``, and a non-finite float raises
-    ``ValueError``."""
+    ``float.__repr__``, ``{}``/``[]`` when empty. Only the types the report
+    holds are accepted (exact dict with str keys, list, str, float, int,
+    bool, None), plus a :class:`_Rows` section; anything else raises
+    ``TypeError``, and a non-finite float raises ``ValueError``. The tests
+    check its output against ``json.dumps`` on arbitrary trees, and
+    :func:`render_report`'s against ``json.dumps`` of an independently
+    built report dict (``tests/oracles.report_dict``)."""
     kind = type(value)
     if kind is dict:
         if not value:
@@ -271,14 +241,7 @@ def _emit(value, depth: int, append) -> None:
         raise TypeError(f"{kind.__name__} is not a report value")
 
 
-def _dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` in one pass."""
-    parts: list[str] = []
-    _emit(value, 0, parts.append)
-    return "".join(parts)
-
-
-# -- row templates: the text _emit writes for one row's dict, built directly.
+# -- row templates: the text of one row's JSON object, built directly.
 # Each takes the row's nesting depth and returns ``row -> text``.
 
 def _ref_text(depth: int):
@@ -342,7 +305,8 @@ def _ledger_text(depth: int):
 
 
 def _inventory_text(depth: int):
-    """The text of :func:`_inventory_obj`; its keys in sorted order."""
+    """The text of one inventory entry's object: INVENTORY_COLUMNS as keys,
+    in sorted order, with the exact amount as a string."""
     inner, close = _newline(depth + 1), _newline(depth) + "}"
 
     def text(entry: tuple[InvKey, Quantity]) -> str:

@@ -1,13 +1,22 @@
 """Independent brute-force oracles used by the test suite.
 
-These work directly on raw JSON documents with flat loops and no shared
-code with the engine's aggregation paths, so agreement between the two
-is meaningful. They assume assignments already use the factor table's
-units (true for all generated bundles); unit conversion paths are
-exercised by dedicated tests instead.
+The totals and pair-count oracles work directly on raw JSON documents with
+flat loops and no shared code with the engine's aggregation paths, so
+agreement between the two is meaningful. They assume assignments already
+use the factor table's units (true for all generated bundles); unit
+conversion paths are exercised by dedicated tests instead.
+
+:func:`report_dict` builds ``report.json``'s document as a plain dict from a
+pipeline result, sharing no code with ``susmine.report``, so that
+``json.dumps`` of it checks the report emitter byte for byte.
 """
 
 from decimal import Decimal
+
+from susmine.impact import classify_impacts
+from susmine.model import Quantity
+from susmine.ocel import log_summary
+from susmine.scoping import collapse_scopes, unscoped_share
 
 
 def _counts(log_doc):
@@ -78,3 +87,113 @@ def pair_counts(log_doc):
             key = (events_by_id[a]["type"], events_by_id[b]["type"])
             edges[key] = edges.get(key, 0) + 1
     return edges
+
+
+def _ref_dict(ref):
+    return {"kind": ref.kind.value, "id": ref.id}
+
+
+def _cells_dict(sv):
+    """A scoped vector as {category: {scope: {amount, unit}}}."""
+    out = {}
+    for (category, scope), q in sorted(sv.items()):
+        out.setdefault(category, {})[scope] = {"amount": q.amount, "unit": q.unit}
+    return out
+
+
+def _inventory_dicts(entries):
+    """Inventory entries in key order, each with its exact amount as a string."""
+    return [
+        {
+            "component_kind": key.component.kind.value,
+            "component_id": key.component.id,
+            "flow": key.flow,
+            "direction": key.direction.value,
+            "scope": key.scope,
+            "amount": str(q.amount),
+            "unit": q.unit,
+        }
+        for key, q in sorted(entries)
+    ]
+
+
+def _component_dicts(vectors):
+    return [{"component": _ref_dict(ref), "impacts": _cells_dict(sv)} for ref, sv in sorted(vectors.items())]
+
+
+def report_dict(result):
+    """``report.json``'s document for a pipeline result, built as one dict
+    with every list in its documented order."""
+    al = result.al
+    summary = log_summary(al.log)
+    totals = result.totals
+    category_totals = collapse_scopes(totals)
+    by_scope = _cells_dict(totals)
+    entries = result.inventory.entries.items()
+    report = {
+        "schema": "susmine-report/1",
+        "mode": result.mode.value,
+        "log": {
+            "digest": al.log.digest(),
+            "event_count": summary.event_count,
+            "object_count": summary.object_count,
+            "per_activity": summary.per_activity,
+            "per_object_type": summary.per_object_type,
+        },
+        "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
+        "inventory": {
+            "entries": _inventory_dicts(entries),
+            "negative_entries": _inventory_dicts((key, q) for key, q in entries if q.amount < 0),
+        },
+        "impacts": {
+            "components": _component_dicts({ref: sv for ref, sv in result.post_allocation.items() if sv}),
+            "process_totals": {
+                category: {
+                    "class": al.table.categories[category].impact_class.value,
+                    "total": {"amount": q.amount, "unit": q.unit},
+                    "by_scope": by_scope[category],
+                }
+                for category, q in category_totals.items()
+            },
+            "class_totals": {
+                cls.value: {category: {"amount": q.amount, "unit": q.unit} for category, q in vec.items()}
+                for cls, vec in classify_impacts(category_totals, al.table).items()
+            },
+        },
+        "unscoped_share": unscoped_share(totals),
+        "uncharacterized_flows": [
+            {"flow": flow, "unit": unit, "direction": direction}
+            for flow, unit, direction in result.uncharacterized
+        ],
+        "allocation": {
+            "entries": [
+                {
+                    "source": _ref_dict(e.source),
+                    "target": _ref_dict(e.target),
+                    "category": e.category,
+                    "scope": e.scope,
+                    "amount": e.amount,
+                    "weight": e.weight,
+                }
+                for e in sorted(result.ledger.entries)
+            ],
+            "residuals": _component_dicts(result.ledger.residuals),
+            "warnings": list(result.ledger.warnings),
+        },
+        "audit": {column: level.value for column, level in result.audit_row.items()},
+        "functional_unit": None,
+    }
+    if result.fu is not None:
+        scale = float(result.fu_scale)
+        report["functional_unit"] = {
+            "object_type": result.fu.object_type,
+            "reference": {"amount": str(result.fu.reference.amount), "unit": result.fu.reference.unit},
+            "measured_attribute": result.fu.measured_attribute,
+            "measured_output": str(result.fu_output),
+            "scale_factor": str(result.fu_scale),
+            "inventory_per_fu": _inventory_dicts(result.fu_inventory.entries.items()),
+            "impacts_per_fu": _cells_dict(
+                {cell: Quantity(q.amount * scale, q.unit) for cell, q in totals.items()}
+            ),
+        }
+    return report

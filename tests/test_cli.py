@@ -260,6 +260,24 @@ def test_scopes_override_flag(tmp_path, capsys, demo_log_path, demo_bundle_path)
     assert "scope" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["dfg", "assess"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_scopes_without_annotations_is_a_usage_error(command, via_config, tmp_path, capsys, demo_log_path):
+    # the scope file does not exist: the check comes before anything is read
+    argv = [command, "--log", str(demo_log_path), "--out", str(tmp_path / "out")]
+    if via_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scopes": "/no/such.json"}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--scopes", "/no/such.json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines()[0] == "error: --scopes requires --annotations"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_unwritable_output_exit_2(capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--out", "/proc/susmine-nope")
     assert code == 2

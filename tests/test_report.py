@@ -21,9 +21,10 @@ from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
 from susmine.inventory import FunctionalUnit, inventory_to_csv
 from susmine.model import Quantity
-from susmine.report import _dumps, impact_csv, ledger_csv, scoped_impact_csv, write_outputs
+from susmine.report import impact_csv, ledger_csv, scoped_impact_csv, write_outputs
 
 from conftest import dec, rel_close
+from oracles import report_dict
 
 
 def pipeline_for(seed=8, size=60, fu=None):
@@ -181,6 +182,12 @@ def _nest(tree, wrappers):
 _deep_trees = st.builds(_nest, _trees, st.lists(st.none() | _texts, min_size=20, max_size=80))
 
 
+def _dumps(value) -> str:
+    parts: list[str] = []
+    report_module._emit(value, 0, parts.append)
+    return "".join(parts)
+
+
 @given(st.one_of(_trees, _deep_trees))
 def test_emitter_equals_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
@@ -210,7 +217,7 @@ def test_emitter_rejects_non_finite_floats(value):
 def test_render_report_equals_json_dumps_on_demo_bundles(bundle, fu, demo_log):
     annotations = parse_annotations(fixture_path(f"annotations/{bundle}.json").read_bytes())
     result = run_pipeline(demo_log, annotations, fu=fu)
-    expected = json.dumps(build_report(result), indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(report_dict(result), indent=2, sort_keys=True) + "\n"
     assert render_report(result) == expected
 
 
@@ -258,9 +265,10 @@ def edge_result(demo_log, fu=None):
     return run_pipeline(demo_log, parse_annotations(json.dumps(EDGE_BUNDLE)), Mode.LENIENT, fu=fu)
 
 
-def assert_render_matches_build(result):
-    expected = json.dumps(build_report(result), indent=2, sort_keys=True) + "\n"
+def assert_render_matches_oracle(result):
+    expected = json.dumps(report_dict(result), indent=2, sort_keys=True) + "\n"
     assert render_report(result) == expected
+    assert build_report(result) == report_dict(result)
 
 
 @pytest.mark.parametrize("fu", [None, FunctionalUnit("bottle", Quantity(dec(1), "count"))])
@@ -275,14 +283,14 @@ def test_render_report_equals_json_dumps_on_edge_bundle(fu, demo_log):
     assert any("falling back to equal split" in w for w in report["allocation"]["warnings"])
     if fu is not None:
         assert report["functional_unit"]["inventory_per_fu"]
-    assert_render_matches_build(result)
+    assert_render_matches_oracle(result)
 
 
 @pytest.mark.parametrize("seed, size", [(3, 150), (17, 90), (42, 200)])
 def test_render_report_equals_json_dumps_on_generated_bundles_per_functional_unit(seed, size):
     result, _ = pipeline_for(seed, size, fu=FunctionalUnit("order", Quantity(dec(1), "count")))
     assert result.ledger.entries and result.fu_inventory.entries
-    assert_render_matches_build(result)
+    assert_render_matches_oracle(result)
 
 
 def assert_rows_in_output_order(result):
