@@ -143,6 +143,9 @@ def _analyse(args) -> PipelineResult:
     fu = _parse_fu(args.fu) if getattr(args, "fu", None) else None
     args.stage = "load-log"
     log = parse_ocel(_read(args.log, "log"), strict=(mode is Mode.STRICT))
+    if mode is Mode.LENIENT:  # strict ingest has already raised on these
+        for violation in validate_log(log):
+            print(f"warning: {violation}", file=sys.stderr)
     args.stage = "parse-annotations"
     bundle = empty_bundle()
     if args.annotations:
@@ -219,6 +222,8 @@ def _cmd_dfg(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.literature:
+        if args.log or args.annotations or args.scopes:
+            raise ValueError("--literature takes no --log, --annotations or --scopes")
         matrix = load_literature_matrix()
     else:
         result = _analyse(args)

@@ -9,11 +9,12 @@ environment-dependent is embedded.
 Exact decimal amounts (inventory stage) are serialized as strings to
 preserve their digits; impact amounts are JSON numbers. ``report.json``
 is written by a one-pass emitter that reproduces
-``json.dumps(indent=2, sort_keys=True)`` byte for byte, without falling
-back to ``json``'s pure-Python encoder as any ``indent`` does. Its bulk
-sections are written row by row straight from the
-:class:`PipelineResult`, so neither the report dict nor its text is ever
-held whole on the way to disk.
+``json.dumps(indent=2, sort_keys=True)`` byte for byte. It walks the
+report's dicts and hands every small value to ``json.dumps``. Its bulk
+sections are written row by row from text templates, straight from the
+:class:`PipelineResult`, rather than through the pure-Python encoder that
+``json`` falls back to for any ``indent``; neither the report dict nor its
+text is ever held whole on the way to disk.
 
 :func:`render_report` is the only writer of the document;
 :func:`build_report` parses its text. The tests check the emitter against
@@ -181,34 +182,23 @@ def _newline(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _non_finite(value: float) -> ValueError:
-    return ValueError(f"out of range float {value!r} is not JSON compliant")
-
-
 def _float(value: float) -> str:
     if value - value:  # nan for inf and nan
-        raise _non_finite(value)
+        raise ValueError(f"out of range float {value!r} is not JSON compliant")
     return float.__repr__(value)
 
 
 def _emit(value, depth: int, append) -> None:
-    """Append the JSON text of ``value`` at nesting ``depth`` with the rules of
-    ``json.dumps(indent=2, sort_keys=True)``: sorted keys, ASCII escapes,
-    ``float.__repr__``, ``{}``/``[]`` when empty. Only the types the report
-    holds are accepted (exact dict with str keys, list, str, float, int,
-    bool, None), plus a :class:`_Rows` section; anything else raises
-    ``TypeError``, and a non-finite float raises ``ValueError``. The tests
-    check its output against ``json.dumps`` on arbitrary trees, and
-    :func:`render_report`'s against ``json.dumps`` of an independently
-    built report dict (``tests/oracles.report_dict``)."""
+    """Append the JSON text of ``value`` at nesting ``depth`` as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it. Non-empty dicts are
+    walked here, so that a :class:`_Rows` section inside one streams; any
+    other value is ``json.dumps``'s text re-indented, which is safe because
+    JSON text holds no raw newline inside a string. A walked dict's key that
+    is not a str, or a value ``json`` cannot encode, raises ``TypeError``; a
+    non-finite float raises ``ValueError``. The tests check it against
+    ``json.dumps`` on arbitrary trees."""
     kind = type(value)
-    if kind is dict:
-        if not value:
-            append("{}")
-            return
+    if kind is dict and value:
         inner = _newline(depth + 1)
         lead, separator = "{" + inner, "," + inner
         for key in sorted(value):
@@ -216,29 +206,11 @@ def _emit(value, depth: int, append) -> None:
             _emit(value[key], depth + 1, append)
             lead = separator
         append(_newline(depth) + "}")
-    elif kind is list:
-        if not value:
-            append("[]")
-            return
-        inner = _newline(depth + 1)
-        lead, separator = "[" + inner, "," + inner
-        for item in value:
-            append(lead)
-            _emit(item, depth + 1, append)
-            lead = separator
-        append(_newline(depth) + "]")
-    elif kind is str:
-        append(_quote(value))
-    elif kind is float:
-        append(_float(value))
-    elif kind is int:
-        append(int.__repr__(value))
-    elif value is None or kind is bool:
-        append(_LITERALS[value])
     elif kind is _Rows:
         value.emit(depth, append)
     else:
-        raise TypeError(f"{kind.__name__} is not a report value")
+        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        append(text.replace("\n", _newline(depth)))
 
 
 # -- row templates: the text of one row's JSON object, built directly.

@@ -43,16 +43,9 @@ def collapse_scopes(sv: ScopedVector) -> ImpactVector:
     """Sum a scoped vector over its scope labels, in (category, scope)
     order; the result is in category order. Raises
     :class:`NonFiniteImpactError` when a sum is not a finite float."""
-    sums: dict[str, tuple[float, str]] = {}
-    for (category, _), q in sorted(sv.items()):
-        prev = sums.get(category)
-        # the first amount is taken as is: 0.0 + -0.0 would lose its sign
-        sums[category] = (q.amount if prev is None else prev[0] + q.amount, q.unit)
     out: ImpactVector = {}
-    for category, (total, unit) in sums.items():
-        if not math.isfinite(total):
-            raise NonFiniteImpactError(f"impact {category} is not finite ({total})")
-        out[category] = Quantity(total, unit)
+    for (category, _), q in sorted(sv.items()):
+        vector_add(out, category, q.amount, q.unit)
     return out
 
 
@@ -75,7 +68,8 @@ def cumulative_view(
     The result maps (category, label) to the sum of all buckets up to and
     including that label, e.g. a cradle-to-gate reading on top of
     gate-to-gate buckets. ``order`` must be a permutation of the scope
-    set; the ``unscoped`` bucket never participates.
+    set; the ``unscoped`` bucket never participates. Raises
+    :class:`NonFiniteImpactError` when a running total is not a finite float.
     """
     order = list(order)
     if len(set(order)) != len(order):
@@ -92,24 +86,33 @@ def cumulative_view(
     out: dict[tuple[str, str], Quantity] = {}
     for category in categories:
         unit = next(q.unit for (cat, _), q in sorted(sv.items()) if cat == category)
-        running = 0.0
+        # seeded with 0.0, so a running total of -0.0 buckets reads 0.0
+        running = {category: Quantity(0.0, unit)}
         for label in order:
             bucket = sv.get((category, label))
             if bucket is not None:
-                running += bucket.amount
-            out[(category, label)] = Quantity(running, unit)
+                vector_add(running, category, bucket.amount, unit)
+            out[(category, label)] = running[category]
     return out
 
 
 def unscoped_share(total: ScopedVector) -> dict[str, float]:
-    """Fraction of each category's total that carries no scope tag."""
-    sums: dict[str, float] = {}
-    unscoped: dict[str, float] = {}
+    """Fraction of each category's total that carries no scope tag, both
+    summed from 0.0 in cell order. Raises :class:`NonFiniteImpactError`
+    when a sum or a share is not a finite float, as a share of a total
+    that mixed signs cancel to near zero can be."""
+    sums: ImpactVector = {category: Quantity(0.0, q.unit) for (category, _), q in total.items()}
+    unscoped: ImpactVector = dict(sums)
     for (category, scope), q in total.items():
-        sums[category] = sums.get(category, 0.0) + q.amount
+        vector_add(sums, category, q.amount, q.unit)
         if scope == UNSCOPED:
-            unscoped[category] = unscoped.get(category, 0.0) + q.amount
-    return {
-        category: (unscoped.get(category, 0.0) / sums[category]) if sums[category] != 0 else 0.0
-        for category in sorted(sums)
-    }
+            vector_add(unscoped, category, q.amount, q.unit)
+    shares: dict[str, float] = {}
+    for category in sorted(sums):
+        part, whole = unscoped[category].amount, sums[category].amount
+        shares[category] = share = part / whole if whole != 0 else 0.0
+        if not math.isfinite(share):
+            raise NonFiniteImpactError(
+                f"unscoped share of category '{category}' is not finite ({part} / {whole})"
+            )
+    return shares

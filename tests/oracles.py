@@ -16,7 +16,6 @@ from decimal import Decimal
 from susmine.impact import classify_impacts
 from susmine.model import Quantity
 from susmine.ocel import log_summary
-from susmine.scoping import collapse_scopes, unscoped_share
 
 
 def _counts(log_doc):
@@ -101,6 +100,30 @@ def _cells_dict(sv):
     return out
 
 
+def _category_totals(totals):
+    """Each category's cells summed in (category, scope) order, the first
+    cell taken as is (so a lone -0.0 keeps its sign), with the last unit."""
+    sums = {}
+    for (category, _), q in sorted(totals.items()):
+        amount = q.amount if category not in sums else sums[category].amount + q.amount
+        sums[category] = Quantity(amount, q.unit)
+    return sums
+
+
+def _unscoped_shares(totals):
+    """Per category, the unscoped cells over all cells, each summed from 0.0
+    in the vector's own cell order; 0.0 where the total is zero."""
+    whole, part = {}, {}
+    for (category, scope), q in totals.items():
+        whole[category] = whole.get(category, 0.0) + q.amount
+        if scope == "unscoped":
+            part[category] = part.get(category, 0.0) + q.amount
+    return {
+        category: part.get(category, 0.0) / whole[category] if whole[category] != 0 else 0.0
+        for category in sorted(whole)
+    }
+
+
 def _inventory_dicts(entries):
     """Inventory entries in key order, each with its exact amount as a string."""
     return [
@@ -127,7 +150,7 @@ def report_dict(result):
     al = result.al
     summary = log_summary(al.log)
     totals = result.totals
-    category_totals = collapse_scopes(totals)
+    category_totals = _category_totals(totals)
     by_scope = _cells_dict(totals)
     entries = result.inventory.entries.items()
     report = {
@@ -160,7 +183,7 @@ def report_dict(result):
                 for cls, vec in classify_impacts(category_totals, al.table).items()
             },
         },
-        "unscoped_share": unscoped_share(totals),
+        "unscoped_share": _unscoped_shares(totals),
         "uncharacterized_flows": [
             {"flow": flow, "unit": unit, "direction": direction}
             for flow, unit, direction in result.uncharacterized

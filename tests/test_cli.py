@@ -53,6 +53,41 @@ def test_validate_dangling_relation_modes(capsys):
     assert "warning" in out
 
 
+@pytest.mark.parametrize("command", ["assess", "dfg"])
+def test_lenient_analysis_reports_demoted_log_violations(command, tmp_path, capsys, demo_log_path,
+                                                         demo_bundle_path):
+    log_doc = json.loads(demo_log_path.read_text())
+    log_doc["events"][0]["relationships"].append({"objectId": "ghost", "qualifier": "uses"})
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(log_doc))
+    argv = [command, "--log", str(log), "--annotations", str(demo_bundle_path)]
+    if command == "assess":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv, "--mode", "lenient")
+    assert code == 0, err
+    warning = "warning: [dangling_relation_object] ghost: relation references missing object 'ghost'"
+    assert err == warning + "\n"
+    # the text validate prints for the same violation
+    _, validated, _ = run(capsys, "validate", "--log", str(log), "--mode", "lenient")
+    assert validated.splitlines()[0] == warning
+    # stdout and the artifacts are those of the log without the relation
+    clean = [command, "--log", str(demo_log_path), "--annotations", str(demo_bundle_path), "--mode", "lenient"]
+    if command == "assess":
+        clean += ["--out", str(tmp_path / "clean")]
+    _, clean_out, clean_err = run(capsys, *clean)
+    assert clean_err == ""
+    if command == "assess":
+        for name in OUTPUT_FILES:
+            if name != "report.json":  # whose log digest differs
+                assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+    else:
+        assert out == clean_out
+    # strict mode still refuses the log
+    code, out, err = run(capsys, *argv, "--mode", "strict")
+    assert (code, out) == (1, "")
+    assert err == f"error [load-log]: log integrity violations: {warning.removeprefix('warning: ')}\n"
+
+
 def test_assess_writes_all_artifacts(tmp_path, capsys, demo_log_path, demo_bundle_path):
     out = tmp_path / "out"
     code, stdout, _ = run(
@@ -180,6 +215,23 @@ def test_audit_literature_matches_fixture(capsys):
     assert len(lines) == 7  # header + six approaches
     assert lines[1].startswith("Houy et al.")
     assert "half" in out  # Hoesch-Klohe AP3-Climate
+
+
+@pytest.mark.parametrize("flag", ["log", "annotations", "scopes"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_audit_literature_rejects_bundle_flags(flag, via_config, tmp_path, capsys):
+    # the files do not exist: the check comes before anything is read
+    argv = ["audit", "--literature", "--out", str(tmp_path / "out")]
+    if via_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: "/no/such.json"}))
+        argv += ["--config", str(config)]
+    else:
+        argv += [f"--{flag}", "/no/such.json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --literature takes no --log, --annotations or --scopes\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_bundle_row(capsys, demo_log_path, demo_bundle_path):
@@ -473,12 +525,18 @@ def test_assess_over_empty_instance_ids_names_the_type(tmp_path, capsys):
         ({"allocations": [{"source": {"kind": "object_instance", "id": "m1"}}]},
          "activity type 'pack' has an event with an empty id"),
     ]
+    # lenient ingest reports the log's violations as warnings before the run
+    demoted = (
+        "warning: [dangling_relation_event] : relation references missing event ''\n"
+        "warning: [empty_event_id] : event with empty id\n"
+        "warning: [empty_object_id] : object with empty id\n"
+    )
     for i, (bundle_doc, message) in enumerate(cases):
         bundle = tmp_path / f"bundle{i}.json"
         bundle.write_text(json.dumps({"schema": "susmine/1", **bundle_doc}))
         code, _, err = run(capsys, "assess", "--mode", "lenient", "--log", str(log),
                            "--annotations", str(bundle), "--out", str(tmp_path / "out"))
-        assert (code, err) == (1, f"error [pipeline]: {message}\n")
+        assert (code, err) == (1, f"{demoted}error [pipeline]: {message}\n")
 
 
 def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
@@ -526,6 +584,39 @@ def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys
         assert re.match(r"error \[write-outputs\]: impact per functional unit in category "
                         r"'\w+', scope 'scope\d' overflows a float \(", err), err
         assert not out.exists()
+
+
+def test_assess_rejects_an_unscoped_share_beyond_float_range(tmp_path, capsys):
+    # the scoped cells cancel the unscoped 1e300 kg to a total of 1e-10 kg
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps({
+        "objectTypes": [],
+        "eventTypes": [{"name": "pack"}],
+        "objects": [],
+        "events": [{"id": "e1", "type": "pack", "time": "2024-01-01T08:00:00Z"},
+                   {"id": "e2", "type": "pack", "time": "2024-01-01T09:00:00Z"}],
+    }))
+
+    def co2(event, amount, **scope):
+        return {"component": {"kind": "activity_instance", "id": event}, "flow": "CO2",
+                "direction": "output", "amount": amount, "unit": "kg", **scope}
+
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({
+        "schema": "susmine/1",
+        "scopes": "ghg",
+        "assignments": [co2("e1", "1e300"), co2("e1", "-1e300", scope="scope1"),
+                        co2("e2", "1e-10", scope="scope2")],
+        "characterization": {
+            "categories": {"cc": {"impact_unit": "kg CO2e", "class": "climate"}},
+            "factors": [{"flow": "CO2", "unit": "kg", "factors": {"cc": 1}}],
+        },
+    }))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "assess", "--log", str(log), "--annotations", str(bundle), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "error [write-outputs]: unscoped share of category 'cc' is not finite (1e+300 / 1e-10)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("default_out", [False, True])

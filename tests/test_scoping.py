@@ -1,11 +1,15 @@
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import susmine.scoping
 from susmine import (
     ComponentKind,
     ComponentRef,
+    NonFiniteImpactError,
     UnknownScopeError,
     bind_annotations,
     parse_annotations,
@@ -178,3 +182,77 @@ def test_pipeline_characterizes_the_inventory_once(monkeypatch):
     # several scope buckets, one characterization over the whole inventory
     assert len({scope for sv in result.scoped.values() for (_, scope) in sv}) > 1
     assert calls == [len(result.inventory.entries)]
+
+
+# -- the scope sums against flat reference loops ---------------------------------
+
+_MAX = sys.float_info.max
+_amounts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-10, -1e-10, 1e300, -1e300, _MAX, -_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ORDER = ("s1", "s2", "s3")
+_cells = st.dictionaries(
+    st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([*_ORDER, UNSCOPED])), _amounts, max_size=8
+)
+
+
+def _unit(category):
+    return f"{category} unit"
+
+
+def _vector(cells):
+    return {cell: Quantity(amount, _unit(cell[0])) for cell, amount in cells.items()}
+
+
+def _signed(values):
+    """(key, value, sign) rows, which differ between 0.0 and -0.0."""
+    return [(key, value, math.copysign(1.0, value)) for key, value in values.items()]
+
+
+@given(_cells)
+def test_collapse_scopes_matches_a_flat_loop(cells):
+    sums = {}
+    for (category, _), amount in sorted(cells.items()):
+        sums[category] = amount if category not in sums else sums[category] + amount
+    if not all(map(math.isfinite, sums.values())):
+        with pytest.raises(NonFiniteImpactError):
+            collapse_scopes(_vector(cells))
+        return
+    out = collapse_scopes(_vector(cells))
+    assert _signed({category: q.amount for category, q in out.items()}) == _signed(sums)
+    assert all(q.unit == _unit(category) for category, q in out.items())
+
+
+@given(_cells)
+def test_unscoped_share_matches_a_flat_loop(cells):
+    whole, part = {}, {}
+    for (category, scope), amount in cells.items():
+        whole[category] = whole.get(category, 0.0) + amount
+        if scope == UNSCOPED:
+            part[category] = part.get(category, 0.0) + amount
+    shares = {category: part.get(category, 0.0) / w if w != 0 else 0.0 for category, w in sorted(whole.items())}
+    if not all(map(math.isfinite, [*whole.values(), *part.values(), *shares.values()])):
+        with pytest.raises(NonFiniteImpactError):
+            unscoped_share(_vector(cells))
+        return
+    assert _signed(unscoped_share(_vector(cells))) == _signed(shares)
+
+
+@given(_cells, st.permutations(_ORDER))
+def test_cumulative_view_matches_a_flat_loop(cells, order):
+    running_totals = {}
+    for category in sorted({category for category, _ in cells}):
+        running = 0.0
+        for label in order:
+            if (category, label) in cells:
+                running += cells[category, label]
+            running_totals[category, label] = running
+    scope_set = parse_scope_set({"name": "three", "scopes": list(_ORDER)})
+    if not all(map(math.isfinite, running_totals.values())):
+        with pytest.raises(NonFiniteImpactError):
+            cumulative_view(_vector(cells), order, scope_set)
+        return
+    out = cumulative_view(_vector(cells), order, scope_set)
+    assert _signed({cell: q.amount for cell, q in out.items()}) == _signed(running_totals)
+    assert all(q.unit == _unit(category) for (category, _), q in out.items())
