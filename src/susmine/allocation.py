@@ -160,12 +160,12 @@ def apply_allocations(
         residual: ScopedVector = {}
         out_vector = result.setdefault(rule.source, {})
         moves = []
-        for cell, q in sorted(source_vector.items()):
-            moved = q.amount * fraction
-            vector_add(out_vector, cell, -moved, q.unit)
+        for cell, (amount, unit) in sorted(source_vector.items()):
+            moved = amount * fraction
+            vector_add(out_vector, cell, -moved, unit)
             if fraction < 1.0:
-                residual[cell] = Quantity(q.amount - moved, q.unit)
-            moves.append((cell, moved, q.unit))
+                residual[cell] = Quantity(amount - moved, unit)
+            moves.append((cell, moved, unit))
         if residual:
             ledger.residuals[rule.source] = residual
         # rules in source order, targets in order, cells in order: the

@@ -17,11 +17,16 @@ error. Errors print ``error [<stage>]: <message>`` once a stage
 (load-log, parse-annotations, pipeline, write-outputs) has begun.
 Configuration comes from flags only; ``--config FILE`` may supply
 the same keys as JSON, with flags winning on conflict.
+
+While a command runs, :func:`main` raises the cyclic collector's gen-0
+threshold to :data:`GC_GEN0_THRESHOLD` and restores the previous
+thresholds on every exit; library callers keep theirs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from decimal import Decimal, InvalidOperation
@@ -38,6 +43,11 @@ from .inventory import FunctionalUnit, inventory_to_csv
 from .ocel import parse_ocel
 from .pipeline import PipelineResult, run_pipeline
 from .report import ledger_csv, write_outputs
+
+#: Allocations between young collections while a command runs. A run
+#: builds hundreds of thousands of acyclic cells and leaves little cyclic
+#: garbage, so the default 700 only spends time re-scanning live objects.
+GC_GEN0_THRESHOLD = 50_000
 
 _CONFIG_KEYS = ("log", "annotations", "out", "mode", "scopes", "fu", "seed", "size")
 #: config keys that may also be JSON integers
@@ -277,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.stage = None
+    thresholds = gc.get_threshold()
+    if thresholds[0]:  # 0 means automatic collection is off; leave it off
+        gc.set_threshold(max(thresholds[0], GC_GEN0_THRESHOLD), *thresholds[1:])
     try:
         args = _apply_config(args)
         return _COMMANDS[args.command](args)
@@ -286,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(args, exc, 2)
     except SusmineError as exc:
         return _fail(args, exc, 1)
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -72,12 +72,12 @@ def vector_add(vec: dict, key, amount: float, unit: str) -> None:
     """Add ``amount`` into ``vec[key]``; the one accumulator behind every
     impact vector, plain (category keys) or scoped ((category, scope) keys).
     Raises :class:`NonFiniteImpactError` when the amount or the sum is not
-    a finite float."""
+    a finite float; the cell is then built without a second check."""
     prev = vec.get(key)
-    total = amount if prev is None else prev.amount + amount
+    total = amount if prev is None else prev[0] + amount
     if not math.isfinite(total):
         raise NonFiniteImpactError(f"impact {key} is not finite ({total})")
-    vec[key] = Quantity(total, unit)
+    vec[key] = tuple.__new__(Quantity, (total, unit))
 
 
 def characterize(

@@ -2,10 +2,11 @@
 
 An inventory maps (component, flow, direction, scope) to an exact decimal
 quantity. Assignments without a scope tag aggregate under the reserved
-``unscoped`` label. Aggregation is plain decimal addition, so conservation
-checks hold exactly at this stage; unit conversions are deliberately not
-applied here (they happen at characterization lookup), and mixing units
-under one key is an error rather than a silent normalization.
+``unscoped`` label. Aggregation is exact decimal addition, unbounded in
+precision and exponent, so conservation checks hold exactly at this
+stage; unit conversions are deliberately not applied here (they happen
+at characterization lookup), and mixing units under one key is an error
+rather than a silent normalization.
 
 Roll-ups never cross component kinds: object flows are not folded into
 activity flows — redistribution across kinds is allocation's job.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import UnitMismatchError, UnknownComponentError, ZeroOutputError
@@ -28,6 +29,11 @@ from .model import (
     Quantity,
 )
 from .annotations import AnnotatedLog, FlowAssignment
+
+
+#: Adds two decimals exactly, whatever their digits and exponents; the
+#: default context would round a sum to 28 significant digits.
+_exact_add = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).add
 
 
 class InvKey(NamedTuple):
@@ -53,7 +59,7 @@ class Inventory:
                 f"flow '{key.flow}' on {key.component} mixes units "
                 f"'{existing.unit}' and '{quantity.unit}'"
             )
-        self.entries[key] = Quantity(existing.amount + quantity.amount, existing.unit)
+        self.entries[key] = Quantity(_exact_add(existing.amount, quantity.amount), existing.unit)
 
     def scaled(self, factor: Decimal) -> "Inventory":
         """Every amount times ``factor``, in the same entry order."""

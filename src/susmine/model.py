@@ -44,29 +44,39 @@ class Direction(str, Enum):
     OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """An amount tagged with a unit identifier.
+class Quantity(tuple):
+    """An amount tagged with a unit identifier, as the tuple
+    ``(amount, unit)``.
 
     Inventory-stage quantities carry exact :class:`~decimal.Decimal`
     amounts; impact-stage quantities carry binary floats. Both must be
-    finite.
+    finite; an int amount becomes a Decimal. Quantities compare, hash and
+    sort as tuples, so one equals the plain ``(amount, unit)`` tuple.
     """
 
-    amount: Decimal | float
-    unit: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.amount, Decimal):
-            if not self.amount.is_finite():
-                raise ValueError(f"non-finite amount: {self.amount}")
-        elif isinstance(self.amount, float):
-            if not math.isfinite(self.amount):
-                raise ValueError(f"non-finite amount: {self.amount}")
-        elif isinstance(self.amount, int):
-            object.__setattr__(self, "amount", Decimal(self.amount))
+    def __new__(cls, amount: Decimal | float, unit: str):
+        if isinstance(amount, Decimal):
+            if not amount.is_finite():
+                raise ValueError(f"non-finite amount: {amount}")
+        elif isinstance(amount, float):
+            if not math.isfinite(amount):
+                raise ValueError(f"non-finite amount: {amount}")
+        elif isinstance(amount, int) and not isinstance(amount, bool):
+            amount = Decimal(amount)
         else:
-            raise TypeError(f"amount must be Decimal or float, got {type(self.amount).__name__}")
+            raise TypeError(f"amount must be Decimal or float, got {type(amount).__name__}")
+        return super().__new__(cls, (amount, unit))
+
+    amount = property(itemgetter(0))
+    unit = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[Decimal | float, str]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Quantity(amount={self.amount!r}, unit={self.unit!r})"
 
 
 class ComponentRef(tuple):

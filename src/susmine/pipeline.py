@@ -61,8 +61,8 @@ def activity_type_totals(
         type_ref = al.log.lift(ref, ComponentKind.ACTIVITY_TYPE)
         if type_ref is not None:
             bucket = totals.setdefault(type_ref.id, {})
-            for key, q in sv.items():
-                vector_add(bucket, key, q.amount, q.unit)
+            for key, (amount, unit) in sv.items():
+                vector_add(bucket, key, amount, unit)
     return totals
 
 

@@ -238,15 +238,15 @@ def _scoped_text(depth: int):
             return "{}"
         parts = []
         current = None
-        for (category, scope), q in sv.items():
+        for (category, scope), (amount, unit) in sv.items():
             if category != current:
                 opening = "{" if current is None else category_lead + "},"
                 parts.append(f"{opening}{category_lead}{_quote(category)}: {{{scope_lead}")
                 current = category
             else:
                 parts.append("," + scope_lead)
-            parts.append(f'{_quote(scope)}: {{{leaf}"amount": {_float(q.amount)},'
-                         f'{leaf}"unit": {_quote(q.unit)}{scope_lead}}}')
+            parts.append(f'{_quote(scope)}: {{{leaf}"amount": {_float(amount)},'
+                         f'{leaf}"unit": {_quote(unit)}{scope_lead}}}')
         parts.append(close)
         return "".join(parts)
 
@@ -319,8 +319,8 @@ def impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
     for ref, sv in result.post_allocation.items():
         kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
         writer.writerows(
-            (kind, ref_id, category, classes[category], repr(q.amount), q.unit)
-            for category, q in collapse_scopes(sv).items()
+            (kind, ref_id, category, classes[category], repr(amount), unit)
+            for category, (amount, unit) in collapse_scopes(sv).items()
         )
     return stream.getvalue() if out is None else None
 
@@ -334,8 +334,8 @@ def scoped_impact_csv(result: PipelineResult, out: TextIO | None = None) -> str 
     for ref, sv in result.post_allocation.items():
         kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
         writer.writerows(
-            (kind, ref_id, category, classes[category], scope, repr(q.amount), q.unit)
-            for (category, scope), q in sv.items()
+            (kind, ref_id, category, classes[category], scope, repr(amount), unit)
+            for (category, scope), (amount, unit) in sv.items()
         )
     return stream.getvalue() if out is None else None
 

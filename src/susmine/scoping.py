@@ -44,8 +44,8 @@ def collapse_scopes(sv: ScopedVector) -> ImpactVector:
     order; the result is in category order. Raises
     :class:`NonFiniteImpactError` when a sum is not a finite float."""
     out: ImpactVector = {}
-    for (category, _), q in sorted(sv.items()):
-        vector_add(out, category, q.amount, q.unit)
+    for (category, _), (amount, unit) in sorted(sv.items()):
+        vector_add(out, category, amount, unit)
     return out
 
 
@@ -53,8 +53,8 @@ def scoped_total(vectors: dict[ComponentRef, ScopedVector]) -> ScopedVector:
     """Entrywise sum over all components."""
     total: ScopedVector = {}
     for sv in vectors.values():
-        for key, q in sv.items():
-            vector_add(total, key, q.amount, q.unit)
+        for key, (amount, unit) in sv.items():
+            vector_add(total, key, amount, unit)
     return total
 
 
@@ -103,10 +103,10 @@ def unscoped_share(total: ScopedVector) -> dict[str, float]:
     that mixed signs cancel to near zero can be."""
     sums: ImpactVector = {category: Quantity(0.0, q.unit) for (category, _), q in total.items()}
     unscoped: ImpactVector = dict(sums)
-    for (category, scope), q in total.items():
-        vector_add(sums, category, q.amount, q.unit)
+    for (category, scope), (amount, unit) in total.items():
+        vector_add(sums, category, amount, unit)
         if scope == UNSCOPED:
-            vector_add(unscoped, category, q.amount, q.unit)
+            vector_add(unscoped, category, amount, unit)
     shares: dict[str, float] = {}
     for category in sorted(sums):
         part, whole = unscoped[category].amount, sums[category].amount

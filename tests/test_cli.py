@@ -1,13 +1,17 @@
+import gc
 import json
 import re
 
 import pytest
 
-from susmine.cli import main
+from susmine import cli
+from susmine.cli import GC_GEN0_THRESHOLD, main
 from susmine.dfg import build_dfg, emit_dot
 from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
+from susmine.errors import SusmineError
 from susmine.ocel import parse_ocel
+from susmine.pipeline import run_pipeline
 from susmine.report import OUTPUT_FILES
 
 
@@ -646,3 +650,88 @@ def test_failed_assess_leaves_existing_outputs_unchanged(tmp_path, capsys, monke
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert sorted(after) == sorted(OUTPUT_FILES)
     assert after["report.json"] != before["report.json"]
+
+
+def test_inventory_sums_amounts_of_far_apart_exponents_exactly(tmp_path, capsys, demo_log_path,
+                                                               demo_bundle_path):
+    doc = json.loads(demo_bundle_path.read_text())
+    doc["assignments"] += [
+        {"component": {"kind": "activity_instance", "id": "e1"}, "flow": "CO2", "direction": "output",
+         "amount": amount, "unit": "kg", "scope": "scope2"}
+        for amount in ("100000000000000000000", "0.0000000001")
+    ]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "inventory", "--log", str(demo_log_path), "--annotations", str(bundle))
+    assert code == 0, err
+    assert "\nactivity_instance,e1,CO2,output,scope2,100000000000000000000.0000000001,kg\n" in out
+
+
+#: Thresholds no interpreter starts with, so a restore is told from a default.
+_OWN_THRESHOLDS = (701, 11, 12)
+
+
+@pytest.fixture()
+def own_thresholds():
+    saved = gc.get_threshold()
+    gc.set_threshold(*_OWN_THRESHOLDS)
+    yield
+    gc.set_threshold(*saved)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "--log", str(fixture_path("ocel/minimal.json"))], 0),
+    (["inventory", "--log", str(fixture_path("ocel/invalid_dangling_relation.json"))], 1),
+    (["validate", "--log", "/no/such/file.json"], 2),
+    (["assess", "--log", str(fixture_path("ocel/minimal.json")), "--scopes", "ghg"], 2),
+])
+def test_main_restores_the_collector_thresholds_on_every_exit_code(argv, code, capsys, own_thresholds):
+    assert run(capsys, *argv)[0] == code
+    assert gc.get_threshold() == _OWN_THRESHOLDS
+
+
+def test_main_restores_the_collector_thresholds_after_an_argparse_exit(capsys, own_thresholds):
+    with pytest.raises(SystemExit):
+        main(["assess", "--no-such-flag"])
+    assert gc.get_threshold() == _OWN_THRESHOLDS
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (0, 0), (SusmineError("bad data"), 1), (OSError("disk gone"), 2), (SystemExit(3), None),
+])
+def test_a_command_runs_under_the_raised_gen0_threshold(outcome, code, monkeypatch, capsys, own_thresholds):
+    seen = []
+
+    def command(args):
+        seen.append(gc.get_threshold())
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", command)
+    if code is None:
+        with pytest.raises(SystemExit):
+            main(["validate"])
+    else:
+        assert main(["validate"]) == code
+    assert seen == [(GC_GEN0_THRESHOLD, *_OWN_THRESHOLDS[1:])]
+    assert gc.get_threshold() == _OWN_THRESHOLDS
+
+
+@pytest.mark.parametrize("gen0", [0, GC_GEN0_THRESHOLD * 2])
+def test_main_neither_restarts_nor_lowers_young_collections(gen0, monkeypatch, capsys, own_thresholds):
+    gc.set_threshold(gen0, 11, 12)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "validate", lambda args: seen.append(gc.get_threshold()) or 0)
+    assert main(["validate"]) == 0
+    assert seen == [(gen0, 11, 12)]
+    assert gc.get_threshold() == (gen0, 11, 12)
+
+
+def test_run_pipeline_leaves_the_collector_thresholds_alone(monkeypatch, demo_log, demo_bundle, own_thresholds):
+    calls = []
+    with monkeypatch.context() as patched:
+        patched.setattr(gc, "set_threshold", lambda *thresholds: calls.append(thresholds))
+        run_pipeline(demo_log, demo_bundle)
+    assert calls == []
+    assert gc.get_threshold() == _OWN_THRESHOLDS

@@ -17,9 +17,13 @@ from susmine import (
     classify_impacts,
     parse_annotations,
 )
+from susmine.allocation import apply_allocations
 from susmine.annotations import CategoryInfo, CharacterizationTable, ImpactClass, TableEntry
+from susmine.generator import generate_bundle
 from susmine.inventory import InvKey, Inventory, direct_inventory
 from susmine.model import Direction, UNSCOPED
+from susmine.ocel import parse_ocel
+from susmine.pipeline import activity_type_totals
 from susmine.scoping import collapse_scopes, scoped_total
 
 from conftest import rel_close
@@ -230,3 +234,17 @@ def test_exact_unit_entry_preferred_over_conversion():
     vectors, _ = characterize(inv, table, registry=UnitRegistry())
     # the Wh entry matches exactly; no detour through the kWh entry
     assert vectors[ref("e1")][("climate_change", UNSCOPED)].amount == 500.0
+
+
+def test_every_impact_cell_is_a_quantity_with_a_float_amount():
+    gb = generate_bundle(3, 300)
+    al = bind_annotations(parse_ocel(gb.log_json), parse_annotations(gb.annotations_json))
+    scoped, _ = characterize(direct_inventory(al), al.table, registry=al.registry)
+    post, ledger = apply_allocations(al, scoped)
+    assert ledger.entries
+    vectors = [*scoped.values(), *post.values(), *ledger.residuals.values(), scoped_total(post),
+               *activity_type_totals(al, post).values(), *map(collapse_scopes, post.values())]
+    cells = [q for vec in vectors for q in vec.values()]
+    assert cells
+    for q in cells:
+        assert type(q) is Quantity and type(q.amount) is float, q

@@ -2,6 +2,7 @@ import json
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, strategies as st
 
 from susmine import (
     ComponentKind,
@@ -334,3 +335,29 @@ def test_inventory_producers_store_entries_in_key_order(seed):
     process = rollup_inventory(al, ComponentKind.PROCESS)
     scaled = scale_to_functional_unit(process, fu(1), al)
     assert list(scaled.entries) == list(process.entries) == sorted(process.entries)
+
+
+@given(
+    big=st.integers(-10**30, 10**30).filter(bool),
+    big_exponent=st.integers(0, 40),
+    small=st.integers(-10**6, 10**6).filter(bool),
+    small_exponent=st.integers(20, 60),
+)
+def test_splitting_an_amount_across_far_apart_exponents_keeps_its_inventory_row(
+        big, big_exponent, small, small_exponent):
+    # the whole is written out exactly, digit for digit, from integers
+    whole = f"{big * 10 ** (big_exponent + small_exponent) + small}E-{small_exponent}"
+    parts = (f"{big}E+{big_exponent}", f"{small}E-{small_exponent}")
+    log = shipping_log()
+
+    def rows(assignments):
+        al = bound(log, assignments)
+        return [inventory_to_csv(direct_inventory(al)),
+                inventory_to_csv(rollup_inventory(al, ComponentKind.PROCESS))]
+
+    expected = rows([instance_assignment("s0", whole, scope="scope1")])
+    assert rows([instance_assignment("s0", a, scope="scope1") for a in parts]) == expected
+    assert rows([instance_assignment("s0", a, scope="scope1") for a in reversed(parts)]) == expected
+    # split over two events, the process row still reads the whole
+    split = rows([instance_assignment(e, a, scope="scope1") for e, a in zip(("s0", "s1"), parts)])
+    assert split[1] == expected[1]

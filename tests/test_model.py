@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from susmine import (
     EventLog,
     Event,
     ObjectInstance,
+    Quantity,
     Relation,
     UnknownComponentError,
     parse_ocel,
@@ -136,6 +138,55 @@ def test_component_ref_survives_deepcopy_and_pickle(ref):
         assert type(again) is ComponentRef
         assert again == ref and hash(again) == hash(ref)
         assert (again.kind, again.id, str(again)) == (ref.kind, ref.id, str(ref))
+
+
+_QUANTITIES = [
+    (Quantity(Decimal("1.50"), "kg"), "Quantity(amount=Decimal('1.50'), unit='kg')"),
+    (Quantity(2.5, "kg"), "Quantity(amount=2.5, unit='kg')"),
+    (Quantity(-0.0, "kg CO2e"), "Quantity(amount=-0.0, unit='kg CO2e')"),
+    (Quantity(7, "count"), "Quantity(amount=Decimal('7'), unit='count')"),
+    (Quantity(amount=Decimal("-1E+3"), unit="kg"), "Quantity(amount=Decimal('-1E+3'), unit='kg')"),
+]
+
+
+@pytest.mark.parametrize("q, text", _QUANTITIES)
+def test_quantity_keeps_the_dataclass_text_and_survives_deepcopy_and_pickle(q, text):
+    assert repr(q) == str(q) == text
+    for again in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(again) is Quantity
+        assert again == q and hash(again) == hash(q)
+        assert repr(again) == text
+        assert type(again.amount) is type(q.amount)
+
+
+def test_quantity_equality_and_hash_are_those_of_its_fields():
+    assert Quantity(7, "kg") == Quantity(Decimal(7), "kg") == Quantity(7.0, "kg")
+    assert hash(Quantity(7, "kg")) == hash(Quantity(7.0, "kg")) == hash((Decimal(7), "kg"))
+    assert Quantity(7, "kg") != Quantity(7, "g")
+    assert Quantity(7, "kg") != Quantity(8, "kg")
+    assert len({Quantity(1.0, "kg"), Quantity(Decimal(1), "kg"), Quantity(1.0, "g")}) == 2
+    # a cell is the tuple (amount, unit): it equals the plain tuple and sorts like one
+    assert Quantity(2.5, "kg") == (2.5, "kg")
+    assert sorted([Quantity(2.0, "kg"), Quantity(1.0, "kg"), Quantity(1.0, "g")]) == \
+        [(1.0, "g"), (1.0, "kg"), (2.0, "kg")]
+    amount, unit = Quantity(Decimal("0.5"), "t")
+    assert (amount, unit) == (Decimal("0.5"), "t")
+
+
+@pytest.mark.parametrize("amount, error, message", [
+    (float("inf"), ValueError, "non-finite amount: inf"),
+    (float("nan"), ValueError, "non-finite amount: nan"),
+    (Decimal("NaN"), ValueError, "non-finite amount: NaN"),
+    (Decimal("-Infinity"), ValueError, "non-finite amount: -Infinity"),
+    ("1", TypeError, "amount must be Decimal or float, got str"),
+    (None, TypeError, "amount must be Decimal or float, got NoneType"),
+    (True, TypeError, "amount must be Decimal or float, got bool"),
+    (False, TypeError, "amount must be Decimal or float, got bool"),
+])
+def test_quantity_rejects_non_finite_and_non_numeric_amounts(amount, error, message):
+    with pytest.raises(error) as exc:
+        Quantity(amount, "kg")
+    assert str(exc.value) == message
 
 
 def lenient_log():
