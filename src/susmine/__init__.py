@@ -10,6 +10,7 @@ report, CSV projections, and an impact-annotated directly-follows graph.
 
 from .errors import (
     DuplicateSourceError,
+    InexactSumError,
     IntegrityError,
     InvalidAllocationKeyError,
     LogMismatchError,

@@ -288,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.stage = None
     thresholds = gc.get_threshold()
-    if thresholds[0]:  # 0 means automatic collection is off; leave it off
-        gc.set_threshold(max(thresholds[0], GC_GEN0_THRESHOLD), *thresholds[1:])
+    gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
     try:
         args = _apply_config(args)
         return _COMMANDS[args.command](args)

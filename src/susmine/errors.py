@@ -53,6 +53,10 @@ class UnitMismatchError(SusmineError):
     """Quantities in incompatible units met where one unit is required."""
 
 
+class InexactSumError(SusmineError):
+    """An exact inventory sum needs more significant digits than it may keep."""
+
+
 class UncharacterizedFlowError(SusmineError):
     """Strict characterization hit a flow with no factor table entry."""
 

@@ -2,11 +2,13 @@
 
 An inventory maps (component, flow, direction, scope) to an exact decimal
 quantity. Assignments without a scope tag aggregate under the reserved
-``unscoped`` label. Aggregation is exact decimal addition, unbounded in
-precision and exponent, so conservation checks hold exactly at this
-stage; unit conversions are deliberately not applied here (they happen
-at characterization lookup), and mixing units under one key is an error
-rather than a silent normalization.
+``unscoped`` label. Aggregation is exact decimal addition: a sum keeps
+every digit up to :data:`SUM_DIGITS` significant digits, and one that
+would need more raises :class:`InexactSumError` rather than round, so
+conservation checks hold exactly at this stage; unit conversions are
+deliberately not applied here (they happen at characterization lookup),
+and mixing units under one key is an error rather than a silent
+normalization.
 
 Roll-ups never cross component kinds: object flows are not folded into
 activity flows — redistribution across kinds is allocation's job.
@@ -17,10 +19,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow, Rounded
 from typing import Iterable, NamedTuple, TextIO
 
-from .errors import UnitMismatchError, UnknownComponentError, ZeroOutputError
+from .errors import (
+    InexactSumError,
+    UnitMismatchError,
+    UnknownComponentError,
+    ZeroOutputError,
+    abbreviate,
+)
 from .model import (
     UNSCOPED,
     ComponentKind,
@@ -31,9 +39,15 @@ from .model import (
 from .annotations import AnnotatedLog, FlowAssignment
 
 
-#: Adds two decimals exactly, whatever their digits and exponents; the
-#: default context would round a sum to 28 significant digits.
-_exact_add = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).add
+#: Significant digits an inventory sum may keep. The default context
+#: would round a sum to 28; an unbounded one lets ``1E+300`` plus
+#: ``0E-999999999`` ask for a billion-digit coefficient.
+SUM_DIGITS = 1000
+
+#: Adds two decimals exactly, or raises ``Rounded`` if the sum needs more
+#: than :data:`SUM_DIGITS` digits, trailing zeros included.
+_exact_add = Context(prec=SUM_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                     traps=[InvalidOperation, Overflow, Rounded]).add
 
 
 class InvKey(NamedTuple):
@@ -59,7 +73,14 @@ class Inventory:
                 f"flow '{key.flow}' on {key.component} mixes units "
                 f"'{existing.unit}' and '{quantity.unit}'"
             )
-        self.entries[key] = Quantity(_exact_add(existing.amount, quantity.amount), existing.unit)
+        try:
+            total = _exact_add(existing.amount, quantity.amount)
+        except Rounded:
+            raise InexactSumError(
+                f"flow '{key.flow}' on {key.component} sums {abbreviate(existing.amount)} and "
+                f"{abbreviate(quantity.amount)} beyond {SUM_DIGITS} significant digits"
+            ) from None
+        self.entries[key] = Quantity(total, existing.unit)
 
     def scaled(self, factor: Decimal) -> "Inventory":
         """Every amount times ``factor``, in the same entry order."""

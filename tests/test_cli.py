@@ -652,19 +652,29 @@ def test_failed_assess_leaves_existing_outputs_unchanged(tmp_path, capsys, monke
     assert after["report.json"] != before["report.json"]
 
 
-def test_inventory_sums_amounts_of_far_apart_exponents_exactly(tmp_path, capsys, demo_log_path,
-                                                               demo_bundle_path):
+@pytest.mark.parametrize("amounts, code, stream, text", [
+    (("100000000000000000000", "0.0000000001"), 0, "out",
+     "\nactivity_instance,e1,CO2,output,scope2,100000000000000000000.0000000001,kg\n"),
+    (("1E+300", "0E-400000"), 1, "err",
+     "error [pipeline]: flow 'CO2' on activity_instance:e1 sums 1E+300 and 0E-400000 "
+     "beyond 1000 significant digits\n"),
+], ids=["exact", "beyond-the-digit-bound"])
+def test_inventory_sums_amounts_of_far_apart_exponents_exactly_or_fails(
+        amounts, code, stream, text, tmp_path, capsys, demo_log_path, demo_bundle_path):
     doc = json.loads(demo_bundle_path.read_text())
     doc["assignments"] += [
         {"component": {"kind": "activity_instance", "id": "e1"}, "flow": "CO2", "direction": "output",
          "amount": amount, "unit": "kg", "scope": "scope2"}
-        for amount in ("100000000000000000000", "0.0000000001")
+        for amount in amounts
     ]
     bundle = tmp_path / "bundle.json"
     bundle.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "inventory", "--log", str(demo_log_path), "--annotations", str(bundle))
-    assert code == 0, err
-    assert "\nactivity_instance,e1,CO2,output,scope2,100000000000000000000.0000000001,kg\n" in out
+    got, out, err = run(capsys, "inventory", "--log", str(demo_log_path), "--annotations", str(bundle))
+    assert got == code, err
+    if code:
+        assert (out, err) == ("", text)
+    else:
+        assert text in out
 
 
 #: Thresholds no interpreter starts with, so a restore is told from a default.
@@ -716,16 +726,6 @@ def test_a_command_runs_under_the_raised_gen0_threshold(outcome, code, monkeypat
         assert main(["validate"]) == code
     assert seen == [(GC_GEN0_THRESHOLD, *_OWN_THRESHOLDS[1:])]
     assert gc.get_threshold() == _OWN_THRESHOLDS
-
-
-@pytest.mark.parametrize("gen0", [0, GC_GEN0_THRESHOLD * 2])
-def test_main_neither_restarts_nor_lowers_young_collections(gen0, monkeypatch, capsys, own_thresholds):
-    gc.set_threshold(gen0, 11, 12)
-    seen = []
-    monkeypatch.setitem(cli._COMMANDS, "validate", lambda args: seen.append(gc.get_threshold()) or 0)
-    assert main(["validate"]) == 0
-    assert seen == [(gen0, 11, 12)]
-    assert gc.get_threshold() == (gen0, 11, 12)
 
 
 def test_run_pipeline_leaves_the_collector_thresholds_alone(monkeypatch, demo_log, demo_bundle, own_thresholds):

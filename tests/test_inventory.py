@@ -8,6 +8,7 @@ from susmine import (
     ComponentKind,
     ComponentRef,
     FunctionalUnit,
+    InexactSumError,
     Quantity,
     UnitMismatchError,
     UnknownComponentError,
@@ -17,6 +18,7 @@ from susmine import (
     parse_ocel,
 )
 from susmine.inventory import (
+    SUM_DIGITS,
     InvKey,
     Inventory,
     direct_inventory,
@@ -71,6 +73,31 @@ def test_two_outputs_merge_exactly():
     al = bound(log, [instance_assignment("s0", 2), instance_assignment("s0", 3)])
     ((_, q),) = component_slice(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
     assert q.amount == Decimal(5)
+
+
+@pytest.mark.parametrize("amounts, digits, exponent", [
+    (("1E+300", "1E-699"), (1,) + (0,) * 998 + (1,), -699),
+    (("1", "0E-999"), (1,) + (0,) * 999, -999),
+], ids=["1E+300+1E-699", "1+0E-999"])
+def test_a_sum_keeps_every_digit_up_to_the_bound(amounts, digits, exponent):
+    al = bound(shipping_log(), [instance_assignment("s0", a) for a in amounts])
+    ((_, q),) = component_slice(al, ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "s0"))
+    assert q.amount.as_tuple() == (0, digits, exponent)
+    assert len(digits) == SUM_DIGITS
+
+
+@pytest.mark.parametrize("amounts", [
+    ("1E+300", "0E-400000"),
+    ("1E+300", "0E-999999999"),
+    ("1", "1E-999999999"),
+    ("1E+300", "1E-700"),
+    ("1", "0E-1000"),
+])
+def test_a_sum_beyond_the_digit_bound_is_an_error(amounts):
+    al = bound(shipping_log(), [instance_assignment("s0", a) for a in amounts])
+    with pytest.raises(InexactSumError, match=f"flow 'CO2' on activity_instance:s0 sums "
+                                              f".* beyond {SUM_DIGITS} significant digits"):
+        direct_inventory(al)
 
 
 def test_unknown_component_slice():
