@@ -129,7 +129,7 @@ def allocation_weights(
 def apply_allocations(
     al: AnnotatedLog,
     impacts: dict[ComponentRef, ScopedVector],
-    rules: list[AllocationRule] | None = None,
+    rules: list[AllocationRule],
     mode: Mode = Mode.STRICT,
 ) -> tuple[dict[ComponentRef, ScopedVector], AllocationLedger]:
     """Apply every rule against a snapshot of ``impacts``.
@@ -140,7 +140,6 @@ def apply_allocations(
     ordered. Raises :class:`DuplicateSourceError` when two rules share a
     source.
     """
-    rules = al.rules if rules is None else rules
     seen_sources: set[ComponentRef] = set()
     for rule in rules:
         if rule.source in seen_sources:

@@ -502,12 +502,12 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
     return CharacterizationTable(entries, categories)
 
 
-def empty_bundle(scope_set: ScopeSet | None = None) -> AnnotationBundle:
+def empty_bundle() -> AnnotationBundle:
     """A bundle with no annotations; every downstream analysis is all-zeros."""
     return AnnotationBundle(
         assignments=[],
         table=CharacterizationTable(),
-        scope_set=scope_set or SCOPE_PRESETS["ghg"],
+        scope_set=SCOPE_PRESETS["ghg"],
         rules=[],
         registry=UnitRegistry(),
     )

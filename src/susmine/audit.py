@@ -60,21 +60,19 @@ MATRIX_SCHEMA_ID = "susmine-matrix/1"
 class CapabilityMatrix:
     rows: list[tuple[str, dict[str, SupportLevel]]]
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "schema": MATRIX_SCHEMA_ID,
             "columns": list(AUDIT_COLUMNS),
             "rows": [
                 {"approach": name, "cells": {col: cells[col].value for col in AUDIT_COLUMNS}}
                 for name, cells in self.rows
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        }, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json_obj(cls, data) -> "CapabilityMatrix":
+    def from_json(cls, text: str) -> "CapabilityMatrix":
+        data = json.loads(text)
         if not isinstance(data, dict) or data.get("schema") != MATRIX_SCHEMA_ID:
             raise SchemaError(f"capability matrix must declare \"schema\": \"{MATRIX_SCHEMA_ID}\"")
         rows: list[tuple[str, dict[str, SupportLevel]]] = []
@@ -91,10 +89,6 @@ class CapabilityMatrix:
                 raise SchemaError(f"row '{name}': {exc}") from None
             rows.append((name, cells))
         return cls(rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CapabilityMatrix":
-        return cls.from_json_obj(json.loads(text))
 
     def render_text(self) -> str:
         name_width = max([len("Approach")] + [len(name) for name, _ in self.rows])

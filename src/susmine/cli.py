@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -42,7 +43,7 @@ from .impact import Mode
 from .inventory import FunctionalUnit, inventory_to_csv
 from .ocel import parse_ocel
 from .pipeline import PipelineResult, run_pipeline
-from .report import ledger_csv, write_outputs
+from .report import ledger_csv, write_files, write_outputs
 
 #: Allocations between young collections while a command runs. A run
 #: builds hundreds of thousands of acyclic cells and leaves little cyclic
@@ -128,6 +129,8 @@ def _parse_fu(raw: str) -> FunctionalUnit:
         amount = Decimal(parts[1])
     except InvalidOperation:
         raise ValueError(f"--fu amount '{parts[1]}' is not a number") from None
+    if not amount.is_finite() or math.isinf(float(amount)):  # impact arithmetic is in floats
+        raise ValueError(f"--fu amount '{parts[1]}' is not a finite number within float range")
     return FunctionalUnit(parts[0], Quantity(amount, "count"))
 
 
@@ -165,16 +168,16 @@ def _analyse(args) -> PipelineResult:
     return run_pipeline(log, bundle, mode, fu)
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
-    """Write to <out>/<filename> when an output directory is given,
-    otherwise print to standard output."""
+def _emit(out_dir: str | None, renders: dict) -> None:
+    """Write each ``name -> render(stream)`` into ``out_dir`` through
+    :func:`write_files` and name the files written; without an output
+    directory, stream every render to standard output."""
     if out_dir:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text, encoding="utf-8")
-        print(f"wrote {path / filename}")
+        for path in write_files(renders, out_dir).values():
+            print(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        for render in renders.values():
+            render(sys.stdout)
 
 
 def _cmd_validate(args) -> int:
@@ -207,15 +210,15 @@ def _cmd_inventory(args) -> int:
     result = _analyse(args)
     args.stage = "write-outputs"
     # with a functional unit, the per-FU process inventory is the artifact
-    text = inventory_to_csv(result.fu_inventory if result.fu else result.inventory)
-    _emit(text, args.out, "inventory.csv")
+    inventory = result.fu_inventory if result.fu else result.inventory
+    _emit(args.out, {"inventory.csv": lambda out: inventory_to_csv(inventory, out)})
     return 0
 
 
 def _cmd_allocate(args) -> int:
     result = _analyse(args)
     args.stage = "write-outputs"
-    _emit(ledger_csv(result), args.out, "ledger.csv")
+    _emit(args.out, {"ledger.csv": lambda out: ledger_csv(result, out)})
     for warning in result.ledger.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -226,7 +229,7 @@ def _cmd_dfg(args) -> int:
     # annotated graph renders exactly as the bare one
     result = _analyse(args)
     args.stage = "write-outputs"
-    _emit(emit_dot(result.dfg), args.out, "dfg.dot")
+    _emit(args.out, {"dfg.dot": lambda out: out.write(emit_dot(result.dfg))})
     return 0
 
 
@@ -242,26 +245,28 @@ def _cmd_audit(args) -> int:
         matrix = CapabilityMatrix([(name, result.audit_row)])
     sys.stdout.write(matrix.render_text())
     if args.out:
-        _emit(matrix.to_json() + "\n", args.out, "audit.json")
+        _emit(args.out, {"audit.json": lambda out: out.write(matrix.to_json() + "\n")})
     return 0
+
+
+def _integer(flag: str, value) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"--{flag} must be an integer, got '{value}'") from None
 
 
 def _cmd_generate(args) -> int:
     if args.seed is None:
         raise ValueError("generate requires --seed")
-    try:
-        seed = int(args.seed)
-    except ValueError:
-        raise ValueError(f"--seed must be an integer, got '{args.seed}'") from None
-    size = int(args.size) if args.size is not None else 40
+    seed = _integer("seed", args.seed)
+    size = _integer("size", args.size) if args.size is not None else 40
     bundle = generate_bundle(seed, size)
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "log.json").write_text(bundle.log_json, encoding="utf-8")
-    (outdir / "annotations.json").write_text(bundle.annotations_json, encoding="utf-8")
-    (outdir / "ground_truth.json").write_text(bundle.ground_truth_json(), encoding="utf-8")
-    for name in ("log.json", "annotations.json", "ground_truth.json"):
-        print(f"wrote {outdir / name}")
+    _emit(args.out or ".", {
+        "log.json": lambda out: out.write(bundle.log_json),
+        "annotations.json": lambda out: out.write(bundle.annotations_json),
+        "ground_truth.json": lambda out: out.write(bundle.ground_truth_json()),
+    })
     return 0
 
 

@@ -176,15 +176,21 @@ def scale_to_functional_unit(inv: Inventory, fu: FunctionalUnit, al: AnnotatedLo
 INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
 
 
+def write_csv(out: TextIO | None, header: Iterable[str], rows: Iterable[Iterable]) -> str | None:
+    """Write ``header`` and then ``rows`` as CSV lines, a ``None`` cell as
+    ""; onto ``out``, or returned as text without a stream."""
+    stream = io.StringIO() if out is None else out
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return stream.getvalue() if out is None else None
+
+
 def inventory_to_csv(inv: Inventory, out: TextIO | None = None) -> str | None:
     """The inventory as CSV rows of INVENTORY_COLUMNS, the exact amount as
     a string; written onto ``out``, or returned without a stream."""
-    stream = io.StringIO() if out is None else out
-    writer = csv.writer(stream, lineterminator="\n")  # writes None as ""
-    writer.writerow(INVENTORY_COLUMNS)
-    writer.writerows(
+    return write_csv(out, INVENTORY_COLUMNS, (
         (key.component.kind.value, key.component.id, key.flow, key.direction.value,
          key.scope, str(q.amount), q.unit)
         for key, q in inv.entries.items()
-    )
-    return stream.getvalue() if out is None else None
+    ))

@@ -23,7 +23,7 @@ an independently built dict, ``tests/oracles.report_dict``.
 
 from __future__ import annotations
 
-import csv
+import errno
 import io
 import json
 import math
@@ -32,13 +32,13 @@ import shutil
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .errors import NonFiniteImpactError
 from .allocation import LedgerEntry
 from .model import ComponentKind, ComponentRef, Direction, Quantity
 from .impact import classify_impacts
-from .inventory import InvKey, inventory_to_csv
+from .inventory import InvKey, inventory_to_csv, write_csv
 from .ocel import log_summary
 from .pipeline import PipelineResult
 from .scoping import ScopedVector, collapse_scopes, unscoped_share
@@ -301,10 +301,6 @@ def render_report(result: PipelineResult, out: TextIO | None = None) -> str | No
     return stream.getvalue() if out is None else None
 
 
-def _csv_writer(out: TextIO) -> "csv.writer":
-    return csv.writer(out, lineterminator="\n")
-
-
 def _class_values(result: PipelineResult) -> dict[str, str]:
     return {category: info.impact_class.value for category, info in result.al.table.categories.items()}
 
@@ -312,88 +308,77 @@ def _class_values(result: PipelineResult) -> dict[str, str]:
 def impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
     """Post-allocation per-component impacts, collapsed over scopes;
     written onto ``out``, or returned without a stream."""
-    stream = io.StringIO() if out is None else out
     classes = _class_values(result)
-    writer = _csv_writer(stream)
-    writer.writerow(["component_kind", "component_id", "category", "class", "amount", "impact_unit"])
-    for ref, sv in result.post_allocation.items():
-        kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
-        writer.writerows(
-            (kind, ref_id, category, classes[category], repr(amount), unit)
-            for category, (amount, unit) in collapse_scopes(sv).items()
-        )
-    return stream.getvalue() if out is None else None
+    header = ("component_kind", "component_id", "category", "class", "amount", "impact_unit")
+    return write_csv(out, header, (
+        (_KIND_VALUES[ref.kind], ref.id or "", category, classes[category], repr(amount), unit)
+        for ref, sv in result.post_allocation.items()
+        for category, (amount, unit) in collapse_scopes(sv).items()
+    ))
 
 
 def scoped_impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
     """As :func:`impact_csv` plus a scope column."""
-    stream = io.StringIO() if out is None else out
     classes = _class_values(result)
-    writer = _csv_writer(stream)
-    writer.writerow(["component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit"])
-    for ref, sv in result.post_allocation.items():
-        kind, ref_id = _KIND_VALUES[ref.kind], ref.id or ""
-        writer.writerows(
-            (kind, ref_id, category, classes[category], scope, repr(amount), unit)
-            for (category, scope), (amount, unit) in sv.items()
-        )
-    return stream.getvalue() if out is None else None
+    header = ("component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit")
+    return write_csv(out, header, (
+        (_KIND_VALUES[ref.kind], ref.id or "", category, classes[category], scope, repr(amount), unit)
+        for ref, sv in result.post_allocation.items()
+        for (category, scope), (amount, unit) in sv.items()
+    ))
 
 
 def ledger_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
     """The allocation ledger, one row per transfer; written onto ``out``,
     or returned without a stream."""
-    stream = io.StringIO() if out is None else out
-    writer = _csv_writer(stream)
-    writer.writerow([
-        "source_kind", "source_id", "target_kind", "target_id",
-        "category", "scope", "amount", "weight",
-    ])
-    writer.writerows(
+    return write_csv(out, ("source_kind", "source_id", "target_kind", "target_id",
+                           "category", "scope", "amount", "weight"), (
         (_KIND_VALUES[e.source.kind], e.source.id or "", _KIND_VALUES[e.target.kind], e.target.id or "",
          e.category, e.scope, repr(e.amount), repr(e.weight))
         for e in result.ledger.entries
-    )
-    return stream.getvalue() if out is None else None
+    ))
 
 
-def _nearest_existing(path: Path) -> Path:
-    while not path.exists() and path.parent != path:
-        path = path.parent
-    return path
+def write_files(renders: dict[str, Callable[[TextIO], object]], outdir: str | Path) -> dict[str, Path]:
+    """Write each ``name -> render(stream)`` of ``renders`` as
+    ``outdir/name``; return the paths written, in ``renders`` order.
+
+    Each file is streamed into a temporary directory, and all of them are
+    moved into ``outdir`` only once every one rendered: a failed render
+    leaves no new path behind and an existing ``outdir`` as it was. The
+    temporary directory is made in the nearest existing of ``outdir`` and
+    its parents, so it is writable whenever the files are and the moves
+    stay on one file system; if that path is not a directory,
+    ``NotADirectoryError`` names it before anything is written."""
+    outdir = base = Path(outdir)
+    while not base.exists() and base.parent != base:
+        base = base.parent
+    if not base.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(base))
+    staging = Path(tempfile.mkdtemp(prefix=".susmine-", dir=base))
+    try:
+        for name, render in renders.items():
+            with open(staging / name, "w", encoding="utf-8") as out:
+                render(out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in renders:
+            os.replace(staging / name, outdir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return {name: outdir / name for name in renders}
 
 
 def write_outputs(result: PipelineResult, outdir: str | Path) -> dict[str, Path]:
-    """Write the full artifact set; re-running on identical inputs
-    overwrites with identical bytes.
-
-    Each artifact is streamed into a temporary directory, and all of them
-    are moved into ``outdir`` only once every one rendered: a failed
-    render leaves no new path behind and an existing ``outdir`` as it was.
-    The temporary directory is made in ``outdir`` itself when it exists,
-    else in its nearest existing parent, so it is writable whenever the
-    artifacts are and the moves stay on one file system."""
+    """Write the full artifact set, :data:`OUTPUT_FILES`, through
+    :func:`write_files`; re-running on identical inputs overwrites with
+    identical bytes."""
     from .dfg import emit_dot
 
-    renders = {
+    return write_files({
         "report.json": lambda out: render_report(result, out),
         "inventory.csv": lambda out: inventory_to_csv(result.inventory, out),
         "impacts.csv": lambda out: impact_csv(result, out),
         "impacts_scoped.csv": lambda out: scoped_impact_csv(result, out),
         "ledger.csv": lambda out: ledger_csv(result, out),
         "dfg.dot": lambda out: out.write(emit_dot(result.dfg)),
-    }
-    outdir = Path(outdir)
-    staging = Path(tempfile.mkdtemp(prefix=".susmine-", dir=_nearest_existing(outdir)))
-    try:
-        for name, render in renders.items():
-            with open(staging / name, "w", encoding="utf-8") as out:
-                render(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        written: dict[str, Path] = {}
-        for name in renders:
-            os.replace(staging / name, outdir / name)
-            written[name] = outdir / name
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return written
+    }, outdir)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from susmine import cli
+from susmine.audit import CapabilityMatrix
 from susmine.cli import GC_GEN0_THRESHOLD, main
 from susmine.dfg import build_dfg, emit_dot
 from susmine.fixtures import fixture_path
@@ -145,18 +146,36 @@ def test_assess_missing_factor_names_flow_and_stage(tmp_path, capsys, generated)
     assert "pipeline" in err
 
 
-def test_generate_deterministic(tmp_path):
+def test_generate_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["generate", "--seed", "9", "--size", "25", "--out", str(a)]) == 0
+    b.mkdir()  # into an existing directory too
     assert main(["generate", "--seed", "9", "--size", "25", "--out", str(b)]) == 0
-    for name in ("log.json", "annotations.json", "ground_truth.json"):
+    names = ["log.json", "annotations.json", "ground_truth.json"]
+    assert capsys.readouterr().out == "".join(f"wrote {d / name}\n" for d in (a, b) for name in names)
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    # the staging directory is gone from both
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir()) == sorted(names)
 
 
 def test_generate_requires_seed(capsys):
     code, _, err = run(capsys, "generate")
     assert code == 2
     assert "--seed" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "x"], "--seed must be an integer, got 'x'"),
+    (["--seed", "x", "--size", "y"], "--seed must be an integer, got 'x'"),
+    (["--seed", "3", "--size", "x"], "--size must be an integer, got 'x'"),
+    (["--seed", "3", "--size", "1.5"], "--size must be an integer, got '1.5'"),
+], ids=["seed", "seed-first", "size", "size-fraction"])
+def test_generate_integer_flags_name_the_flag(argv, message, tmp_path, capsys):
+    code, out, err = run(capsys, "generate", *argv, "--out", str(tmp_path / "gen"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "gen").exists()
 
 
 def test_generate_size_zero(tmp_path):
@@ -177,26 +196,54 @@ def test_generated_bundle_through_assess_matches_ground_truth(tmp_path, capsys, 
         assert abs(got - row["amount"]) <= 1e-9 * max(abs(row["amount"]), 1e-30)
 
 
-def test_inventory_subcommand_stdout(capsys, demo_log_path, demo_bundle_path):
-    code, out, _ = run(capsys, "inventory", "--log", str(demo_log_path),
-                       "--annotations", str(demo_bundle_path))
+def assert_out_file_equals_stdout(capsys, tmp_path, argv, filename, stdout):
+    """``argv`` with ``--out`` writes ``stdout``'s bytes into ``filename``,
+    names it on stdout and leaves no staging directory behind."""
+    out = tmp_path / "out"
+    code, printed, err = run(capsys, *argv, "--out", str(out))
+    assert (code, printed) == (0, f"wrote {out / filename}\n"), err
+    assert [p.name for p in out.iterdir()] == [filename]
+    assert (out / filename).read_bytes() == stdout.encode("utf-8")
+    assert not list(tmp_path.glob(".susmine-*"))
+    (out / filename).unlink()
+    out.rmdir()
+
+
+def test_inventory_subcommand_stdout(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    argv = ["inventory", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.startswith("component_kind,")
     assert "activity_instance,e1,CO2,output,scope1,5,kg" in out
+    assert_out_file_equals_stdout(capsys, tmp_path, argv, "inventory.csv", out)
+
+    fu_argv = [*argv, "--fu", "bottle:1"]
+    code, fu_out, _ = run(capsys, *fu_argv)
+    assert code == 0
+    assert fu_out.startswith("component_kind,") and fu_out != out
+    assert_out_file_equals_stdout(capsys, tmp_path, fu_argv, "inventory.csv", fu_out)
 
 
-def test_allocate_subcommand(capsys, demo_log_path, machine_bundle_path):
-    code, out, _ = run(capsys, "allocate", "--log", str(demo_log_path),
-                       "--annotations", str(machine_bundle_path))
+def test_allocate_subcommand(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    argv = ["allocate", "--log", str(demo_log_path), "--annotations", str(machine_bundle_path)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.count("machine1") == 3
+    assert_out_file_equals_stdout(capsys, tmp_path, argv, "ledger.csv", out)
 
 
-def test_dfg_subcommand_without_annotations(capsys, orders_log_path):
+def test_dfg_subcommand_without_annotations(tmp_path, capsys, orders_log_path, demo_log_path,
+                                            machine_bundle_path):
     code, out, _ = run(capsys, "dfg", "--log", str(orders_log_path))
     assert code == 0
     assert out.startswith("digraph {")
     assert '"ship_order" -> "deliver_order"' in out
+    assert_out_file_equals_stdout(capsys, tmp_path, ["dfg", "--log", str(orders_log_path)], "dfg.dot", out)
+
+    annotated = ["dfg", "--log", str(demo_log_path), "--annotations", str(machine_bundle_path)]
+    code, out, _ = run(capsys, *annotated)
+    assert code == 0
+    assert_out_file_equals_stdout(capsys, tmp_path, annotated, "dfg.dot", out)
 
 
 @pytest.mark.parametrize("mode", ["strict", "lenient"])
@@ -238,12 +285,20 @@ def test_audit_literature_rejects_bundle_flags(flag, via_config, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-def test_audit_bundle_row(capsys, demo_log_path, demo_bundle_path):
-    code, out, _ = run(capsys, "audit", "--log", str(demo_log_path),
-                       "--annotations", str(demo_bundle_path))
+def test_audit_bundle_row(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    argv = ["audit", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path)]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "mineral_water" in out
     assert "full" in out
+
+    target = tmp_path / "out"
+    code, printed, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, printed) == (0, f"{out}wrote {target / 'audit.json'}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in target.iterdir()] == ["audit.json"]
+    matrix = CapabilityMatrix.from_json((target / "audit.json").read_text(encoding="utf-8"))
+    assert matrix.render_text() == out
 
 
 def test_config_file_supplies_flags_and_flags_win(tmp_path, capsys, demo_log_path, demo_bundle_path):
@@ -306,6 +361,16 @@ def test_fu_flag_bad_syntax(capsys, demo_log_path, demo_bundle_path, tmp_path):
     assert code == 2
     assert "--fu" in err
 
+    # amounts follow the bundle's number rules: finite, and within float range
+    for amount in ("NaN", "sNaN", "Infinity", "-inf", "1e999999", "1e400"):
+        for command in ("assess", "inventory"):
+            code, out, err = run(capsys, command, "--log", str(demo_log_path),
+                                 "--annotations", str(demo_bundle_path),
+                                 "--out", str(tmp_path / "out"), "--fu", f"order:{amount}")
+            assert (code, out) == (2, "")
+            assert err == f"error: --fu amount '{amount}' is not a finite number within float range\n"
+    assert not (tmp_path / "out").exists()
+
 
 def test_scopes_override_flag(tmp_path, capsys, demo_log_path, demo_bundle_path):
     # demo bundle uses ghg labels; forcing the lca preset must fail data validation
@@ -337,6 +402,25 @@ def test_scopes_without_annotations_is_a_usage_error(command, via_config, tmp_pa
 def test_generate_unwritable_output_exit_2(capsys):
     code, _, err = run(capsys, "generate", "--seed", "1", "--out", "/proc/susmine-nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command", ["assess", "inventory", "generate"])
+def test_out_that_is_not_a_directory_gives_one_fixed_error(command, below, tmp_path, capsys,
+                                                           demo_log_path, demo_bundle_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    if command == "generate":
+        argv, prefix = ["generate", "--seed", "1"], "error"
+    else:
+        argv = [command, "--log", str(demo_log_path), "--annotations", str(demo_bundle_path)]
+        prefix = "error [write-outputs]"
+    results = [run(capsys, *argv, "--out", str(out)) for _ in range(2)]
+    assert results[0] == results[1] == (2, "", f"{prefix}: [Errno 20] Not a directory: '{blocker}'\n")
+    assert ".susmine-" not in results[0][2]
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "keep"
 
 
 def test_assess_reproduces_ground_truth_for_50_seeds(tmp_path):
@@ -579,7 +663,7 @@ def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
 def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys, demo_log_path,
                                                                 demo_bundle_path):
     # totals are finite, but scaling them to a huge functional unit is not
-    for amount in ("1e307", "1e400"):
+    for amount in ("1e307", "1.7e308"):
         out = tmp_path / amount
         code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                            "--annotations", str(demo_bundle_path), "--out", str(out),
