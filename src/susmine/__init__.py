@@ -65,9 +65,9 @@ from .inventory import (
     FunctionalUnit,
     Inventory,
     direct_inventory,
+    functional_unit_scale,
     inventory_to_csv,
     rollup_inventory,
-    scale_to_functional_unit,
 )
 from .impact import Mode, characterize, classify_impacts
 from .scoping import cumulative_view, scoped_impacts, scoped_total, unscoped_share

@@ -129,10 +129,9 @@ def allocation_weights(
 def apply_allocations(
     al: AnnotatedLog,
     impacts: dict[ComponentRef, ScopedVector],
-    rules: list[AllocationRule],
     mode: Mode = Mode.STRICT,
 ) -> tuple[dict[ComponentRef, ScopedVector], AllocationLedger]:
-    """Apply every rule against a snapshot of ``impacts``.
+    """Apply every rule of ``al.rules`` against a snapshot of ``impacts``.
 
     Each source's fraction-scaled vector is split by the rule's weights
     and added to the targets; the source keeps (1 - fraction) of it.
@@ -141,7 +140,7 @@ def apply_allocations(
     source.
     """
     seen_sources: set[ComponentRef] = set()
-    for rule in rules:
+    for rule in al.rules:
         if rule.source in seen_sources:
             raise DuplicateSourceError(f"multiple rules name source {rule.source}")
         seen_sources.add(rule.source)
@@ -149,7 +148,7 @@ def apply_allocations(
     result: dict[ComponentRef, ScopedVector] = {ref: dict(sv) for ref, sv in impacts.items()}
     ledger = AllocationLedger()
 
-    for rule in sorted(rules, key=lambda r: r.source):
+    for rule in sorted(al.rules, key=lambda r: r.source):
         weights, warnings = allocation_weights(rule, al, mode)
         ledger.warnings.extend(warnings)
         fraction = float(rule.fraction)

@@ -72,7 +72,8 @@ class NonFiniteImpactError(SusmineError):
 
 
 class ZeroOutputError(SusmineError):
-    """Functional-unit scaling found zero measured output in the log."""
+    """Functional-unit scaling found zero measured output in the log, or
+    a scale that is 0 as a float."""
 
 
 class NoTargetsError(SusmineError):

@@ -141,35 +141,38 @@ def rollup_inventory(al: AnnotatedLog, level: ComponentKind) -> Inventory:
     return _summed((component, a) for component, a in lifted if component is not None)
 
 
-def measured_output(al: AnnotatedLog, fu: FunctionalUnit) -> Decimal:
-    """Total measured output of the functional unit's object type."""
-    objects = al.log.members(ComponentRef(ComponentKind.OBJECT_TYPE, fu.object_type))
-    if fu.measured_attribute is None:
-        return Decimal(len(objects))
-    total = Decimal(0)
-    for obj in objects:
-        value = obj.attributes.get(fu.measured_attribute)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
-            raise UnitMismatchError(
-                f"object '{obj.object_id}': attribute '{fu.measured_attribute}' is not numeric"
-            )
-        total += value if isinstance(value, Decimal) else Decimal(str(value))
-    return total
-
-
-def scale_to_functional_unit(inv: Inventory, fu: FunctionalUnit, al: AnnotatedLog) -> Inventory:
-    """Rescale an inventory to the functional unit: every amount is
-    multiplied by reference / (total measured output of the type)."""
+def functional_unit_scale(al: AnnotatedLog, fu: FunctionalUnit) -> tuple[Decimal, Decimal]:
+    """The total measured output of the functional unit's object type, and
+    the scale reference / output (28 significant digits) that
+    :meth:`Inventory.scaled` takes to the functional unit. A scale that is
+    0 as a float would zero every per-unit impact, so it raises."""
     if fu.object_type not in al.log.object_types:
         raise UnknownComponentError(f"unknown object type '{fu.object_type}'")
-    total = measured_output(al, fu)
+    objects = al.log.members(ComponentRef(ComponentKind.OBJECT_TYPE, fu.object_type))
+    if fu.measured_attribute is None:
+        total = Decimal(len(objects))
+    else:
+        total = Decimal(0)
+        for obj in objects:
+            value = obj.attributes.get(fu.measured_attribute)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
+                raise UnitMismatchError(
+                    f"object '{obj.object_id}': attribute '{fu.measured_attribute}' is not numeric"
+                )
+            total += value if isinstance(value, Decimal) else Decimal(str(value))
     if total == 0:
         raise ZeroOutputError(
             f"log contains no measured output of object type '{fu.object_type}'"
         )
-    return inv.scaled(fu.reference.amount / total)
+    scale = fu.reference.amount / total
+    if not float(scale):
+        raise ZeroOutputError(
+            f"functional unit scale for object type '{fu.object_type}' underflows a float: "
+            f"{abbreviate(fu.reference.amount)} / {abbreviate(total)}"
+        )
+    return total, scale
 
 
 #: Column names of one inventory row, in report.json and inventory.csv alike.

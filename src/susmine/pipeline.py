@@ -15,14 +15,7 @@ from .allocation import AllocationLedger, apply_allocations
 from .audit import SupportLevel, pattern_audit
 from .dfg import AnnotatedDFG, annotate_dfg, build_dfg
 from .impact import Mode, UncharacterizedFlow, vector_add
-from .inventory import (
-    FunctionalUnit,
-    Inventory,
-    direct_inventory,
-    measured_output,
-    rollup_inventory,
-    scale_to_functional_unit,
-)
+from .inventory import FunctionalUnit, Inventory, direct_inventory, functional_unit_scale, rollup_inventory
 from .scoping import ScopedVector, scoped_impacts, scoped_total
 
 
@@ -75,7 +68,7 @@ def run_pipeline(
     al = bind_annotations(log, bundle)
     inventory = direct_inventory(al)
     scoped, uncharacterized = scoped_impacts(al, mode)
-    post, ledger = apply_allocations(al, scoped, al.rules, mode)
+    post, ledger = apply_allocations(al, scoped, mode)
     audit_row = pattern_audit(al, scoped, ledger)
     dfg = build_dfg(log)
     annotate_dfg(dfg, activity_type_totals(al, post), log.digest())
@@ -94,8 +87,6 @@ def run_pipeline(
     )
     if fu is not None:
         result.fu = fu
-        result.fu_output = measured_output(al, fu)
-        process_inv = rollup_inventory(al, ComponentKind.PROCESS)
-        result.fu_inventory = scale_to_functional_unit(process_inv, fu, al)
-        result.fu_scale = fu.reference.amount / result.fu_output
+        result.fu_output, result.fu_scale = functional_unit_scale(al, fu)
+        result.fu_inventory = rollup_inventory(al, ComponentKind.PROCESS).scaled(result.fu_scale)
     return result

@@ -11,10 +11,11 @@ preserve their digits; impact amounts are JSON numbers. ``report.json``
 is written by a one-pass emitter that reproduces
 ``json.dumps(indent=2, sort_keys=True)`` byte for byte. It walks the
 report's dicts and hands every small value to ``json.dumps``. Its bulk
-sections are written row by row from text templates, straight from the
-:class:`PipelineResult`, rather than through the pure-Python encoder that
-``json`` falls back to for any ``indent``; neither the report dict nor its
-text is ever held whole on the way to disk.
+sections, which all sit at the same depth, are written row by row from
+row texts fixed at that depth, straight from the :class:`PipelineResult`,
+rather than through the pure-Python encoder that ``json`` falls back to
+for any ``indent``; neither the report dict nor its text is ever held
+whole on the way to disk.
 
 :func:`render_report` is the only writer of the document;
 :func:`build_report` parses its text. The tests check the emitter against
@@ -71,25 +72,24 @@ def _scoped_obj(sv: ScopedVector) -> dict:
 class _Rows:
     """A bulk list section of the report, kept as its source rows.
 
-    The emitter writes each row with the text template that ``template(depth)``
-    builds for rows at that nesting depth, so it holds neither a row dict
-    nor the section's text. ``rows`` is iterated once."""
+    The emitter writes each row as ``text(row)``, at the one depth every
+    section sits at (see the row texts below), so it holds neither a row
+    dict nor the section's text. ``rows`` is iterated once."""
 
-    __slots__ = ("rows", "template")
+    __slots__ = ("rows", "text")
 
-    def __init__(self, rows, template):
+    def __init__(self, rows, text):
         self.rows = rows
-        self.template = template
+        self.text = text
 
-    def emit(self, depth: int, append) -> None:
-        text = self.template(depth + 1)
-        inner = _newline(depth + 1)
-        lead = opening = "[" + inner
-        separator = "," + inner
+    def emit(self, append) -> None:
+        text = self.text
+        lead = opening = "[" + _NL3
+        separator = "," + _NL3
         for row in self.rows:
             append(lead + text(row))
             lead = separator
-        append("[]" if lead is opening else _newline(depth) + "]")
+        append("[]" if lead is opening else _NL2 + "]")
 
 
 def _layout(result: PipelineResult) -> dict:
@@ -207,90 +207,67 @@ def _emit(value, depth: int, append) -> None:
             lead = separator
         append(_newline(depth) + "}")
     elif kind is _Rows:
-        value.emit(depth, append)
+        value.emit(append)
     else:
         text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
         append(text.replace("\n", _newline(depth)))
 
 
-# -- row templates: the text of one row's JSON object, built directly.
-# Each takes the row's nesting depth and returns ``row -> text``.
+# -- row texts: one row's JSON object, built directly. Every _Rows section
+# is the value of a key in a top-level section of the report, so it sits at
+# depth 2: its rows at depth 3, and each row's ref and scoped vector at
+# depth 4. _NLd starts a line at depth d.
+_NL2, _NL3, _NL4, _NL5, _NL6, _NL7 = (_newline(depth) for depth in range(2, 8))
+_SCOPED_CLOSE = f"{_NL5}}}{_NL4}}}"
 
-def _ref_text(depth: int):
+
+def _ref_text(ref: ComponentRef) -> str:
     """The text of a ref's ``{"id", "kind"}`` object."""
-    inner, close = _newline(depth + 1), _newline(depth) + "}"
-
-    def text(ref: ComponentRef) -> str:
-        ref_id = "null" if ref.id is None else _quote(ref.id)
-        return f'{{{inner}"id": {ref_id},{inner}"kind": {_KIND_TEXTS[ref.kind]}{close}'
-
-    return text
+    ref_id = "null" if ref.id is None else _quote(ref.id)
+    return f'{{{_NL5}"id": {ref_id},{_NL5}"kind": {_KIND_TEXTS[ref.kind]}{_NL4}}}'
 
 
-def _scoped_text(depth: int):
+def _scoped_text(sv: ScopedVector) -> str:
     """The text of :func:`_scoped_obj`: {category: {scope: {amount, unit}}},
     for a vector whose cells are in (category, scope) order."""
-    category_lead, scope_lead, leaf = (_newline(depth + i) for i in (1, 2, 3))
-    close = f"{category_lead}}}{_newline(depth)}}}"
-
-    def text(sv: ScopedVector) -> str:
-        if not sv:
-            return "{}"
-        parts = []
-        current = None
-        for (category, scope), (amount, unit) in sv.items():
-            if category != current:
-                opening = "{" if current is None else category_lead + "},"
-                parts.append(f"{opening}{category_lead}{_quote(category)}: {{{scope_lead}")
-                current = category
-            else:
-                parts.append("," + scope_lead)
-            parts.append(f'{_quote(scope)}: {{{leaf}"amount": {_float(amount)},'
-                         f'{leaf}"unit": {_quote(unit)}{scope_lead}}}')
-        parts.append(close)
-        return "".join(parts)
-
-    return text
+    if not sv:
+        return "{}"
+    parts = []
+    current = None
+    for (category, scope), (amount, unit) in sv.items():
+        if category != current:
+            opening = "{" if current is None else _NL5 + "},"
+            parts.append(f"{opening}{_NL5}{_quote(category)}: {{{_NL6}")
+            current = category
+        else:
+            parts.append("," + _NL6)
+        parts.append(f'{_quote(scope)}: {{{_NL7}"amount": {_float(amount)},'
+                     f'{_NL7}"unit": {_quote(unit)}{_NL6}}}')
+    parts.append(_SCOPED_CLOSE)
+    return "".join(parts)
 
 
-def _component_impacts_text(depth: int):
-    inner, close = _newline(depth + 1), _newline(depth) + "}"
-    ref_text, scoped_text = _ref_text(depth + 1), _scoped_text(depth + 1)
-
-    def text(row: tuple[ComponentRef, ScopedVector]) -> str:
-        ref, sv = row
-        return f'{{{inner}"component": {ref_text(ref)},{inner}"impacts": {scoped_text(sv)}{close}'
-
-    return text
+def _component_impacts_text(row: tuple[ComponentRef, ScopedVector]) -> str:
+    ref, sv = row
+    return f'{{{_NL4}"component": {_ref_text(ref)},{_NL4}"impacts": {_scoped_text(sv)}{_NL3}}}'
 
 
-def _ledger_text(depth: int):
-    inner, close = _newline(depth + 1), _newline(depth) + "}"
-    ref_text = _ref_text(depth + 1)
-
-    def text(e: LedgerEntry) -> str:
-        return (f'{{{inner}"amount": {_float(e.amount)},{inner}"category": {_quote(e.category)},'
-                f'{inner}"scope": {_quote(e.scope)},{inner}"source": {ref_text(e.source)},'
-                f'{inner}"target": {ref_text(e.target)},{inner}"weight": {_float(e.weight)}{close}')
-
-    return text
+def _ledger_text(e: LedgerEntry) -> str:
+    return (f'{{{_NL4}"amount": {_float(e.amount)},{_NL4}"category": {_quote(e.category)},'
+            f'{_NL4}"scope": {_quote(e.scope)},{_NL4}"source": {_ref_text(e.source)},'
+            f'{_NL4}"target": {_ref_text(e.target)},{_NL4}"weight": {_float(e.weight)}{_NL3}}}')
 
 
-def _inventory_text(depth: int):
+def _inventory_text(entry: tuple[InvKey, Quantity]) -> str:
     """The text of one inventory entry's object: INVENTORY_COLUMNS as keys,
     in sorted order, with the exact amount as a string."""
-    inner, close = _newline(depth + 1), _newline(depth) + "}"
-
-    def text(entry: tuple[InvKey, Quantity]) -> str:
-        key, q = entry
-        ref = key.component
-        ref_id = "null" if ref.id is None else _quote(ref.id)
-        return (f'{{{inner}"amount": {_quote(str(q.amount))},{inner}"component_id": {ref_id},'
-                f'{inner}"component_kind": {_KIND_TEXTS[ref.kind]},'
-                f'{inner}"direction": {_DIRECTION_TEXTS[key.direction]},{inner}"flow": {_quote(key.flow)},'
-                f'{inner}"scope": {_quote(key.scope)},{inner}"unit": {_quote(q.unit)}{close}')
-
-    return text
+    key, q = entry
+    ref = key.component
+    ref_id = "null" if ref.id is None else _quote(ref.id)
+    return (f'{{{_NL4}"amount": {_quote(str(q.amount))},{_NL4}"component_id": {ref_id},'
+            f'{_NL4}"component_kind": {_KIND_TEXTS[ref.kind]},'
+            f'{_NL4}"direction": {_DIRECTION_TEXTS[key.direction]},{_NL4}"flow": {_quote(key.flow)},'
+            f'{_NL4}"scope": {_quote(key.scope)},{_NL4}"unit": {_quote(q.unit)}{_NL3}}}')
 
 
 def render_report(result: PipelineResult, out: TextIO | None = None) -> str | None:
@@ -349,12 +326,17 @@ def write_files(renders: dict[str, Callable[[TextIO], object]], outdir: str | Pa
     temporary directory is made in the nearest existing of ``outdir`` and
     its parents, so it is writable whenever the files are and the moves
     stay on one file system; if that path is not a directory,
-    ``NotADirectoryError`` names it before anything is written."""
+    ``NotADirectoryError`` names it, and if an ``outdir/name`` is one,
+    ``IsADirectoryError`` names that, before anything is written."""
     outdir = base = Path(outdir)
     while not base.exists() and base.parent != base:
         base = base.parent
     if not base.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(base))
+    for name in renders:
+        target = outdir / name
+        if target.is_dir() and not target.is_symlink():  # os.replace swaps a link itself
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     staging = Path(tempfile.mkdtemp(prefix=".susmine-", dir=base))
     try:
         for name, render in renders.items():

@@ -140,7 +140,7 @@ def machine_emissions(amount="30", scope="scope3"):
 def test_equal_split_moves_everything_off_the_source():
     al = bound_with_rule(machine_log(3), assignments=machine_emissions())
     vectors, _ = scoped_impacts(al)
-    post, ledger = apply_allocations(al, vectors, al.rules)
+    post, ledger = apply_allocations(al, vectors)
     key = ("climate_change", "scope3")
     for eid in ("e0", "e1", "e2"):
         assert rel_close(post[ev_ref(eid)][key].amount, 10.0)
@@ -152,7 +152,7 @@ def test_equal_split_moves_everything_off_the_source():
 def test_fraction_zero_no_transfers():
     al = bound_with_rule(machine_log(3), {"fraction": "0"}, machine_emissions())
     vectors, _ = scoped_impacts(al)
-    post, ledger = apply_allocations(al, vectors, al.rules)
+    post, ledger = apply_allocations(al, vectors)
     assert ledger.entries == []
     assert post[obj_ref()][("climate_change", "scope3")].amount == 30.0
 
@@ -160,7 +160,7 @@ def test_fraction_zero_no_transfers():
 def test_partial_fraction_keeps_residual():
     al = bound_with_rule(machine_log(2), {"fraction": "0.6"}, machine_emissions())
     vectors, _ = scoped_impacts(al)
-    post, ledger = apply_allocations(al, vectors, al.rules)
+    post, ledger = apply_allocations(al, vectors)
     key = ("climate_change", "scope3")
     assert rel_close(post[obj_ref()][key].amount, 12.0)
     assert rel_close(post[ev_ref("e0")][key].amount, 9.0)
@@ -172,7 +172,7 @@ def test_partial_fraction_keeps_residual():
 def test_scope_and_category_travel_unchanged():
     al = bound_with_rule(machine_log(2), assignments=machine_emissions(scope="scope2"))
     vectors, _ = scoped_impacts(al)
-    post, ledger = apply_allocations(al, vectors, al.rules)
+    post, ledger = apply_allocations(al, vectors)
     assert all(e.scope == "scope2" and e.category == "climate_change" for e in ledger.entries)
     assert ("climate_change", "scope2") in post[ev_ref("e0")]
 
@@ -186,7 +186,7 @@ def test_duplicate_source_rejected():
     al = bind_annotations(log, parse_annotations(json.dumps(doc)))
     vectors, _ = scoped_impacts(al)
     with pytest.raises(DuplicateSourceError):
-        apply_allocations(al, vectors, al.rules)
+        apply_allocations(al, vectors)
 
 
 def test_explicit_target_list():
@@ -203,7 +203,7 @@ def test_explicit_target_list():
     )
     al = bind_annotations(log, parse_annotations(json.dumps(doc)))
     vectors, _ = scoped_impacts(al)
-    post, ledger = apply_allocations(al, vectors, al.rules)
+    post, ledger = apply_allocations(al, vectors)
     key = ("climate_change", "scope3")
     assert rel_close(post[ev_ref("e0")][key].amount, 15.0)
     assert rel_close(post[ComponentRef(ComponentKind.ACTIVITY_TYPE, "run")][key].amount, 15.0)
@@ -216,7 +216,7 @@ def test_global_totals_conserved_on_generated_bundles():
         log = parse_ocel(gb.log_json)
         al = bind_annotations(log, parse_annotations(gb.annotations_json))
         vectors, _ = scoped_impacts(al)
-        post, ledger = apply_allocations(al, vectors, al.rules)
+        post, ledger = apply_allocations(al, vectors)
         before = scoped_total(vectors)
         after = scoped_total(post)
         # allocation never invents new (category, scope) pairs
@@ -228,8 +228,8 @@ def test_global_totals_conserved_on_generated_bundles():
 def test_ledger_is_deterministic():
     al = bound_with_rule(machine_log(3), assignments=machine_emissions())
     vectors, _ = scoped_impacts(al)
-    post1, ledger1 = apply_allocations(al, vectors, al.rules)
-    post2, ledger2 = apply_allocations(al, vectors, al.rules)
+    post1, ledger1 = apply_allocations(al, vectors)
+    post2, ledger2 = apply_allocations(al, vectors)
     assert ledger1.entries == ledger2.entries
     assert ledger1.entries == sorted(ledger1.entries)
 
@@ -314,7 +314,8 @@ def mixed_sign_allocations(draw):
 def test_mixed_sign_totals_conserved_per_category_and_scope(case):
     log, impacts, rules = case
     al = bind_annotations(log, parse_annotations(json.dumps(bundle_doc())))
-    post, _ = apply_allocations(al, impacts, rules)
+    al.rules = rules
+    post, _ = apply_allocations(al, impacts)
 
     def amounts(vectors, cell):
         return [sv[cell].amount for sv in vectors.values() if cell in sv]

@@ -674,6 +674,57 @@ def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys
         assert not out.exists()
 
 
+@pytest.mark.parametrize("amount", ["1e-999999999", "1e-400"])
+@pytest.mark.parametrize("command", ["assess", "inventory"])
+def test_functional_unit_scale_that_underflows_a_float_is_an_error(command, amount, tmp_path, capsys,
+                                                                    demo_log_path, demo_bundle_path):
+    # reference / output is a positive decimal whose float is 0, which would
+    # zero every per-unit figure
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--log", str(demo_log_path), "--annotations",
+                            str(demo_bundle_path), "--out", str(out), "--fu", f"order:{amount}")
+    assert (code, stdout) == (1, "")
+    assert err == (f"error [pipeline]: functional unit scale for object type 'order' underflows "
+                   f"a float: {amount.upper()} / 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", OUTPUT_FILES)
+def test_an_output_name_taken_by_a_directory_replaces_nothing(name, tmp_path, capsys, demo_log_path,
+                                                              demo_bundle_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    for other in OUTPUT_FILES:
+        if other != name:
+            (out / other).write_text(f"old {other}")
+    (out / name).mkdir()
+    code, stdout, err = run(capsys, "assess", "--log", str(demo_log_path),
+                            "--annotations", str(demo_bundle_path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error [write-outputs]: [Errno 21] Is a directory: '{out / name}'\n"
+    assert ".susmine-" not in err
+    assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUT_FILES)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (out / name).is_dir() and not any((out / name).iterdir())
+    for other in OUTPUT_FILES:
+        if other != name:
+            assert (out / other).read_text() == f"old {other}"
+
+
+def test_an_output_name_linked_to_a_directory_is_replaced_like_a_file(tmp_path, capsys, demo_log_path,
+                                                                      demo_bundle_path):
+    # os.replace swaps the link itself, so only a real directory is refused
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (out / "ledger.csv").symlink_to(elsewhere)
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(demo_bundle_path), "--out", str(out))
+    assert code == 0, err
+    assert (out / "ledger.csv").is_file() and not (out / "ledger.csv").is_symlink()
+    assert not any(elsewhere.iterdir())
+
+
 def test_assess_rejects_an_unscoped_share_beyond_float_range(tmp_path, capsys):
     # the scoped cells cancel the unscoped 1e300 kg to a total of 1e-10 kg
     log = tmp_path / "log.json"

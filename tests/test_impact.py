@@ -240,7 +240,7 @@ def test_every_impact_cell_is_a_quantity_with_a_float_amount():
     gb = generate_bundle(3, 300)
     al = bind_annotations(parse_ocel(gb.log_json), parse_annotations(gb.annotations_json))
     scoped, _ = characterize(direct_inventory(al), al.table, registry=al.registry)
-    post, ledger = apply_allocations(al, scoped, al.rules)
+    post, ledger = apply_allocations(al, scoped)
     assert ledger.entries
     vectors = [*scoped.values(), *post.values(), *ledger.residuals.values(), scoped_total(post),
                *activity_type_totals(al, post).values(), *map(collapse_scopes, post.values())]

@@ -22,11 +22,13 @@ from susmine.inventory import (
     InvKey,
     Inventory,
     direct_inventory,
+    functional_unit_scale,
     inventory_to_csv,
     rollup_inventory,
-    scale_to_functional_unit,
 )
+from susmine.errors import abbreviate
 from susmine.model import PROCESS_REF, Direction, UNSCOPED
+from susmine.pipeline import run_pipeline
 from susmine.generator import generate_bundle
 
 from conftest import make_log
@@ -170,10 +172,14 @@ def fu(amount, object_type="order"):
     return FunctionalUnit(object_type, Quantity(Decimal(str(amount)), "count"))
 
 
+def per_fu(inv, unit, al):
+    return inv.scaled(functional_unit_scale(al, unit)[1])
+
+
 def test_scale_to_functional_unit():
     log = order_log(3)
     al = bound(log, [instance_assignment("e1", 15)])
-    scaled = scale_to_functional_unit(direct_inventory(al), fu(1), al)
+    scaled = per_fu(direct_inventory(al), fu(1), al)
     ((_, q),) = scaled.entries.items()
     assert q.amount == Decimal(5)
 
@@ -181,7 +187,7 @@ def test_scale_to_functional_unit():
 def test_scale_identity_when_reference_equals_output():
     log = order_log(3)
     al = bound(log, [instance_assignment("e1", 15)])
-    scaled = scale_to_functional_unit(direct_inventory(al), fu(3), al)
+    scaled = per_fu(direct_inventory(al), fu(3), al)
     ((_, q),) = scaled.entries.items()
     assert q.amount == Decimal(15)
 
@@ -194,7 +200,29 @@ def test_scale_zero_output():
     )
     al = bound(log, [instance_assignment("e1", 15)])
     with pytest.raises(ZeroOutputError):
-        scale_to_functional_unit(direct_inventory(al), fu(1), al)
+        functional_unit_scale(al, fu(1))
+
+
+@pytest.mark.parametrize("amount", ["1e-400", "1e-999999999", "1." + "7" * 60 + "e-400"])
+def test_scale_that_underflows_a_float_is_an_error(amount):
+    al = bound(order_log(3), [instance_assignment("e1", 15)])
+    with pytest.raises(ZeroOutputError) as excinfo:
+        functional_unit_scale(al, fu(amount))
+    message = str(excinfo.value)
+    assert message.startswith("functional unit scale for object type 'order' underflows a float: ")
+    assert message.endswith(" / 3") and len(message) < 140
+    assert abbreviate(Decimal(amount)) in message
+
+
+def test_run_pipeline_scales_by_functional_unit_scale():
+    log = order_log(3)
+    bundle = parse_annotations(json.dumps(bundle_doc(assignments=[instance_assignment("e1", "13.37")])))
+    al = bind_annotations(log, bundle)
+    unit = fu("0.7")
+    result = run_pipeline(log, bundle, fu=unit)
+    output, scale = functional_unit_scale(al, unit)
+    assert (result.fu_output, result.fu_scale) == (output, scale) == (Decimal(3), Decimal("0.7") / 3)
+    assert result.fu_inventory == rollup_inventory(al, ComponentKind.PROCESS).scaled(scale)
 
 
 def test_scale_by_measured_attribute():
@@ -204,7 +232,7 @@ def test_scale_by_measured_attribute():
     )
     al = bound(log, [instance_assignment("e1", 15)])
     unit = FunctionalUnit("order", Quantity(Decimal(1), "kg"), "mass_kg")
-    scaled = scale_to_functional_unit(direct_inventory(al), unit, al)
+    scaled = per_fu(direct_inventory(al), unit, al)
     ((_, q),) = scaled.entries.items()
     assert q.amount == Decimal(3)
 
@@ -212,9 +240,9 @@ def test_scale_by_measured_attribute():
 def test_scaling_linearity():
     log = order_log(7)
     al = bound(log, [instance_assignment("e1", "13.37")])
-    base = scale_to_functional_unit(direct_inventory(al), fu(1), al)
+    base = per_fu(direct_inventory(al), fu(1), al)
     for k in (Decimal("0.5"), Decimal(2), Decimal(10)):
-        scaled = scale_to_functional_unit(direct_inventory(al), fu(k), al)
+        scaled = per_fu(direct_inventory(al), fu(k), al)
         for (key, q), (_, qb) in zip(scaled.entries.items(), base.entries.items()):
             expect = qb.amount * k
             assert abs(q.amount - expect) <= Decimal("1e-12") * max(abs(expect), Decimal(1))
@@ -360,7 +388,7 @@ def test_inventory_producers_store_entries_in_key_order(seed):
         rolled = rollup_inventory(al, level)
         assert rolled.entries and list(rolled.entries) == sorted(rolled.entries), level
     process = rollup_inventory(al, ComponentKind.PROCESS)
-    scaled = scale_to_functional_unit(process, fu(1), al)
+    scaled = per_fu(process, fu(1), al)
     assert list(scaled.entries) == list(process.entries) == sorted(process.entries)
 
 

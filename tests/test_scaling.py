@@ -36,7 +36,7 @@ def relation_walks(size):
     assert len(log.objects) > size // 4 and len(al.rules) > size // 10
     log.relations = CountingList(log.relations)
     build_dfg(log)
-    apply_allocations(al, scoped, al.rules)
+    apply_allocations(al, scoped)
     return log.relations.iterations
 
 
