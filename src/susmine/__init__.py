@@ -43,7 +43,7 @@ from .model import (
     validate_log,
 )
 from .units import UnitRegistry
-from .ocel import LogSummary, log_summary, parse_ocel, serialize_ocel
+from .ocel import parse_ocel, serialize_ocel
 from .annotations import (
     AllocationKey,
     AllocationRule,

@@ -68,12 +68,13 @@ class UncharacterizedFlowError(SusmineError):
 
 
 class NonFiniteImpactError(SusmineError):
-    """An impact product or sum overflowed the float range."""
+    """An impact product or sum overflowed the float range, or an impact
+    per functional unit fell below its normal range."""
 
 
 class ZeroOutputError(SusmineError):
     """Functional-unit scaling found zero measured output in the log, or
-    a scale that is 0 as a float."""
+    a scale whose float is 0 or subnormal."""
 
 
 class NoTargetsError(SusmineError):

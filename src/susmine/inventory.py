@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow, Rounded
 from typing import Iterable, NamedTuple, TextIO
@@ -144,8 +145,9 @@ def rollup_inventory(al: AnnotatedLog, level: ComponentKind) -> Inventory:
 def functional_unit_scale(al: AnnotatedLog, fu: FunctionalUnit) -> tuple[Decimal, Decimal]:
     """The total measured output of the functional unit's object type, and
     the scale reference / output (28 significant digits) that
-    :meth:`Inventory.scaled` takes to the functional unit. A scale that is
-    0 as a float would zero every per-unit impact, so it raises."""
+    :meth:`Inventory.scaled` takes to the functional unit. A scale whose
+    float is 0 or subnormal would zero every per-unit impact or drop its
+    digits, so it raises."""
     if fu.object_type not in al.log.object_types:
         raise UnknownComponentError(f"unknown object type '{fu.object_type}'")
     objects = al.log.members(ComponentRef(ComponentKind.OBJECT_TYPE, fu.object_type))
@@ -167,7 +169,7 @@ def functional_unit_scale(al: AnnotatedLog, fu: FunctionalUnit) -> tuple[Decimal
             f"log contains no measured output of object type '{fu.object_type}'"
         )
     scale = fu.reference.amount / total
-    if not float(scale):
+    if abs(float(scale)) < sys.float_info.min:
         raise ZeroOutputError(
             f"functional unit scale for object type '{fu.object_type}' underflows a float: "
             f"{abbreviate(fu.reference.amount)} / {abbreviate(total)}"

@@ -12,9 +12,11 @@ Accepted grammar (documented in docs/ocel-subset.md):
                        "relationships": [{"objectId": str, "qualifier": str}]}]
     }
 
-Anything else — unknown keys, object-to-object relationships, attribute
-change timelines — is rejected with :class:`SchemaError` rather than
-silently dropped. Attribute values stay plain JSON scalars; exact decimal
+Every record goes through one check (:func:`_record`): a JSON object with
+only its own keys and all of its required ones. Anything else — unknown
+keys, object-to-object relationships, attribute change timelines (a
+``time`` key, or one name given twice) — is rejected with
+:class:`SchemaError` rather than silently dropped. Attribute values stay plain JSON scalars; exact decimal
 handling starts at the annotation layer, not here.
 
 Strict ingest additionally requires the parsed log to pass
@@ -26,12 +28,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import IntegrityError, SchemaError, abbreviate
 from .model import (
-    ComponentKind,
     Event,
     EventLog,
     ObjectInstance,
@@ -42,62 +42,65 @@ from .model import (
     validate_log,
 )
 
-_TOP_KEYS = {"objectTypes", "eventTypes", "objects", "events"}
-_EVENT_KEYS = {"id", "type", "time", "attributes", "relationships"}
-_OBJECT_KEYS = {"id", "type", "attributes"}
+#: Each record kind's keys; required keys are tuples in grammar order, so
+#: the first missing one is named the same way on every run.
+_DOCUMENT_KEYS = ("objectTypes", "eventTypes", "objects", "events")
+_TYPE_KEYS = frozenset({"name", "attributes"})
+_OBJECT_KEYS = frozenset({"id", "type", "attributes"})
+_EVENT_KEYS = frozenset({"id", "type", "time", "attributes", "relationships"})
+_RELATIONSHIP_KEYS = frozenset({"objectId", "qualifier"})
 
 
-@dataclass
-class LogSummary:
-    """Exact tallies over a log; counts equal brute-force scans."""
-
-    event_count: int
-    object_count: int
-    per_activity: dict[str, int]
-    per_object_type: dict[str, int]
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise SchemaError(f"{where}: missing required key '{key}'")
-    return mapping[key]
-
-
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unsupported key(s) {sorted(unknown)}")
-
-
-def _parse_attributes(raw, where: str) -> dict[str, Scalar]:
-    if raw is None:
-        return {}
+def _array(raw, where: str) -> list:
     if not isinstance(raw, list):
-        raise SchemaError(f"{where}: 'attributes' must be an array")
+        raise SchemaError(f"{where} must be an array")
+    return raw
+
+
+def _record(raw, where: str, allowed: frozenset[str], required: tuple[str, ...], entries: str = "entries") -> dict:
+    """``raw`` as a record of the grammar: a JSON object with no key outside
+    ``allowed`` and every key in ``required``."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where}: {entries} must be objects")
+    if not raw.keys() <= allowed:
+        raise SchemaError(f"{where}: unsupported key(s) {sorted(raw.keys() - allowed)}")
+    for key in required:
+        if key not in raw:
+            raise SchemaError(f"{where}: missing required key '{key}'")
+    return raw
+
+
+def _attributes(raw, where: str, field: str = "value") -> dict[str, Scalar]:
+    """An ``attributes`` array as name -> ``field``: ``{name, value}`` entries
+    with a scalar value, or with ``field="type"`` a type's ``{name, type}``
+    declarations. A missing or null array is no attributes."""
     out: dict[str, Scalar] = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: attribute entries must be objects")
-        name = _require(entry, "name", where)
-        value = _require(entry, "value", where)
+    if raw is None:
+        return out
+    allowed, required = frozenset({"name", field}), ("name", field)
+    for entry in _array(raw, f"{where}: 'attributes'"):
+        _record(entry, where, allowed, required, "attribute entries")
+        name = entry["name"]
+        value = entry[field]
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{where}: attribute names must be non-empty strings")
+        if name in out:
+            raise SchemaError(f"{where}: attribute '{name}' is repeated")
+        if field == "type" and not isinstance(value, str):
+            raise SchemaError(f"{where}: attribute '{name}' type must be a string")
         if isinstance(value, (dict, list)):
             raise SchemaError(f"{where}: attribute '{name}' must be a scalar")
         out[name] = value
     return out
 
 
-def _parse_type_names(raw, where: str) -> set[str]:
-    if not isinstance(raw, list):
-        raise SchemaError(f"'{where}' must be an array")
+def _type_names(raw, section: str) -> set[str]:
     names: set[str] = set()
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: entries must be objects")
-        name = _require(entry, "name", where)
+    for entry in _array(raw, f"'{section}'"):
+        name = _record(entry, section, _TYPE_KEYS, ("name",))["name"]
         if not isinstance(name, str) or not name:
-            raise SchemaError(f"{where}: type names must be non-empty strings")
+            raise SchemaError(f"{section}: type names must be non-empty strings")
+        _attributes(entry.get("attributes"), f"{section} '{name}'", "type")
         names.add(name)
     return names
 
@@ -131,41 +134,28 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     )
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "document")
-    for key in _TOP_KEYS:
-        _require(data, key, "document")
+    _record(data, "document", frozenset(_DOCUMENT_KEYS), _DOCUMENT_KEYS)
 
-    activity_types = _parse_type_names(data["eventTypes"], "eventTypes")
-    object_types = _parse_type_names(data["objectTypes"], "objectTypes")
+    activity_types = _type_names(data["eventTypes"], "eventTypes")
+    object_types = _type_names(data["objectTypes"], "objectTypes")
 
     objects: list[ObjectInstance] = []
-    if not isinstance(data["objects"], list):
-        raise SchemaError("'objects' must be an array")
-    for raw in data["objects"]:
-        if not isinstance(raw, dict):
-            raise SchemaError("objects: entries must be objects")
-        if "relationships" in raw:
+    for raw in _array(data["objects"], "'objects'"):
+        if isinstance(raw, dict) and "relationships" in raw:
             raise SchemaError("objects: object-to-object relationships are not supported")
-        _check_keys(raw, _OBJECT_KEYS, "objects")
-        oid = _require(raw, "id", "objects")
-        otype = _require(raw, "type", "objects")
+        _record(raw, "objects", _OBJECT_KEYS, ("id", "type"))
+        oid, otype = raw["id"], raw["type"]
         if not isinstance(oid, str) or not isinstance(otype, str):
             raise SchemaError("objects: 'id' and 'type' must be strings")
         if not otype:
             raise SchemaError(f"object '{oid}': 'type' must be a non-empty string")
-        objects.append(ObjectInstance(oid, otype, _parse_attributes(raw.get("attributes"), f"object '{oid}'")))
+        objects.append(ObjectInstance(oid, otype, _attributes(raw.get("attributes"), f"object '{oid}'")))
 
     events: list[Event] = []
     relations: list[Relation] = []
-    if not isinstance(data["events"], list):
-        raise SchemaError("'events' must be an array")
-    for raw in data["events"]:
-        if not isinstance(raw, dict):
-            raise SchemaError("events: entries must be objects")
-        _check_keys(raw, _EVENT_KEYS, "events")
-        eid = _require(raw, "id", "events")
-        etype = _require(raw, "type", "events")
-        time_raw = _require(raw, "time", "events")
+    for raw in _array(data["events"], "'events'"):
+        _record(raw, "events", _EVENT_KEYS, ("id", "type", "time"))
+        eid, etype, time_raw = raw["id"], raw["type"], raw["time"]
         if not isinstance(eid, str) or not isinstance(etype, str) or not isinstance(time_raw, str):
             raise SchemaError("events: 'id', 'type' and 'time' must be strings")
         if not etype:
@@ -174,18 +164,13 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
             ts = parse_timestamp(time_raw)
         except ValueError as exc:
             raise SchemaError(f"event '{eid}': unparseable time '{time_raw}'") from exc
-        events.append(Event(eid, etype, ts, _parse_attributes(raw.get("attributes"), f"event '{eid}'")))
-        rels = raw.get("relationships", [])
-        if not isinstance(rels, list):
-            raise SchemaError(f"event '{eid}': 'relationships' must be an array")
-        for rel in rels:
-            if not isinstance(rel, dict):
-                raise SchemaError(f"event '{eid}': relationship entries must be objects")
-            _check_keys(rel, {"objectId", "qualifier"}, f"event '{eid}' relationship")
-            obj_id = _require(rel, "objectId", f"event '{eid}' relationship")
-            qualifier = rel.get("qualifier", "")
+        events.append(Event(eid, etype, ts, _attributes(raw.get("attributes"), f"event '{eid}'")))
+        where = f"event '{eid}' relationship"
+        for rel in _array(raw.get("relationships", []), f"event '{eid}': 'relationships'"):
+            _record(rel, where, _RELATIONSHIP_KEYS, ("objectId",))
+            obj_id, qualifier = rel["objectId"], rel.get("qualifier", "")
             if not isinstance(obj_id, str) or not isinstance(qualifier, str):
-                raise SchemaError(f"event '{eid}': relationship fields must be strings")
+                raise SchemaError(f"{where}: 'objectId' and 'qualifier' must be strings")
             relations.append(Relation(eid, obj_id, qualifier))
 
     log = EventLog(
@@ -245,11 +230,3 @@ def serialize_ocel(log: EventLog) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def log_summary(log: EventLog) -> LogSummary:
-    return LogSummary(
-        event_count=len(log.events),
-        object_count=len(log.objects),
-        per_activity=log.member_counts(ComponentKind.ACTIVITY_TYPE),
-        per_object_type=log.member_counts(ComponentKind.OBJECT_TYPE),
-    )

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -40,7 +41,6 @@ from .allocation import LedgerEntry
 from .model import ComponentKind, ComponentRef, Direction, Quantity
 from .impact import classify_impacts
 from .inventory import InvKey, inventory_to_csv, write_csv
-from .ocel import log_summary
 from .pipeline import PipelineResult
 from .scoping import ScopedVector, collapse_scopes, unscoped_share
 
@@ -96,7 +96,6 @@ def _layout(result: PipelineResult) -> dict:
     """The report's one skeleton: its small sections as dicts, each bulk
     list section as a :class:`_Rows`."""
     al = result.al
-    summary = log_summary(al.log)
     totals = result.totals
     category_totals = collapse_scopes(totals)
     by_class = classify_impacts(category_totals, al.table)
@@ -116,10 +115,10 @@ def _layout(result: PipelineResult) -> dict:
         "mode": result.mode.value,
         "log": {
             "digest": al.log.digest(),
-            "event_count": summary.event_count,
-            "object_count": summary.object_count,
-            "per_activity": summary.per_activity,
-            "per_object_type": summary.per_object_type,
+            "event_count": len(al.log.events),
+            "object_count": len(al.log.objects),
+            "per_activity": al.log.member_counts(ComponentKind.ACTIVITY_TYPE),
+            "per_object_type": al.log.member_counts(ComponentKind.OBJECT_TYPE),
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {
@@ -154,10 +153,11 @@ def _layout(result: PipelineResult) -> dict:
         per_fu: ScopedVector = {}
         for (category, scope), q in totals.items():
             amount = q.amount * scale
-            if not math.isfinite(amount):
+            if not math.isfinite(amount) or (q.amount and abs(amount) < sys.float_info.min):
                 raise NonFiniteImpactError(
                     f"impact per functional unit in category '{category}', scope '{scope}' "
-                    f"overflows a float ({q.amount} {q.unit} x scale {result.fu_scale})"
+                    f"{'underflows' if math.isfinite(amount) else 'overflows'} a float "
+                    f"({q.amount} {q.unit} x scale {result.fu_scale})"
                 )
             per_fu[category, scope] = Quantity(amount, q.unit)
         report["functional_unit"] = {

@@ -15,7 +15,6 @@ from decimal import Decimal
 
 from susmine.impact import classify_impacts
 from susmine.model import Quantity
-from susmine.ocel import log_summary
 
 
 def _counts(log_doc):
@@ -148,7 +147,11 @@ def report_dict(result):
     """``report.json``'s document for a pipeline result, built as one dict
     with every list in its documented order."""
     al = result.al
-    summary = log_summary(al.log)
+    per_activity, per_object_type = {}, {}
+    for e in al.log.events:
+        per_activity[e.activity] = per_activity.get(e.activity, 0) + 1
+    for o in al.log.objects:
+        per_object_type[o.object_type] = per_object_type.get(o.object_type, 0) + 1
     totals = result.totals
     category_totals = _category_totals(totals)
     by_scope = _cells_dict(totals)
@@ -158,10 +161,10 @@ def report_dict(result):
         "mode": result.mode.value,
         "log": {
             "digest": al.log.digest(),
-            "event_count": summary.event_count,
-            "object_count": summary.object_count,
-            "per_activity": summary.per_activity,
-            "per_object_type": summary.per_object_type,
+            "event_count": len(al.log.events),
+            "object_count": len(al.log.objects),
+            "per_activity": per_activity,
+            "per_object_type": per_object_type,
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {

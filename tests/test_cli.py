@@ -674,12 +674,24 @@ def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys
         assert not out.exists()
 
 
-@pytest.mark.parametrize("amount", ["1e-999999999", "1e-400"])
+def test_assess_rejects_impacts_per_functional_unit_that_underflow(tmp_path, capsys, demo_log_path,
+                                                                  demo_bundle_path):
+    # the scale is a normal float, but a small total times it is subnormal
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "assess", "--log", str(demo_log_path), "--annotations",
+                            str(demo_bundle_path), "--out", str(out), "--fu", "order:1e-305")
+    assert (code, stdout) == (1, "")
+    assert err == ("error [write-outputs]: impact per functional unit in category 'work_accidents', "
+                   "scope 'scope1' underflows a float (1e-05 count x scale 1E-305)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("amount", ["1e-999999999", "1e-400", "1e-320"])
 @pytest.mark.parametrize("command", ["assess", "inventory"])
 def test_functional_unit_scale_that_underflows_a_float_is_an_error(command, amount, tmp_path, capsys,
                                                                     demo_log_path, demo_bundle_path):
-    # reference / output is a positive decimal whose float is 0, which would
-    # zero every per-unit figure
+    # reference / output is a positive decimal whose float is 0 or subnormal,
+    # which would zero every per-unit figure or drop its digits
     out = tmp_path / "out"
     code, stdout, err = run(capsys, command, "--log", str(demo_log_path), "--annotations",
                             str(demo_bundle_path), "--out", str(out), "--fu", f"order:{amount}")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from susmine import IntegrityError, SchemaError, build_dfg, log_summary, parse_ocel, serialize_ocel
+import susmine
+from susmine import ComponentKind, IntegrityError, SchemaError, build_dfg, parse_ocel, serialize_ocel
 from susmine.generator import generate_bundle
 
 from conftest import make_log_doc
@@ -55,6 +59,89 @@ def test_unknown_key_rejected():
     doc["events"][0]["extras"] = 1
     with pytest.raises(SchemaError):
         parse_ocel(json.dumps(doc))
+
+
+def _with_extra_key(record):
+    record["extra"] = 1
+
+
+def _attribute_with_extra_key(record):
+    record["attributes"] = [{"name": "price", "value": 1, "extra": 1}]
+
+
+def _declaration_with_extra_key(record):
+    record["attributes"] = [{"name": "price", "type": "float", "extra": 1}]
+
+
+@pytest.mark.parametrize("path, edit, prefix", [
+    ((), _with_extra_key, "document"),
+    (("objectTypes", 0), _with_extra_key, "objectTypes"),
+    (("eventTypes", 0), _declaration_with_extra_key, "eventTypes 'pack'"),
+    (("objects", 0), _with_extra_key, "objects"),
+    (("events", 0), _with_extra_key, "events"),
+    (("events", 0, "relationships", 0), _with_extra_key, "event 'e1' relationship"),
+    (("objects", 0), _attribute_with_extra_key, "object 'o1'"),
+    (("events", 0), _attribute_with_extra_key, "event 'e1'"),
+], ids=["document", "type", "declaration", "object", "event", "relationship", "object-attribute",
+        "event-attribute"])
+def test_every_record_kind_rejects_an_unknown_key(path, edit, prefix):
+    doc = json.loads(json.dumps(MINIMAL))
+    record = doc
+    for step in path:
+        record = record[step]
+    edit(record)
+    with pytest.raises(SchemaError) as excinfo:
+        parse_ocel(json.dumps(doc))
+    assert str(excinfo.value) == f"{prefix}: unsupported key(s) ['extra']"
+
+
+@pytest.mark.parametrize("attributes, message", [
+    ([{"name": "price", "value": 1, "time": "2024-01-01T08:00:00Z"},
+      {"name": "price", "value": 2, "time": "2024-01-02T08:00:00Z"}],
+     "object 'o1': unsupported key(s) ['time']"),
+    ([{"name": "price", "value": 1}, {"name": "price", "value": 2}],
+     "object 'o1': attribute 'price' is repeated"),
+], ids=["time-key", "repeated-name"])
+def test_object_attribute_timelines_rejected(attributes, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["objects"][0]["attributes"] = attributes
+    with pytest.raises(SchemaError) as excinfo:
+        parse_ocel(json.dumps(doc), strict=False)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("attributes, message", [
+    ({"name": "price", "type": "float"}, "objectTypes 'order': 'attributes' must be an array"),
+    (["price"], "objectTypes 'order': attribute entries must be objects"),
+    ([{"name": "price"}], "objectTypes 'order': missing required key 'type'"),
+    ([{"type": "float"}], "objectTypes 'order': missing required key 'name'"),
+    ([{"name": "price", "value": 1.5}], "objectTypes 'order': unsupported key(s) ['value']"),
+    ([{"name": "", "type": "float"}], "objectTypes 'order': attribute names must be non-empty strings"),
+    ([{"name": "price", "type": 1}], "objectTypes 'order': attribute 'price' type must be a string"),
+    ([{"name": "price", "type": "float"}, {"name": "price", "type": "int"}],
+     "objectTypes 'order': attribute 'price' is repeated"),
+], ids=["not-an-array", "not-an-object", "no-type", "no-name", "value-key", "empty-name", "non-string-type",
+        "repeated-name"])
+def test_attribute_declarations_are_name_and_type_strings(attributes, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["objectTypes"][0]["attributes"] = [{"name": "price", "type": "float"}]
+    assert parse_ocel(json.dumps(doc)).object_types == {"order"}
+    doc["objectTypes"][0]["attributes"] = attributes
+    with pytest.raises(SchemaError) as excinfo:
+        parse_ocel(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+def test_missing_keys_are_named_in_grammar_order_under_any_hash_seed():
+    doc = {"objectTypes": [], "eventTypes": []}
+    script = ("import sys\nfrom susmine import SchemaError, parse_ocel\n"
+              "try:\n    parse_ocel(sys.argv[1])\nexcept SchemaError as exc:\n    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(susmine.__file__))
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(doc)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "document: missing required key 'objects'\n", (seed, done.stderr)
 
 
 def test_object_to_object_relationships_rejected():
@@ -115,12 +202,11 @@ def test_round_trip_is_fixed_point_beyond_200_events(seed, size):
 def test_generator_round_trip_matches_declared_counts():
     bundle = generate_bundle(11, 100)
     log = parse_ocel(bundle.log_json)
-    summary = log_summary(log)
     counts = bundle.ground_truth["counts"]
-    assert summary.event_count == counts["events"]
-    assert summary.object_count == counts["objects"]
-    assert summary.per_activity == counts["per_activity"]
-    assert summary.per_object_type == counts["per_object_type"]
+    assert len(log.events) == counts["events"]
+    assert len(log.objects) == counts["objects"]
+    assert log.member_counts(ComponentKind.ACTIVITY_TYPE) == counts["per_activity"]
+    assert log.member_counts(ComponentKind.OBJECT_TYPE) == counts["per_object_type"]
 
 
 def test_sorted_view_respects_timestamps_and_breaks_ties_by_id():
@@ -142,11 +228,10 @@ def test_sorted_view_respects_timestamps_and_breaks_ties_by_id():
 
 def test_empty_log_summary():
     log = parse_ocel(json.dumps(make_log_doc()))
-    summary = log_summary(log)
-    assert summary.event_count == 0
-    assert summary.object_count == 0
-    assert summary.per_activity == {}
-    assert summary.per_object_type == {}
+    assert len(log.events) == 0
+    assert len(log.objects) == 0
+    assert log.member_counts(ComponentKind.ACTIVITY_TYPE) == {}
+    assert log.member_counts(ComponentKind.OBJECT_TYPE) == {}
 
 
 def test_summary_example_counts():
@@ -155,20 +240,19 @@ def test_summary_example_counts():
         for i, activity in enumerate(["ship", "ship", "ship", "pack", "pack"])
     ]
     log = parse_ocel(json.dumps(make_log_doc(events=events)))
-    assert log_summary(log).per_activity == {"pack": 2, "ship": 3}
+    assert log.member_counts(ComponentKind.ACTIVITY_TYPE) == {"pack": 2, "ship": 3}
 
 
 def test_summary_matches_brute_force_recount():
     bundle = generate_bundle(29, 120)
     doc = json.loads(bundle.log_json)
     log = parse_ocel(bundle.log_json)
-    summary = log_summary(log)
     recount_activity = {}
     for e in doc["events"]:
         recount_activity[e["type"]] = recount_activity.get(e["type"], 0) + 1
     recount_types = {}
     for o in doc["objects"]:
         recount_types[o["type"]] = recount_types.get(o["type"], 0) + 1
-    assert summary.per_activity == recount_activity
-    assert summary.per_object_type == recount_types
+    assert log.member_counts(ComponentKind.ACTIVITY_TYPE) == recount_activity
+    assert log.member_counts(ComponentKind.OBJECT_TYPE) == recount_types
 
