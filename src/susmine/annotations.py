@@ -34,7 +34,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import SchemaError, UnknownScopeError, UnknownUnitError, abbreviate
+from .errors import SchemaError, UnknownScopeError, UnknownUnitError, abbreviate, array, record
 from .model import ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
 from .units import UnitRegistry
 
@@ -200,6 +200,37 @@ class AnnotatedLog:
     registry: UnitRegistry
 
 
+#: Each record kind's keys; required keys are tuples in grammar order, so
+#: the first missing one is named the same way on every run.
+_BUNDLE_KEYS = frozenset({"schema", "units", "scopes", "assignments", "characterization", "allocations"})
+_UNITS_KEYS = frozenset({"declare", "conversions"})
+_CONVERSION_KEYS = frozenset({"from", "to", "factor"})
+_SCOPE_SET_KEYS = frozenset({"name", "scopes"})
+_COMPONENT_KEYS = frozenset({"kind", "id"})
+_ASSIGNMENT_REQUIRED = ("component", "flow", "direction", "amount", "unit")
+_ASSIGNMENT_KEYS = frozenset({*_ASSIGNMENT_REQUIRED, "scope", "basis", "override"})
+_TABLE_KEYS = frozenset({"categories", "factors"})
+_CATEGORY_KEYS = frozenset({"impact_unit", "class"})
+_FACTOR_KEYS = frozenset({"flow", "unit", "direction", "factors"})
+_RULE_KEYS = frozenset({"source", "targets", "qualifier", "key", "fraction"})
+_KEY_KEYS = frozenset({"attribute"})
+
+#: Each enumerated field's values, by field name.
+_CHOICES = {
+    field: {member.value: member for member in enum}
+    for field, enum in [("kind", ComponentKind), ("direction", Direction), ("basis", Basis), ("class", ImpactClass)]
+}
+
+
+def _choice(raw, field: str, where: str):
+    """The member ``raw`` names among ``field``'s values."""
+    members = _CHOICES[field]
+    if isinstance(raw, str) and raw in members:  # a list or an object is unhashable
+        return members[raw]
+    *head, last = map(repr, members)
+    raise SchemaError(f"{where}: {field} must be {', '.join(head)} or {last}, got {raw!r}")
+
+
 def _as_decimal(value, where: str) -> Decimal:
     if isinstance(value, Decimal):
         dec = value
@@ -220,13 +251,7 @@ def _as_decimal(value, where: str) -> Decimal:
 
 
 def parse_component_ref(raw, where: str) -> ComponentRef:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: component must be an object with 'kind'")
-    kind_raw = raw.get("kind")
-    try:
-        kind = ComponentKind(kind_raw)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown component kind '{kind_raw}'") from None
+    kind = _choice(record(raw, where, _COMPONENT_KEYS, ("kind",), None)["kind"], "kind", where)
     cid = raw.get("id")
     if kind is ComponentKind.PROCESS:
         if cid is not None:
@@ -246,8 +271,8 @@ def parse_scope_set(raw) -> ScopeSet:
             raise SchemaError(f"unknown scope preset '{raw}' (expected one of {sorted(SCOPE_PRESETS)})")
         return preset
     if isinstance(raw, dict):
-        name = raw.get("name")
-        scopes = raw.get("scopes")
+        record(raw, "custom scope set", _SCOPE_SET_KEYS, ("name", "scopes"))
+        name, scopes = raw["name"], raw["scopes"]
         if not isinstance(name, str) or not name:
             raise SchemaError("custom scope set requires a 'name'")
         if not isinstance(scopes, list) or not all(isinstance(s, str) and s for s in scopes):
@@ -259,42 +284,29 @@ def parse_scope_set(raw) -> ScopeSet:
 def _parse_registry(raw) -> UnitRegistry:
     if raw is None:
         return UnitRegistry()
-    if not isinstance(raw, dict):
-        raise SchemaError("'units' must be an object")
+    record(raw, "'units'", _UNITS_KEYS, entries=None)
     declare = raw.get("declare", [])
     if not isinstance(declare, list) or not all(isinstance(u, str) and u for u in declare):
         raise SchemaError("units.declare must be a list of unit names")
-    conversions_raw = raw.get("conversions", [])
-    if not isinstance(conversions_raw, list):
-        raise SchemaError("units.conversions must be an array")
     conversions: dict[tuple[str, str], Decimal] = {}
-    for conv in conversions_raw:
-        if not isinstance(conv, dict):
-            raise SchemaError("units.conversions entries must be objects")
-        src, dst = conv.get("from"), conv.get("to")
+    for conv in array(raw.get("conversions", []), "units.conversions"):
+        record(conv, "units.conversions", _CONVERSION_KEYS, ("from", "to", "factor"))
+        src, dst = conv["from"], conv["to"]
         if not isinstance(src, str) or not isinstance(dst, str):
             raise SchemaError("units.conversions entries need 'from' and 'to'")
-        conversions[(src, dst)] = _as_decimal(conv.get("factor"), f"conversion {src}->{dst}")
+        conversions[(src, dst)] = _as_decimal(conv["factor"], f"conversion {src}->{dst}")
     return UnitRegistry(units=set(declare), conversions=conversions)
 
 
-def _parse_direction(raw, where: str) -> Direction:
-    try:
-        return Direction(raw)
-    except ValueError:
-        raise SchemaError(f"{where}: direction must be 'input' or 'output', got {raw!r}") from None
-
-
 def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: str) -> FlowAssignment:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: assignments must be objects")
-    component = parse_component_ref(raw.get("component"), where)
-    flow = raw.get("flow")
+    record(raw, where, _ASSIGNMENT_KEYS, _ASSIGNMENT_REQUIRED, "assignments")
+    component = parse_component_ref(raw["component"], f"{where} component")
+    flow = raw["flow"]
     if not isinstance(flow, str) or not flow:
         raise SchemaError(f"{where}: 'flow' must be a non-empty string")
-    direction = _parse_direction(raw.get("direction"), where)
-    amount = _as_decimal(raw.get("amount"), f"{where} amount")
-    unit = raw.get("unit")
+    direction = _choice(raw["direction"], "direction", where)
+    amount = _as_decimal(raw["amount"], f"{where} amount")
+    unit = raw["unit"]
     if not isinstance(unit, str) or not unit:
         raise SchemaError(f"{where}: 'unit' must be a non-empty string")
     if not registry.has_unit(unit):
@@ -307,11 +319,7 @@ def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: s
             raise UnknownScopeError(
                 f"{where}: scope '{scope}' not in scope set '{scope_set.name}' {list(scope_set.scopes)}"
             )
-    basis_raw = raw.get("basis", Basis.ABSOLUTE.value)
-    try:
-        basis = Basis(basis_raw)
-    except ValueError:
-        raise SchemaError(f"{where}: basis must be 'absolute' or 'per_instance'") from None
+    basis = _choice(raw.get("basis", Basis.ABSOLUTE.value), "basis", where)
     if basis is Basis.PER_INSTANCE and component.kind not in _TYPE_KINDS:
         raise SchemaError(f"{where}: per_instance basis is only legal on type-level components")
     override = raw.get("override", False)
@@ -326,12 +334,7 @@ def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> C
     """Check one category declaration, from a bundle or a CSV row."""
     if not isinstance(impact_unit, str) or not impact_unit:
         raise SchemaError(f"{where}: 'impact_unit' required")
-    try:
-        impact_class = ImpactClass(class_raw)
-    except ValueError:
-        raise SchemaError(
-            f"{where}: class must be climate, environmental or social, got {class_raw!r}"
-        ) from None
+    impact_class = _choice(class_raw, "class", where)
     if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
         raise SchemaError(f"{where}: climate categories must use 'kg CO2e' under the ghg preset")
     return CategoryInfo(impact_unit, impact_class)
@@ -340,38 +343,30 @@ def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> C
 def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
     if raw is None:
         return CharacterizationTable()
-    if not isinstance(raw, dict):
-        raise SchemaError("'characterization' must be an object")
+    record(raw, "'characterization'", _TABLE_KEYS, entries=None)
 
     categories_raw = raw.get("categories", {})
-    if not isinstance(categories_raw, dict):
+    if not isinstance(categories_raw, dict):  # category names are data, not grammar
         raise SchemaError("characterization.categories must be an object")
     categories: dict[str, CategoryInfo] = {}
     for name, info in sorted(categories_raw.items()):
-        if not isinstance(info, dict):
-            raise SchemaError(f"category '{name}': declaration must be an object")
-        categories[name] = _category_info(
-            info.get("impact_unit"), info.get("class"), scope_set, f"category '{name}'"
-        )
+        where = f"category '{name}'"
+        record(info, where, _CATEGORY_KEYS, ("impact_unit", "class"), None)
+        categories[name] = _category_info(info["impact_unit"], info["class"], scope_set, where)
 
-    entries_raw = raw.get("factors", [])
-    if not isinstance(entries_raw, list):
-        raise SchemaError("characterization.factors must be an array")
     entries: dict[tuple[str, str], TableEntry] = {}
-    for entry_raw in entries_raw:
-        if not isinstance(entry_raw, dict):
-            raise SchemaError("characterization.factors entries must be objects")
-        flow = entry_raw.get("flow")
-        unit = entry_raw.get("unit")
+    for entry_raw in array(raw.get("factors", []), "characterization.factors"):
+        record(entry_raw, "characterization.factors", _FACTOR_KEYS, ("flow", "unit"))
+        flow, unit = entry_raw["flow"], entry_raw["unit"]
         if not isinstance(flow, str) or not flow or not isinstance(unit, str) or not unit:
             raise SchemaError("factor entries require 'flow' and 'unit'")
         if not registry.has_unit(unit):
             raise UnknownUnitError(f"factor entry for '{flow}': unit '{unit}' not in registry")
         direction = None
         if entry_raw.get("direction") is not None:
-            direction = _parse_direction(entry_raw["direction"], f"factor entry '{flow}'")
+            direction = _choice(entry_raw["direction"], "direction", f"factor entry '{flow}'")
         factors_raw = entry_raw.get("factors", {})
-        if not isinstance(factors_raw, dict):
+        if not isinstance(factors_raw, dict):  # category names are data, not grammar
             raise SchemaError(f"factor entry '{flow}': 'factors' must be an object")
         factors: dict[str, float] = {}
         for category, value in sorted(factors_raw.items()):
@@ -393,7 +388,7 @@ def _parse_key(raw, where: str) -> AllocationKey:
     if raw == "economic_value":
         return AllocationKey("economic_value", "economic_value")
     if isinstance(raw, dict):
-        attribute = raw.get("attribute")
+        attribute = record(raw, f"{where} key", _KEY_KEYS, ("attribute",))["attribute"]
         if not isinstance(attribute, str) or not attribute:
             raise SchemaError(f"{where}: proportional key requires a non-empty 'attribute'")
         return AllocationKey(f"attribute:{attribute}", attribute)
@@ -401,9 +396,8 @@ def _parse_key(raw, where: str) -> AllocationKey:
 
 
 def _parse_rule(raw, where: str) -> AllocationRule:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: allocation rules must be objects")
-    source = parse_component_ref(raw.get("source"), where)
+    record(raw, where, _RULE_KEYS, ("source",), "allocation rules")
+    source = parse_component_ref(raw["source"], f"{where} source")
     targets_raw = raw.get("targets", RELATED_EVENTS)
     targets: str | tuple[ComponentRef, ...]
     if targets_raw == RELATED_EVENTS:
@@ -436,28 +430,21 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
     # integers as decimals too: no int() digit limit, and _as_decimal's
     # overflow check sees every number
     data = json.loads(document, parse_float=Decimal, parse_int=Decimal)
-    if not isinstance(data, dict):
-        raise SchemaError("annotation bundle must be a JSON object")
+    record(data, "annotation bundle", _BUNDLE_KEYS, entries=None)
     if data.get("schema") != SCHEMA_ID:
         raise SchemaError(f"annotation bundle must declare \"schema\": \"{SCHEMA_ID}\"")
 
     registry = _parse_registry(data.get("units"))
     scope_set = scopes_override if scopes_override is not None else parse_scope_set(data.get("scopes"))
     table = _parse_table(data.get("characterization"), scope_set, registry)
-
-    assignments_raw = data.get("assignments", [])
-    if not isinstance(assignments_raw, list):
-        raise SchemaError("'assignments' must be an array")
     assignments = [
         _parse_assignment(raw, scope_set, registry, f"assignment #{i}")
-        for i, raw in enumerate(assignments_raw)
+        for i, raw in enumerate(array(data.get("assignments", []), "'assignments'"))
     ]
-
-    rules_raw = data.get("allocations", [])
-    if not isinstance(rules_raw, list):
-        raise SchemaError("'allocations' must be an array")
-    rules = [_parse_rule(raw, f"allocation #{i}") for i, raw in enumerate(rules_raw)]
-
+    rules = [
+        _parse_rule(raw, f"allocation #{i}")
+        for i, raw in enumerate(array(data.get("allocations", []), "'allocations'"))
+    ]
     return AnnotationBundle(assignments, table, scope_set, rules, registry)
 
 

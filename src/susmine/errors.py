@@ -15,6 +15,29 @@ def abbreviate(literal) -> str:
     return f"{text[:24]}... ({len(text)} {'digits' if text.isdigit() else 'characters'})"
 
 
+def array(raw, where: str) -> list:
+    """``raw`` as an array of a JSON grammar."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where} must be an array")
+    return raw
+
+
+def record(raw, where: str, allowed: frozenset[str], required: tuple[str, ...] = (),
+           entries: str | None = "entries") -> dict:
+    """``raw`` as a record of a JSON grammar: an object with no key outside
+    ``allowed`` and every key in ``required``, the first missing one named
+    in the tuple's order. ``entries`` names what must be objects when the
+    record is an array entry; None words the message for a single record."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be an object" if entries is None else f"{where}: {entries} must be objects")
+    if not raw.keys() <= allowed:
+        raise SchemaError(f"{where}: unsupported key(s) {sorted(raw.keys() - allowed)}")
+    for key in required:
+        if key not in raw:
+            raise SchemaError(f"{where}: missing required key '{key}'")
+    return raw
+
+
 class SusmineError(Exception):
     """Base class for all engine errors."""
 

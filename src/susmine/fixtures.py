@@ -13,10 +13,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MissingFixtureError, SchemaError
+from .errors import MissingFixtureError, SchemaError, array, record
 
 MANIFEST_SCHEMA_ID = "susmine-manifest/1"
 MANIFEST_NAME = "MANIFEST.json"
+_MANIFEST_KEYS = frozenset({"schema", "files"})
+_FILE_KEYS = frozenset({"path", "sha256", "description"})
 
 
 @dataclass(frozen=True)
@@ -37,13 +39,15 @@ def fixture_path(rel: str) -> Path:
 
 def load_manifest(root: Path | None = None) -> list[ManifestEntry]:
     root = root or data_root()
-    raw = json.loads((root / MANIFEST_NAME).read_text("utf-8"))
-    if not isinstance(raw, dict) or raw.get("schema") != MANIFEST_SCHEMA_ID:
+    raw = record(json.loads((root / MANIFEST_NAME).read_text("utf-8")), "manifest", _MANIFEST_KEYS, entries=None)
+    if raw.get("schema") != MANIFEST_SCHEMA_ID:
         raise SchemaError(f"manifest must declare \"schema\": \"{MANIFEST_SCHEMA_ID}\"")
-    entries = []
-    for item in raw.get("files", []):
-        entries.append(ManifestEntry(item["path"], item["sha256"], item.get("description", "")))
-    return entries
+    files = array(raw.get("files", []), "manifest 'files'")
+    for item in files:
+        record(item, "manifest", _FILE_KEYS, ("path", "sha256"), "files")
+        if not isinstance(item["path"], str) or not isinstance(item["sha256"], str):
+            raise SchemaError("manifest: 'path' and 'sha256' must be strings")
+    return [ManifestEntry(item["path"], item["sha256"], item.get("description", "")) for item in files]
 
 
 def _digest(path: Path) -> str:

@@ -12,12 +12,13 @@ Accepted grammar (documented in docs/ocel-subset.md):
                        "relationships": [{"objectId": str, "qualifier": str}]}]
     }
 
-Every record goes through one check (:func:`_record`): a JSON object with
-only its own keys and all of its required ones. Anything else — unknown
-keys, object-to-object relationships, attribute change timelines (a
-``time`` key, or one name given twice) — is rejected with
-:class:`SchemaError` rather than silently dropped. Attribute values stay plain JSON scalars; exact decimal
-handling starts at the annotation layer, not here.
+Every record goes through one check (:func:`susmine.errors.record`): a
+JSON object with only its own keys and all of its required ones. Anything
+else — unknown keys, object-to-object relationships, attribute change
+timelines (a ``time`` key, or one name given twice), a type name given
+twice — is rejected with :class:`SchemaError` rather than silently
+dropped. Attribute values stay plain JSON scalars; exact decimal handling
+starts at the annotation layer, not here.
 
 Strict ingest additionally requires the parsed log to pass
 :func:`validate_log`; lenient ingest returns the log as-is so dirty data
@@ -30,7 +31,7 @@ import json
 import math
 from decimal import Decimal
 
-from .errors import IntegrityError, SchemaError, abbreviate
+from .errors import IntegrityError, SchemaError, abbreviate, array, record
 from .model import (
     Event,
     EventLog,
@@ -51,35 +52,14 @@ _EVENT_KEYS = frozenset({"id", "type", "time", "attributes", "relationships"})
 _RELATIONSHIP_KEYS = frozenset({"objectId", "qualifier"})
 
 
-def _array(raw, where: str) -> list:
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where} must be an array")
-    return raw
-
-
-def _record(raw, where: str, allowed: frozenset[str], required: tuple[str, ...], entries: str = "entries") -> dict:
-    """``raw`` as a record of the grammar: a JSON object with no key outside
-    ``allowed`` and every key in ``required``."""
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: {entries} must be objects")
-    if not raw.keys() <= allowed:
-        raise SchemaError(f"{where}: unsupported key(s) {sorted(raw.keys() - allowed)}")
-    for key in required:
-        if key not in raw:
-            raise SchemaError(f"{where}: missing required key '{key}'")
-    return raw
-
-
 def _attributes(raw, where: str, field: str = "value") -> dict[str, Scalar]:
     """An ``attributes`` array as name -> ``field``: ``{name, value}`` entries
     with a scalar value, or with ``field="type"`` a type's ``{name, type}``
-    declarations. A missing or null array is no attributes."""
+    declarations."""
     out: dict[str, Scalar] = {}
-    if raw is None:
-        return out
     allowed, required = frozenset({"name", field}), ("name", field)
-    for entry in _array(raw, f"{where}: 'attributes'"):
-        _record(entry, where, allowed, required, "attribute entries")
+    for entry in array(raw, f"{where}: 'attributes'"):
+        record(entry, where, allowed, required, "attribute entries")
         name = entry["name"]
         value = entry[field]
         if not isinstance(name, str) or not name:
@@ -96,11 +76,13 @@ def _attributes(raw, where: str, field: str = "value") -> dict[str, Scalar]:
 
 def _type_names(raw, section: str) -> set[str]:
     names: set[str] = set()
-    for entry in _array(raw, f"'{section}'"):
-        name = _record(entry, section, _TYPE_KEYS, ("name",))["name"]
+    for entry in array(raw, f"'{section}'"):
+        name = record(entry, section, _TYPE_KEYS, ("name",))["name"]
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{section}: type names must be non-empty strings")
-        _attributes(entry.get("attributes"), f"{section} '{name}'", "type")
+        if name in names:
+            raise SchemaError(f"{section}: type '{name}' is repeated")
+        _attributes(entry.get("attributes", []), f"{section} '{name}'", "type")
         names.add(name)
     return names
 
@@ -132,29 +114,27 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     data = json.loads(
         document, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int
     )
-    if not isinstance(data, dict):
-        raise SchemaError("top level must be a JSON object")
-    _record(data, "document", frozenset(_DOCUMENT_KEYS), _DOCUMENT_KEYS)
+    record(data, "document", frozenset(_DOCUMENT_KEYS), _DOCUMENT_KEYS, None)
 
     activity_types = _type_names(data["eventTypes"], "eventTypes")
     object_types = _type_names(data["objectTypes"], "objectTypes")
 
     objects: list[ObjectInstance] = []
-    for raw in _array(data["objects"], "'objects'"):
+    for raw in array(data["objects"], "'objects'"):
         if isinstance(raw, dict) and "relationships" in raw:
             raise SchemaError("objects: object-to-object relationships are not supported")
-        _record(raw, "objects", _OBJECT_KEYS, ("id", "type"))
+        record(raw, "objects", _OBJECT_KEYS, ("id", "type"))
         oid, otype = raw["id"], raw["type"]
         if not isinstance(oid, str) or not isinstance(otype, str):
             raise SchemaError("objects: 'id' and 'type' must be strings")
         if not otype:
             raise SchemaError(f"object '{oid}': 'type' must be a non-empty string")
-        objects.append(ObjectInstance(oid, otype, _attributes(raw.get("attributes"), f"object '{oid}'")))
+        objects.append(ObjectInstance(oid, otype, _attributes(raw.get("attributes", []), f"object '{oid}'")))
 
     events: list[Event] = []
     relations: list[Relation] = []
-    for raw in _array(data["events"], "'events'"):
-        _record(raw, "events", _EVENT_KEYS, ("id", "type", "time"))
+    for raw in array(data["events"], "'events'"):
+        record(raw, "events", _EVENT_KEYS, ("id", "type", "time"))
         eid, etype, time_raw = raw["id"], raw["type"], raw["time"]
         if not isinstance(eid, str) or not isinstance(etype, str) or not isinstance(time_raw, str):
             raise SchemaError("events: 'id', 'type' and 'time' must be strings")
@@ -164,10 +144,10 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
             ts = parse_timestamp(time_raw)
         except ValueError as exc:
             raise SchemaError(f"event '{eid}': unparseable time '{time_raw}'") from exc
-        events.append(Event(eid, etype, ts, _attributes(raw.get("attributes"), f"event '{eid}'")))
+        events.append(Event(eid, etype, ts, _attributes(raw.get("attributes", []), f"event '{eid}'")))
         where = f"event '{eid}' relationship"
-        for rel in _array(raw.get("relationships", []), f"event '{eid}': 'relationships'"):
-            _record(rel, where, _RELATIONSHIP_KEYS, ("objectId",))
+        for rel in array(raw.get("relationships", []), f"event '{eid}': 'relationships'"):
+            record(rel, where, _RELATIONSHIP_KEYS, ("objectId",))
             obj_id, qualifier = rel["objectId"], rel.get("qualifier", "")
             if not isinstance(obj_id, str) or not isinstance(qualifier, str):
                 raise SchemaError(f"{where}: 'objectId' and 'qualifier' must be strings")

@@ -364,6 +364,68 @@ def test_bundle_arrays_must_be_arrays(section, field, value):
         parse_annotations(json.dumps(doc))
 
 
+def grammar_doc():
+    """``bundle_doc()`` with at least one record of every kind of the grammar."""
+    component = {"kind": "activity_instance", "id": "e1"}
+    return bundle_doc(
+        units={"declare": ["crate"], "conversions": [{"from": "crate", "to": "kg", "factor": "9"}]},
+        scopes={"name": "site", "scopes": ["scope1", "scope3"]},
+        assignments=[{"component": component, "flow": "CO2", "direction": "output",
+                      "amount": "5", "unit": "kg", "scope": "scope1"}],
+        allocations=[
+            {"source": {"kind": "object_instance", "id": "o1"}, "key": {"attribute": "mass_kg"}, "fraction": "1"},
+            {"source": {"kind": "object_instance", "id": "o2"}, "targets": [dict(component)]},
+        ],
+    )
+
+
+def test_grammar_doc_parses():
+    bundle = parse_annotations(json.dumps(grammar_doc()))
+    assert len(bundle.assignments) == 1 and len(bundle.rules) == 2
+
+
+@pytest.mark.parametrize("path, renamed, key, prefix", [
+    ((), None, "extra", "annotation bundle"),
+    (("units",), None, "extra", "'units'"),
+    (("units", "conversions", 0), None, "extra", "units.conversions"),
+    (("scopes",), None, "extra", "custom scope set"),
+    (("assignments", 0, "component"), None, "extra", "assignment #0 component"),
+    (("assignments", 0), "scope", "scop", "assignment #0"),
+    (("assignments", 0), None, "overide", "assignment #0"),
+    (("characterization",), None, "extra", "'characterization'"),
+    (("characterization", "categories", "climate_change"), None, "extra", "category 'climate_change'"),
+    (("characterization", "factors", 0), None, "extra", "characterization.factors"),
+    (("allocations", 0), "fraction", "fration", "allocation #0"),
+    (("allocations", 0, "source"), None, "extra", "allocation #0 source"),
+    (("allocations", 0, "key"), None, "extra", "allocation #0 key"),
+    (("allocations", 1, "targets", 0), None, "extra", "allocation #1 target"),
+], ids=["document", "units", "conversion", "scope-set", "component", "assignment-scop", "assignment-overide",
+        "characterization", "category", "factor-entry", "rule", "rule-source", "rule-key", "rule-target"])
+def test_every_record_kind_rejects_an_unknown_key(path, renamed, key, prefix):
+    doc = grammar_doc()
+    record = doc
+    for step in path:
+        record = record[step]
+    record[key] = record.pop(renamed) if renamed else True
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == f"{prefix}: unsupported key(s) ['{key}']"
+
+
+def test_category_names_are_data_not_grammar():
+    doc = grammar_doc()
+    doc["characterization"]["categories"]["land_use"] = {"impact_unit": "m2a", "class": "environmental"}
+    assert set(parse_annotations(json.dumps(doc)).table.categories) == {"climate_change", "land_use"}
+
+
+def test_missing_assignment_keys_are_named_in_grammar_order():
+    doc = grammar_doc()
+    del doc["assignments"][0]["unit"], doc["assignments"][0]["flow"]
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == "assignment #0: missing required key 'flow'"
+
+
 def _unsorted_factor_entries():
     """Several units per flow, listed out of (flow, unit) order."""
     return [

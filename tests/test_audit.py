@@ -127,6 +127,17 @@ def test_matrix_schema_violations():
         }))
 
 
+@pytest.mark.parametrize("rows, message", [
+    (5, "capability matrix 'rows' must be an array"),
+    (["Betz et al."], "capability matrix: rows must be objects"),
+    ([{"approach": "X"}], "capability matrix: missing required key 'cells'"),
+], ids=["rows-not-an-array", "row-not-an-object", "row-without-cells"])
+def test_matrix_records_are_schema_errors(rows, message):
+    with pytest.raises(SchemaError) as excinfo:
+        CapabilityMatrix.from_json(json.dumps({"schema": "susmine-matrix/1", "rows": rows}))
+    assert str(excinfo.value) == message
+
+
 def test_render_text_has_all_columns():
     text = load_literature_matrix().render_text()
     for col in AUDIT_COLUMNS:

@@ -589,6 +589,19 @@ def test_assess_rejects_factors_that_are_not_an_array(tmp_path, capsys, demo_log
     assert not (tmp_path / "out").exists()
 
 
+def test_assess_rejects_a_misspelled_assignment_key(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    # "scop" would otherwise leave the flow unscoped with exit 0
+    doc = json.loads(demo_bundle_path.read_text())
+    doc["assignments"][0]["scop"] = doc["assignments"][0].pop("scope")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "error [parse-annotations]: assignment #0: unsupported key(s) ['scop']" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_assess_over_empty_instance_ids_names_the_type(tmp_path, capsys):
     # a lenient log keeps empty ids; expanding or allocating over one must
     # be a data error naming the type, not a crash

@@ -31,6 +31,20 @@ def test_manifest_covers_every_shipped_file():
     assert listed == on_disk
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["files"][0].pop("path"), "manifest: missing required key 'path'"),
+    (lambda doc: doc["files"][0].update(sha256=None), "manifest: 'path' and 'sha256' must be strings"),
+    (lambda doc: doc["files"].append("ocel/minimal.json"), "manifest: files must be objects"),
+], ids=["no-path", "null-digest", "not-an-object"])
+def test_malformed_manifest_entries_are_schema_errors(tmp_path, edit, message):
+    doc = json.loads((data_root() / "MANIFEST.json").read_text())
+    edit(doc)
+    (tmp_path / "MANIFEST.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as excinfo:
+        load_manifest(tmp_path)
+    assert str(excinfo.value) == message
+
+
 def test_tampered_fixture_fails(tmp_path):
     root = tmp_path / "data"
     shutil.copytree(data_root(), root)

@@ -112,6 +112,7 @@ def test_object_attribute_timelines_rejected(attributes, message):
 
 @pytest.mark.parametrize("attributes, message", [
     ({"name": "price", "type": "float"}, "objectTypes 'order': 'attributes' must be an array"),
+    (None, "objectTypes 'order': 'attributes' must be an array"),
     (["price"], "objectTypes 'order': attribute entries must be objects"),
     ([{"name": "price"}], "objectTypes 'order': missing required key 'type'"),
     ([{"type": "float"}], "objectTypes 'order': missing required key 'name'"),
@@ -120,7 +121,7 @@ def test_object_attribute_timelines_rejected(attributes, message):
     ([{"name": "price", "type": 1}], "objectTypes 'order': attribute 'price' type must be a string"),
     ([{"name": "price", "type": "float"}, {"name": "price", "type": "int"}],
      "objectTypes 'order': attribute 'price' is repeated"),
-], ids=["not-an-array", "not-an-object", "no-type", "no-name", "value-key", "empty-name", "non-string-type",
+], ids=["not-an-array", "null", "not-an-object", "no-type", "no-name", "value-key", "empty-name", "non-string-type",
         "repeated-name"])
 def test_attribute_declarations_are_name_and_type_strings(attributes, message):
     doc = json.loads(json.dumps(MINIMAL))
@@ -129,6 +130,34 @@ def test_attribute_declarations_are_name_and_type_strings(attributes, message):
     doc["objectTypes"][0]["attributes"] = attributes
     with pytest.raises(SchemaError) as excinfo:
         parse_ocel(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("section", ["objectTypes", "eventTypes"])
+def test_repeated_type_names_rejected(section):
+    doc = json.loads(json.dumps(MINIMAL))
+    name = doc[section][0]["name"]
+    doc[section].append({"name": name})
+    with pytest.raises(SchemaError) as excinfo:
+        parse_ocel(json.dumps(doc), strict=False)
+    assert str(excinfo.value) == f"{section}: type '{name}' is repeated"
+
+
+@pytest.mark.parametrize("path, field, message", [
+    (("objects", 0), "attributes", "object 'o1': 'attributes' must be an array"),
+    (("events", 0), "attributes", "event 'e1': 'attributes' must be an array"),
+    (("events", 0), "relationships", "event 'e1': 'relationships' must be an array"),
+], ids=["object-attributes", "event-attributes", "relationships"])
+def test_an_optional_array_is_absent_or_an_array(path, field, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    record = doc
+    for step in path:
+        record = record[step]
+    del record[field]
+    parse_ocel(json.dumps(doc), strict=False)
+    record[field] = None
+    with pytest.raises(SchemaError) as excinfo:
+        parse_ocel(json.dumps(doc), strict=False)
     assert str(excinfo.value) == message
 
 
