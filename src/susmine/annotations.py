@@ -34,8 +34,8 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import SchemaError, UnknownScopeError, UnknownUnitError, abbreviate, array, record
-from .model import ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
+from .errors import TEXT, SchemaError, UnknownScopeError, UnknownUnitError, abbreviate, literal, record
+from .model import UNSCOPED, ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
 from .units import UnitRegistry
 
 SCHEMA_ID = "susmine/1"
@@ -67,8 +67,6 @@ class ScopeSet:
             raise SchemaError("scope set must declare at least one scope")
         if len(set(self.scopes)) != len(self.scopes):
             raise SchemaError("scope labels must be unique")
-        from .model import UNSCOPED
-
         if UNSCOPED in self.scopes:
             raise SchemaError(f"'{UNSCOPED}' is a reserved scope label")
 
@@ -200,20 +198,23 @@ class AnnotatedLog:
     registry: UnitRegistry
 
 
-#: Each record kind's keys; required keys are tuples in grammar order, so
-#: the first missing one is named the same way on every run.
-_BUNDLE_KEYS = frozenset({"schema", "units", "scopes", "assignments", "characterization", "allocations"})
-_UNITS_KEYS = frozenset({"declare", "conversions"})
-_CONVERSION_KEYS = frozenset({"from", "to", "factor"})
-_SCOPE_SET_KEYS = frozenset({"name", "scopes"})
-_COMPONENT_KEYS = frozenset({"kind", "id"})
+#: Each record kind's fields and their kinds, None where the field's
+#: parser checks it; required keys are tuples in grammar order, so the
+#: first missing one is named the same way on every run.
+_BUNDLE_FIELDS = {"schema": str, "units": dict, "scopes": None, "assignments": list,
+                  "characterization": dict, "allocations": list}
+_UNITS_FIELDS = {"declare": list, "conversions": list}
+_CONVERSION_FIELDS = {"from": str, "to": str, "factor": None}
+_SCOPE_SET_FIELDS = {"name": TEXT, "scopes": list}
+_COMPONENT_FIELDS = {"kind": None, "id": TEXT}
 _ASSIGNMENT_REQUIRED = ("component", "flow", "direction", "amount", "unit")
-_ASSIGNMENT_KEYS = frozenset({*_ASSIGNMENT_REQUIRED, "scope", "basis", "override"})
-_TABLE_KEYS = frozenset({"categories", "factors"})
-_CATEGORY_KEYS = frozenset({"impact_unit", "class"})
-_FACTOR_KEYS = frozenset({"flow", "unit", "direction", "factors"})
-_RULE_KEYS = frozenset({"source", "targets", "qualifier", "key", "fraction"})
-_KEY_KEYS = frozenset({"attribute"})
+_ASSIGNMENT_FIELDS = {"component": None, "flow": TEXT, "direction": None, "amount": None, "unit": TEXT,
+                      "scope": str, "basis": None, "override": bool}
+_TABLE_FIELDS = {"categories": dict, "factors": list}
+_CATEGORY_FIELDS = {"impact_unit": TEXT, "class": None}
+_FACTOR_FIELDS = {"flow": TEXT, "unit": TEXT, "direction": None, "factors": dict}
+_RULE_FIELDS = {"source": None, "targets": None, "qualifier": str, "key": None, "fraction": None}
+_KEY_FIELDS = {"attribute": TEXT}
 
 #: Each enumerated field's values, by field name.
 _CHOICES = {
@@ -228,7 +229,7 @@ def _choice(raw, field: str, where: str):
     if isinstance(raw, str) and raw in members:  # a list or an object is unhashable
         return members[raw]
     *head, last = map(repr, members)
-    raise SchemaError(f"{where}: {field} must be {', '.join(head)} or {last}, got {raw!r}")
+    raise SchemaError(f"{where}: {field} must be {', '.join(head)} or {last}, got {literal(raw)}")
 
 
 def _as_decimal(value, where: str) -> Decimal:
@@ -242,7 +243,7 @@ def _as_decimal(value, where: str) -> Decimal:
     elif isinstance(value, float):
         dec = Decimal(str(value))
     else:
-        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+        raise SchemaError(f"{where}: expected a number, got {literal(value)}")
     if not dec.is_finite():
         raise SchemaError(f"{where}: amount must be finite")
     if math.isinf(float(dec)):  # impact arithmetic is in floats
@@ -251,88 +252,68 @@ def _as_decimal(value, where: str) -> Decimal:
 
 
 def parse_component_ref(raw, where: str) -> ComponentRef:
-    kind = _choice(record(raw, where, _COMPONENT_KEYS, ("kind",), None)["kind"], "kind", where)
-    cid = raw.get("id")
+    kind = _choice(record(raw, where, _COMPONENT_FIELDS, ("kind",), None)["kind"], "kind", where)
     if kind is ComponentKind.PROCESS:
-        if cid is not None:
+        if "id" in raw:
             raise SchemaError(f"{where}: process refs carry no id")
         return ComponentRef(kind)
-    if not isinstance(cid, str) or not cid:
+    if "id" not in raw:
         raise SchemaError(f"{where}: '{kind.value}' ref requires a non-empty id")
-    return ComponentRef(kind, cid)
+    return ComponentRef(kind, raw["id"])
 
 
 def parse_scope_set(raw) -> ScopeSet:
-    if raw is None:
-        return SCOPE_PRESETS["ghg"]
     if isinstance(raw, str):
         preset = SCOPE_PRESETS.get(raw)
         if preset is None:
             raise SchemaError(f"unknown scope preset '{raw}' (expected one of {sorted(SCOPE_PRESETS)})")
         return preset
     if isinstance(raw, dict):
-        record(raw, "custom scope set", _SCOPE_SET_KEYS, ("name", "scopes"))
-        name, scopes = raw["name"], raw["scopes"]
-        if not isinstance(name, str) or not name:
-            raise SchemaError("custom scope set requires a 'name'")
-        if not isinstance(scopes, list) or not all(isinstance(s, str) and s for s in scopes):
+        scopes = record(raw, "custom scope set", _SCOPE_SET_FIELDS, ("name", "scopes"))["scopes"]
+        if not all(isinstance(s, str) and s for s in scopes):
             raise SchemaError("custom scope set requires a list of scope labels")
-        return ScopeSet(name, tuple(scopes))
-    raise SchemaError("'scopes' must be a preset name or {name, scopes}")
+        return ScopeSet(raw["name"], tuple(scopes))
+    raise SchemaError(f"'scopes' must be a preset name or {{name, scopes}}, got {literal(raw)}")
 
 
-def _parse_registry(raw) -> UnitRegistry:
-    if raw is None:
-        return UnitRegistry()
-    record(raw, "'units'", _UNITS_KEYS, entries=None)
+def _parse_registry(raw: dict) -> UnitRegistry:
+    record(raw, "'units'", _UNITS_FIELDS, entries=None)
     declare = raw.get("declare", [])
-    if not isinstance(declare, list) or not all(isinstance(u, str) and u for u in declare):
+    if not all(isinstance(u, str) and u for u in declare):
         raise SchemaError("units.declare must be a list of unit names")
     conversions: dict[tuple[str, str], Decimal] = {}
-    for conv in array(raw.get("conversions", []), "units.conversions"):
-        record(conv, "units.conversions", _CONVERSION_KEYS, ("from", "to", "factor"))
+    for conv in raw.get("conversions", []):
+        record(conv, "units.conversions", _CONVERSION_FIELDS, ("from", "to", "factor"))
         src, dst = conv["from"], conv["to"]
-        if not isinstance(src, str) or not isinstance(dst, str):
-            raise SchemaError("units.conversions entries need 'from' and 'to'")
         conversions[(src, dst)] = _as_decimal(conv["factor"], f"conversion {src}->{dst}")
     return UnitRegistry(units=set(declare), conversions=conversions)
 
 
 def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: str) -> FlowAssignment:
-    record(raw, where, _ASSIGNMENT_KEYS, _ASSIGNMENT_REQUIRED, "assignments")
+    record(raw, where, _ASSIGNMENT_FIELDS, _ASSIGNMENT_REQUIRED, "assignments")
     component = parse_component_ref(raw["component"], f"{where} component")
-    flow = raw["flow"]
-    if not isinstance(flow, str) or not flow:
-        raise SchemaError(f"{where}: 'flow' must be a non-empty string")
     direction = _choice(raw["direction"], "direction", where)
     amount = _as_decimal(raw["amount"], f"{where} amount")
     unit = raw["unit"]
-    if not isinstance(unit, str) or not unit:
-        raise SchemaError(f"{where}: 'unit' must be a non-empty string")
     if not registry.has_unit(unit):
         raise UnknownUnitError(f"{where}: unit '{unit}' not in registry")
     scope = raw.get("scope")
-    if scope is not None:
-        if not isinstance(scope, str):
-            raise SchemaError(f"{where}: 'scope' must be a string")
-        if scope not in scope_set:
-            raise UnknownScopeError(
-                f"{where}: scope '{scope}' not in scope set '{scope_set.name}' {list(scope_set.scopes)}"
-            )
+    if scope is not None and scope not in scope_set:
+        raise UnknownScopeError(
+            f"{where}: scope '{scope}' not in scope set '{scope_set.name}' {list(scope_set.scopes)}"
+        )
     basis = _choice(raw.get("basis", Basis.ABSOLUTE.value), "basis", where)
     if basis is Basis.PER_INSTANCE and component.kind not in _TYPE_KINDS:
         raise SchemaError(f"{where}: per_instance basis is only legal on type-level components")
     override = raw.get("override", False)
-    if not isinstance(override, bool):
-        raise SchemaError(f"{where}: 'override' must be a boolean")
     if override and component.kind not in _INSTANCE_KINDS:
         raise SchemaError(f"{where}: 'override' is only legal on instance-level components")
-    return FlowAssignment(component, flow, direction, Quantity(amount, unit), scope, basis, override)
+    return FlowAssignment(component, raw["flow"], direction, Quantity(amount, unit), scope, basis, override)
 
 
 def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> CategoryInfo:
     """Check one category declaration, from a bundle or a CSV row."""
-    if not isinstance(impact_unit, str) or not impact_unit:
+    if not impact_unit:
         raise SchemaError(f"{where}: 'impact_unit' required")
     impact_class = _choice(class_raw, "class", where)
     if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
@@ -340,36 +321,26 @@ def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> C
     return CategoryInfo(impact_unit, impact_class)
 
 
-def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
-    if raw is None:
-        return CharacterizationTable()
-    record(raw, "'characterization'", _TABLE_KEYS, entries=None)
+def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
+    record(raw, "'characterization'", _TABLE_FIELDS, entries=None)
 
-    categories_raw = raw.get("categories", {})
-    if not isinstance(categories_raw, dict):  # category names are data, not grammar
-        raise SchemaError("characterization.categories must be an object")
     categories: dict[str, CategoryInfo] = {}
-    for name, info in sorted(categories_raw.items()):
+    for name, info in sorted(raw.get("categories", {}).items()):
         where = f"category '{name}'"
-        record(info, where, _CATEGORY_KEYS, ("impact_unit", "class"), None)
+        record(info, where, _CATEGORY_FIELDS, ("impact_unit", "class"), None)
         categories[name] = _category_info(info["impact_unit"], info["class"], scope_set, where)
 
     entries: dict[tuple[str, str], TableEntry] = {}
-    for entry_raw in array(raw.get("factors", []), "characterization.factors"):
-        record(entry_raw, "characterization.factors", _FACTOR_KEYS, ("flow", "unit"))
+    for entry_raw in raw.get("factors", []):
+        record(entry_raw, "characterization.factors", _FACTOR_FIELDS, ("flow", "unit"))
         flow, unit = entry_raw["flow"], entry_raw["unit"]
-        if not isinstance(flow, str) or not flow or not isinstance(unit, str) or not unit:
-            raise SchemaError("factor entries require 'flow' and 'unit'")
         if not registry.has_unit(unit):
             raise UnknownUnitError(f"factor entry for '{flow}': unit '{unit}' not in registry")
         direction = None
-        if entry_raw.get("direction") is not None:
+        if "direction" in entry_raw:
             direction = _choice(entry_raw["direction"], "direction", f"factor entry '{flow}'")
-        factors_raw = entry_raw.get("factors", {})
-        if not isinstance(factors_raw, dict):  # category names are data, not grammar
-            raise SchemaError(f"factor entry '{flow}': 'factors' must be an object")
         factors: dict[str, float] = {}
-        for category, value in sorted(factors_raw.items()):
+        for category, value in sorted(entry_raw.get("factors", {}).items()):
             if category not in categories:
                 raise SchemaError(f"factor entry '{flow}': undeclared category '{category}'")
             factors[category] = float(_as_decimal(value, f"factor {flow}->{category}"))
@@ -381,22 +352,20 @@ def _parse_table(raw, scope_set: ScopeSet, registry: UnitRegistry) -> Characteri
 
 
 def _parse_key(raw, where: str) -> AllocationKey:
-    if raw is None or raw == "equal":
+    if raw == "equal":
         return EQUAL_KEY
     if raw == "mass":
         return AllocationKey("mass", "mass_kg")
     if raw == "economic_value":
         return AllocationKey("economic_value", "economic_value")
     if isinstance(raw, dict):
-        attribute = record(raw, f"{where} key", _KEY_KEYS, ("attribute",))["attribute"]
-        if not isinstance(attribute, str) or not attribute:
-            raise SchemaError(f"{where}: proportional key requires a non-empty 'attribute'")
+        attribute = record(raw, f"{where} key", _KEY_FIELDS, ("attribute",))["attribute"]
         return AllocationKey(f"attribute:{attribute}", attribute)
-    raise SchemaError(f"{where}: unknown allocation key {raw!r}")
+    raise SchemaError(f"{where}: 'key' must be 'equal', 'mass', 'economic_value' or an object, got {literal(raw)}")
 
 
 def _parse_rule(raw, where: str) -> AllocationRule:
-    record(raw, where, _RULE_KEYS, ("source",), "allocation rules")
+    record(raw, where, _RULE_FIELDS, ("source",), "allocation rules")
     source = parse_component_ref(raw["source"], f"{where} source")
     targets_raw = raw.get("targets", RELATED_EVENTS)
     targets: str | tuple[ComponentRef, ...]
@@ -407,11 +376,9 @@ def _parse_rule(raw, where: str) -> AllocationRule:
     else:
         raise SchemaError(f"{where}: 'targets' must be 'related_events' or a list of components")
     qualifier = raw.get("qualifier")
-    if qualifier is not None and not isinstance(qualifier, str):
-        raise SchemaError(f"{where}: 'qualifier' must be a string")
     if qualifier is not None and isinstance(targets, tuple):
         raise SchemaError(f"{where}: 'qualifier' only applies to related_events selection")
-    key = _parse_key(raw.get("key"), where)
+    key = _parse_key(raw.get("key", "equal"), where)
     fraction = _as_decimal(raw.get("fraction", 1), f"{where} fraction")
     return AllocationRule(source, targets, key, fraction, qualifier)
 
@@ -430,20 +397,20 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
     # integers as decimals too: no int() digit limit, and _as_decimal's
     # overflow check sees every number
     data = json.loads(document, parse_float=Decimal, parse_int=Decimal)
-    record(data, "annotation bundle", _BUNDLE_KEYS, entries=None)
+    record(data, "annotation bundle", _BUNDLE_FIELDS, entries=None)
     if data.get("schema") != SCHEMA_ID:
         raise SchemaError(f"annotation bundle must declare \"schema\": \"{SCHEMA_ID}\"")
 
-    registry = _parse_registry(data.get("units"))
-    scope_set = scopes_override if scopes_override is not None else parse_scope_set(data.get("scopes"))
-    table = _parse_table(data.get("characterization"), scope_set, registry)
+    registry = _parse_registry(data.get("units", {}))
+    scope_set = scopes_override if scopes_override is not None else parse_scope_set(data.get("scopes", "ghg"))
+    table = _parse_table(data.get("characterization", {}), scope_set, registry)
     assignments = [
         _parse_assignment(raw, scope_set, registry, f"assignment #{i}")
-        for i, raw in enumerate(array(data.get("assignments", []), "'assignments'"))
+        for i, raw in enumerate(data.get("assignments", []))
     ]
     rules = [
         _parse_rule(raw, f"allocation #{i}")
-        for i, raw in enumerate(array(data.get("allocations", []), "'allocations'"))
+        for i, raw in enumerate(data.get("allocations", []))
     ]
     return AnnotationBundle(assignments, table, scope_set, rules, registry)
 

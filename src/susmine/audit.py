@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError, array, record
+from .errors import SchemaError, record
 from .fixtures import fixture_path
 from .model import UNSCOPED, ComponentRef
 from .annotations import AnnotatedLog, ImpactClass
@@ -54,8 +54,8 @@ _CLASS_SUFFIX = {
 }
 
 MATRIX_SCHEMA_ID = "susmine-matrix/1"
-_MATRIX_KEYS = frozenset({"schema", "columns", "rows"})
-_ROW_KEYS = frozenset({"approach", "cells"})
+_MATRIX_FIELDS = {"schema": str, "columns": list, "rows": list}
+_ROW_FIELDS = {"approach": str, "cells": dict}
 
 
 @dataclass
@@ -74,15 +74,13 @@ class CapabilityMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "CapabilityMatrix":
-        data = record(json.loads(text), "capability matrix", _MATRIX_KEYS, entries=None)
+        data = record(json.loads(text), "capability matrix", _MATRIX_FIELDS, entries=None)
         if data.get("schema") != MATRIX_SCHEMA_ID:
             raise SchemaError(f"capability matrix must declare \"schema\": \"{MATRIX_SCHEMA_ID}\"")
         rows: list[tuple[str, dict[str, SupportLevel]]] = []
-        for raw in array(data.get("rows", []), "capability matrix 'rows'"):
-            record(raw, "capability matrix", _ROW_KEYS, ("approach", "cells"), "rows")
+        for raw in data.get("rows", []):
+            record(raw, "capability matrix", _ROW_FIELDS, ("approach", "cells"), "rows")
             name, cells_raw = raw["approach"], raw["cells"]
-            if not isinstance(name, str) or not isinstance(cells_raw, dict):
-                raise SchemaError("matrix rows require 'approach' and 'cells'")
             if set(cells_raw) != set(AUDIT_COLUMNS):
                 raise SchemaError(f"row '{name}': cells must cover exactly {list(AUDIT_COLUMNS)}")
             try:

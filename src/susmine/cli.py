@@ -51,6 +51,7 @@ from .report import ledger_csv, write_files, write_outputs
 GC_GEN0_THRESHOLD = 50_000
 
 _CONFIG_KEYS = ("log", "annotations", "out", "mode", "scopes", "fu", "seed", "size")
+_MODES = tuple(mode.value for mode in Mode)
 #: config keys that may also be JSON integers
 _INT_CONFIG_KEYS = ("seed", "size")
 
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output directory")
         if fu:
             p.add_argument("--fu", help="functional unit as <object_type>:<amount>")
-        p.add_argument("--mode", choices=["strict", "lenient"], help="ingest/analysis mode (default strict)")
+        p.add_argument("--mode", choices=_MODES, help="ingest/analysis mode (default strict)")
         p.add_argument("--config", help="JSON file supplying the same keys as flags; flags win")
 
     p = sub.add_parser("validate", help="validate a log")
@@ -116,6 +117,8 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             if type(value) is not str and not (key in _INT_CONFIG_KEYS and type(value) is int):
                 expected = "a string or an integer" if key in _INT_CONFIG_KEYS else "a string"
                 raise ValueError(f"--config key '{key}' must be {expected}, got {json.dumps(value)}")
+            if key == "mode" and value not in _MODES:
+                raise ValueError(f"--config key 'mode' must be 'strict' or 'lenient', got {json.dumps(value)}")
             if getattr(args, key, None) is None and hasattr(args, key):
                 setattr(args, key, value)
     return args

@@ -6,6 +6,15 @@ everything past the byte level raises a :class:`SusmineError` subclass.
 
 from __future__ import annotations
 
+import json
+from decimal import Decimal
+
+#: A field's kind when it must be a non-empty string; the other kinds are
+#: ``str``, ``bool``, ``list`` and ``dict``, and None leaves the check to
+#: the field's parser.
+TEXT = "text"
+_KIND_NAMES = {TEXT: "a non-empty string", str: "a string", bool: "a boolean", list: "an array", dict: "an object"}
+
 
 def abbreviate(literal) -> str:
     """``literal`` as message text: whole up to 40 characters, else its first 24 and its length."""
@@ -15,23 +24,36 @@ def abbreviate(literal) -> str:
     return f"{text[:24]}... ({len(text)} {'digits' if text.isdigit() else 'characters'})"
 
 
-def array(raw, where: str) -> list:
-    """``raw`` as an array of a JSON grammar."""
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where} must be an array")
-    return raw
+def literal(value) -> str:
+    """A JSON value as message text: a scalar as its JSON literal,
+    abbreviated; an array or an object by its kind."""
+    if isinstance(value, (list, dict)):
+        return _KIND_NAMES[type(value)]
+    return abbreviate(value if isinstance(value, Decimal) else json.dumps(value, ensure_ascii=False))
 
 
-def record(raw, where: str, allowed: frozenset[str], required: tuple[str, ...] = (),
+def record(raw, where: str, fields: dict, required: tuple[str, ...] = (),
            entries: str | None = "entries") -> dict:
-    """``raw`` as a record of a JSON grammar: an object with no key outside
-    ``allowed`` and every key in ``required``, the first missing one named
-    in the tuple's order. ``entries`` names what must be objects when the
-    record is an array entry; None words the message for a single record."""
+    """``raw`` as a record of a JSON grammar: an object whose every key is
+    in ``fields`` and of the kind ``fields`` maps it to (null is of no
+    kind), and which has every key in ``required``. Keys are checked in
+    document order, where an unknown one names every unknown key; then
+    the first missing key is named in the tuple's order. ``entries``
+    names what must be objects when the record is an array entry; None
+    words the message for a single record."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object" if entries is None else f"{where}: {entries} must be objects")
-    if not raw.keys() <= allowed:
-        raise SchemaError(f"{where}: unsupported key(s) {sorted(raw.keys() - allowed)}")
+    for key, value in raw.items():
+        try:
+            kind = fields[key]
+        except KeyError:
+            raise SchemaError(f"{where}: unsupported key(s) {sorted(raw.keys() - fields.keys())}") from None
+        if kind is TEXT:
+            if isinstance(value, str) and value:
+                continue
+        elif kind is None or isinstance(value, kind):
+            continue
+        raise SchemaError(f"{where}: '{key}' must be {_KIND_NAMES[kind]}, got {literal(value)}")
     for key in required:
         if key not in raw:
             raise SchemaError(f"{where}: missing required key '{key}'")

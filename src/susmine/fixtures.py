@@ -13,12 +13,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MissingFixtureError, SchemaError, array, record
+from .errors import MissingFixtureError, SchemaError, record
 
 MANIFEST_SCHEMA_ID = "susmine-manifest/1"
 MANIFEST_NAME = "MANIFEST.json"
-_MANIFEST_KEYS = frozenset({"schema", "files"})
-_FILE_KEYS = frozenset({"path", "sha256", "description"})
+_MANIFEST_FIELDS = {"schema": str, "files": list}
+_FILE_FIELDS = {"path": str, "sha256": str, "description": str}
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,12 @@ def fixture_path(rel: str) -> Path:
 
 def load_manifest(root: Path | None = None) -> list[ManifestEntry]:
     root = root or data_root()
-    raw = record(json.loads((root / MANIFEST_NAME).read_text("utf-8")), "manifest", _MANIFEST_KEYS, entries=None)
+    raw = record(json.loads((root / MANIFEST_NAME).read_text("utf-8")), "manifest", _MANIFEST_FIELDS, entries=None)
     if raw.get("schema") != MANIFEST_SCHEMA_ID:
         raise SchemaError(f"manifest must declare \"schema\": \"{MANIFEST_SCHEMA_ID}\"")
-    files = array(raw.get("files", []), "manifest 'files'")
+    files = raw.get("files", [])
     for item in files:
-        record(item, "manifest", _FILE_KEYS, ("path", "sha256"), "files")
-        if not isinstance(item["path"], str) or not isinstance(item["sha256"], str):
-            raise SchemaError("manifest: 'path' and 'sha256' must be strings")
+        record(item, "manifest", _FILE_FIELDS, ("path", "sha256"), "files")
     return [ManifestEntry(item["path"], item["sha256"], item.get("description", "")) for item in files]
 
 

@@ -13,10 +13,12 @@ Accepted grammar (documented in docs/ocel-subset.md):
     }
 
 Every record goes through one check (:func:`susmine.errors.record`): a
-JSON object with only its own keys and all of its required ones. Anything
-else — unknown keys, object-to-object relationships, attribute change
-timelines (a ``time`` key, or one name given twice), a type name given
-twice — is rejected with :class:`SchemaError` rather than silently
+JSON object with only its own keys, all of its required ones, and every
+field present of its kind (type names, attribute names and the ``type``
+of objects and events are non-empty strings; null is of no kind).
+Anything else — unknown keys, object-to-object relationships, attribute
+change timelines (a ``time`` key, or one name given twice), a type name
+given twice — is rejected with :class:`SchemaError` rather than silently
 dropped. Attribute values stay plain JSON scalars; exact decimal handling
 starts at the annotation layer, not here.
 
@@ -31,7 +33,7 @@ import json
 import math
 from decimal import Decimal
 
-from .errors import IntegrityError, SchemaError, abbreviate, array, record
+from .errors import TEXT, IntegrityError, SchemaError, abbreviate, record
 from .model import (
     Event,
     EventLog,
@@ -43,46 +45,41 @@ from .model import (
     validate_log,
 )
 
-#: Each record kind's keys; required keys are tuples in grammar order, so
-#: the first missing one is named the same way on every run.
-_DOCUMENT_KEYS = ("objectTypes", "eventTypes", "objects", "events")
-_TYPE_KEYS = frozenset({"name", "attributes"})
-_OBJECT_KEYS = frozenset({"id", "type", "attributes"})
-_EVENT_KEYS = frozenset({"id", "type", "time", "attributes", "relationships"})
-_RELATIONSHIP_KEYS = frozenset({"objectId", "qualifier"})
+#: Each record kind's fields and their kinds; required keys are tuples in
+#: grammar order, so the first missing one is named the same way on every run.
+_DOCUMENT_FIELDS = {"objectTypes": list, "eventTypes": list, "objects": list, "events": list}
+_TYPE_FIELDS = {"name": TEXT, "attributes": list}
+_DECLARATION_FIELDS = {"name": TEXT, "type": str}
+_VALUE_FIELDS = {"name": TEXT, "value": None}
+_OBJECT_FIELDS = {"id": str, "type": TEXT, "attributes": list}
+_EVENT_FIELDS = {"id": str, "type": TEXT, "time": str, "attributes": list, "relationships": list}
+_RELATIONSHIP_FIELDS = {"objectId": str, "qualifier": str}
 
 
-def _attributes(raw, where: str, field: str = "value") -> dict[str, Scalar]:
-    """An ``attributes`` array as name -> ``field``: ``{name, value}`` entries
-    with a scalar value, or with ``field="type"`` a type's ``{name, type}``
-    declarations."""
+def _attributes(raw: list, where: str, fields: dict = _VALUE_FIELDS) -> dict[str, Scalar]:
+    """An ``attributes`` array as name -> value: ``{name, value}`` entries
+    with a scalar value, or with ``_DECLARATION_FIELDS`` a type's
+    ``{name, type}`` declarations as name -> type."""
     out: dict[str, Scalar] = {}
-    allowed, required = frozenset({"name", field}), ("name", field)
-    for entry in array(raw, f"{where}: 'attributes'"):
-        record(entry, where, allowed, required, "attribute entries")
-        name = entry["name"]
-        value = entry[field]
-        if not isinstance(name, str) or not name:
-            raise SchemaError(f"{where}: attribute names must be non-empty strings")
+    required = tuple(fields)
+    for entry in raw:
+        record(entry, where, fields, required, "attribute entries")
+        name, value = entry["name"], entry[required[1]]
         if name in out:
             raise SchemaError(f"{where}: attribute '{name}' is repeated")
-        if field == "type" and not isinstance(value, str):
-            raise SchemaError(f"{where}: attribute '{name}' type must be a string")
         if isinstance(value, (dict, list)):
             raise SchemaError(f"{where}: attribute '{name}' must be a scalar")
         out[name] = value
     return out
 
 
-def _type_names(raw, section: str) -> set[str]:
+def _type_names(raw: list, section: str) -> set[str]:
     names: set[str] = set()
-    for entry in array(raw, f"'{section}'"):
-        name = record(entry, section, _TYPE_KEYS, ("name",))["name"]
-        if not isinstance(name, str) or not name:
-            raise SchemaError(f"{section}: type names must be non-empty strings")
+    for entry in raw:
+        name = record(entry, section, _TYPE_FIELDS, ("name",))["name"]
         if name in names:
             raise SchemaError(f"{section}: type '{name}' is repeated")
-        _attributes(entry.get("attributes", []), f"{section} '{name}'", "type")
+        _attributes(entry.get("attributes", []), f"{section} '{name}'", _DECLARATION_FIELDS)
         names.add(name)
     return names
 
@@ -114,44 +111,33 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     data = json.loads(
         document, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int
     )
-    record(data, "document", frozenset(_DOCUMENT_KEYS), _DOCUMENT_KEYS, None)
+    record(data, "document", _DOCUMENT_FIELDS, tuple(_DOCUMENT_FIELDS), None)
 
     activity_types = _type_names(data["eventTypes"], "eventTypes")
     object_types = _type_names(data["objectTypes"], "objectTypes")
 
     objects: list[ObjectInstance] = []
-    for raw in array(data["objects"], "'objects'"):
+    for raw in data["objects"]:
         if isinstance(raw, dict) and "relationships" in raw:
             raise SchemaError("objects: object-to-object relationships are not supported")
-        record(raw, "objects", _OBJECT_KEYS, ("id", "type"))
-        oid, otype = raw["id"], raw["type"]
-        if not isinstance(oid, str) or not isinstance(otype, str):
-            raise SchemaError("objects: 'id' and 'type' must be strings")
-        if not otype:
-            raise SchemaError(f"object '{oid}': 'type' must be a non-empty string")
-        objects.append(ObjectInstance(oid, otype, _attributes(raw.get("attributes", []), f"object '{oid}'")))
+        record(raw, "objects", _OBJECT_FIELDS, ("id", "type"))
+        oid = raw["id"]
+        objects.append(ObjectInstance(oid, raw["type"], _attributes(raw.get("attributes", []), f"object '{oid}'")))
 
     events: list[Event] = []
     relations: list[Relation] = []
-    for raw in array(data["events"], "'events'"):
-        record(raw, "events", _EVENT_KEYS, ("id", "type", "time"))
-        eid, etype, time_raw = raw["id"], raw["type"], raw["time"]
-        if not isinstance(eid, str) or not isinstance(etype, str) or not isinstance(time_raw, str):
-            raise SchemaError("events: 'id', 'type' and 'time' must be strings")
-        if not etype:
-            raise SchemaError(f"event '{eid}': 'type' must be a non-empty string")
+    for raw in data["events"]:
+        record(raw, "events", _EVENT_FIELDS, ("id", "type", "time"))
+        eid, time_raw = raw["id"], raw["time"]
         try:
             ts = parse_timestamp(time_raw)
         except ValueError as exc:
             raise SchemaError(f"event '{eid}': unparseable time '{time_raw}'") from exc
-        events.append(Event(eid, etype, ts, _attributes(raw.get("attributes", []), f"event '{eid}'")))
+        events.append(Event(eid, raw["type"], ts, _attributes(raw.get("attributes", []), f"event '{eid}'")))
         where = f"event '{eid}' relationship"
-        for rel in array(raw.get("relationships", []), f"event '{eid}': 'relationships'"):
-            record(rel, where, _RELATIONSHIP_KEYS, ("objectId",))
-            obj_id, qualifier = rel["objectId"], rel.get("qualifier", "")
-            if not isinstance(obj_id, str) or not isinstance(qualifier, str):
-                raise SchemaError(f"{where}: 'objectId' and 'qualifier' must be strings")
-            relations.append(Relation(eid, obj_id, qualifier))
+        for rel in raw.get("relationships", []):
+            record(rel, where, _RELATIONSHIP_FIELDS, ("objectId",))
+            relations.append(Relation(eid, rel["objectId"], rel.get("qualifier", "")))
 
     log = EventLog(
         activity_types=activity_types,

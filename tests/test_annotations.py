@@ -321,7 +321,7 @@ def _set_conversion(doc):
 def test_json_booleans_are_not_numbers(edit, field):
     doc = bundle_doc()
     edit(doc)
-    with pytest.raises(SchemaError, match=f"{field}: expected a number, got bool"):
+    with pytest.raises(SchemaError, match=f"{field}: expected a number, got true$"):
         parse_annotations(json.dumps(doc))
 
 
@@ -360,8 +360,9 @@ def test_json_integers_beyond_float_range_rejected(edit, field, digits):
 def test_bundle_arrays_must_be_arrays(section, field, value):
     doc = bundle_doc()
     doc.setdefault(section, {})[field] = value
-    with pytest.raises(SchemaError, match=f"{section}.{field} must be an array"):
+    with pytest.raises(SchemaError) as excinfo:
         parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == f"'{section}': '{field}' must be an array, got {json.dumps(value)}"
 
 
 def grammar_doc():
@@ -410,6 +411,55 @@ def test_every_record_kind_rejects_an_unknown_key(path, renamed, key, prefix):
     with pytest.raises(SchemaError) as excinfo:
         parse_annotations(json.dumps(doc))
     assert str(excinfo.value) == f"{prefix}: unsupported key(s) ['{key}']"
+
+
+@pytest.mark.parametrize("path, field, message", [
+    ((), "units", "annotation bundle: 'units' must be an object, got null"),
+    ((), "scopes", "'scopes' must be a preset name or {name, scopes}, got null"),
+    ((), "characterization", "annotation bundle: 'characterization' must be an object, got null"),
+    (("assignments", 0), "scope", "assignment #0: 'scope' must be a string, got null"),
+    (("assignments", 0), "basis", "assignment #0: basis must be 'absolute' or 'per_instance', got null"),
+    (("assignments", 0), "override", "assignment #0: 'override' must be a boolean, got null"),
+    (("characterization", "factors", 0), "direction",
+     "factor entry 'CO2': direction must be 'input' or 'output', got null"),
+    (("allocations", 0), "key",
+     "allocation #0: 'key' must be 'equal', 'mass', 'economic_value' or an object, got null"),
+    (("allocations", 0), "qualifier", "allocation #0: 'qualifier' must be a string, got null"),
+    (("allocations", 0), "fraction", "allocation #0 fraction: expected a number, got null"),
+], ids=["units", "scopes", "characterization", "assignment-scope", "assignment-basis", "assignment-override",
+        "factor-direction", "rule-key", "rule-qualifier", "rule-fraction"])
+def test_null_is_not_an_absent_optional_field(path, field, message):
+    doc = grammar_doc()
+    record = doc
+    for step in path:
+        record = record[step]
+    record.pop(field, None)
+    parse_annotations(json.dumps(doc))
+    record[field] = None
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("path, field, value, message", [
+    (("assignments", 0), "direction", 5, "assignment #0: direction must be 'input' or 'output', got 5"),
+    (("assignments", 0), "direction", "sideways",
+     "assignment #0: direction must be 'input' or 'output', got \"sideways\""),
+    (("assignments", 0), "direction", ["output"],
+     "assignment #0: direction must be 'input' or 'output', got an array"),
+    (("assignments", 0), "flow", "", "assignment #0: 'flow' must be a non-empty string, got \"\""),
+    (("assignments", 0), "override", "y" * 50,
+     "assignment #0: 'override' must be a boolean, got \"yyyyyyyyyyyyyyyyyyyyyyy... (52 characters)"),
+    (("allocations", 0), "key", "weight",
+     "allocation #0: 'key' must be 'equal', 'mass', 'economic_value' or an object, got \"weight\""),
+], ids=["number", "string", "array", "empty-string", "long-string", "key"])
+def test_messages_show_the_json_literal(path, field, value, message):
+    # numbers are read as decimals; the message shows the literal, not Decimal('5')
+    doc = grammar_doc()
+    doc[path[0]][path[1]][field] = value
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == message
 
 
 def test_category_names_are_data_not_grammar():

@@ -128,7 +128,7 @@ def test_matrix_schema_violations():
 
 
 @pytest.mark.parametrize("rows, message", [
-    (5, "capability matrix 'rows' must be an array"),
+    (5, "capability matrix: 'rows' must be an array, got 5"),
     (["Betz et al."], "capability matrix: rows must be objects"),
     ([{"approach": "X"}], "capability matrix: missing required key 'cells'"),
 ], ids=["rows-not-an-array", "row-not-an-object", "row-without-cells"])

@@ -336,6 +336,16 @@ def test_config_values_of_the_wrong_type_are_usage_errors(config, key, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_config_mode_is_strict_or_lenient(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "fast"}))
+    code, out, err = run(capsys, "assess", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path),
+                         "--out", str(tmp_path / "out"), "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: --config key 'mode' must be 'strict' or 'lenient', got \"fast\"\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_seed_and_size_may_be_integers(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 5, "size": 40, "out": str(tmp_path / "gen")}))
@@ -379,6 +389,17 @@ def test_scopes_override_flag(tmp_path, capsys, demo_log_path, demo_bundle_path)
                        "--out", str(tmp_path / "o"), "--scopes", "lca")
     assert code == 1
     assert "scope" in err.lower()
+
+
+def test_scopes_file_holding_null_is_a_data_error(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    # null is no scope set: it must not fall back to the ghg preset
+    scopes = tmp_path / "scopes.json"
+    scopes.write_text("null")
+    code, out, err = run(capsys, "assess", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path),
+                         "--out", str(tmp_path / "out"), "--scopes", str(scopes))
+    assert (code, out) == (1, "")
+    assert err == "error [parse-annotations]: 'scopes' must be a preset name or {name, scopes}, got null\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["dfg", "assess"])
@@ -492,7 +513,7 @@ def test_assess_rejects_boolean_amount(tmp_path, capsys, demo_log_path, machine_
     code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                        "--annotations", str(bundle), "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "error [parse-annotations]: assignment #0 amount: expected a number, got bool" in err
+    assert "error [parse-annotations]: assignment #0 amount: expected a number, got true\n" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -585,7 +606,7 @@ def test_assess_rejects_factors_that_are_not_an_array(tmp_path, capsys, demo_log
     code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                        "--annotations", str(bundle), "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "error [parse-annotations]: characterization.factors must be an array" in err
+    assert "error [parse-annotations]: 'characterization': 'factors' must be an array, got 5\n" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -33,7 +33,7 @@ def test_manifest_covers_every_shipped_file():
 
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["files"][0].pop("path"), "manifest: missing required key 'path'"),
-    (lambda doc: doc["files"][0].update(sha256=None), "manifest: 'path' and 'sha256' must be strings"),
+    (lambda doc: doc["files"][0].update(sha256=None), "manifest: 'sha256' must be a string, got null"),
     (lambda doc: doc["files"].append("ocel/minimal.json"), "manifest: files must be objects"),
 ], ids=["no-path", "null-digest", "not-an-object"])
 def test_malformed_manifest_entries_are_schema_errors(tmp_path, edit, message):
