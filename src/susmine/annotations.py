@@ -266,7 +266,7 @@ def parse_scope_set(raw) -> ScopeSet:
     if isinstance(raw, str):
         preset = SCOPE_PRESETS.get(raw)
         if preset is None:
-            raise SchemaError(f"unknown scope preset '{raw}' (expected one of {sorted(SCOPE_PRESETS)})")
+            raise SchemaError(f"unknown scope preset '{abbreviate(raw)}' (expected one of {sorted(SCOPE_PRESETS)})")
         return preset
     if isinstance(raw, dict):
         scopes = record(raw, "custom scope set", _SCOPE_SET_FIELDS, ("name", "scopes"))["scopes"]
@@ -296,11 +296,11 @@ def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: s
     amount = _as_decimal(raw["amount"], f"{where} amount")
     unit = raw["unit"]
     if not registry.has_unit(unit):
-        raise UnknownUnitError(f"{where}: unit '{unit}' not in registry")
+        raise UnknownUnitError(f"{where}: unit '{abbreviate(unit)}' not in registry")
     scope = raw.get("scope")
     if scope is not None and scope not in scope_set:
         raise UnknownScopeError(
-            f"{where}: scope '{scope}' not in scope set '{scope_set.name}' {list(scope_set.scopes)}"
+            f"{where}: scope '{abbreviate(scope)}' not in scope set '{scope_set.name}' {list(scope_set.scopes)}"
         )
     basis = _choice(raw.get("basis", Basis.ABSOLUTE.value), "basis", where)
     if basis is Basis.PER_INSTANCE and component.kind not in _TYPE_KINDS:
@@ -335,7 +335,7 @@ def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> Char
         record(entry_raw, "characterization.factors", _FACTOR_FIELDS, ("flow", "unit"))
         flow, unit = entry_raw["flow"], entry_raw["unit"]
         if not registry.has_unit(unit):
-            raise UnknownUnitError(f"factor entry for '{flow}': unit '{unit}' not in registry")
+            raise UnknownUnitError(f"factor entry for '{flow}': unit '{abbreviate(unit)}' not in registry")
         direction = None
         if "direction" in entry_raw:
             direction = _choice(entry_raw["direction"], "direction", f"factor entry '{flow}'")
@@ -437,7 +437,7 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
         if not flow or not unit or not category:
             raise SchemaError(f"CSV line {i}: flow, unit and category are required")
         if not registry.has_unit(unit):
-            raise UnknownUnitError(f"CSV line {i}: unit '{unit}' not in registry")
+            raise UnknownUnitError(f"CSV line {i}: unit '{abbreviate(unit)}' not in registry")
         info = _category_info(row["impact_unit"], row["class"], scope_set, f"CSV line {i}")
         existing = categories.get(category)
         if existing is not None and existing != info:
@@ -486,7 +486,7 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
     for i, a in enumerate(bundle.assignments):
         if a.scope is not None and a.scope not in bundle.scope_set:
             raise UnknownScopeError(
-                f"assignment #{i}: scope '{a.scope}' not in scope set '{bundle.scope_set.name}'"
+                f"assignment #{i}: scope '{abbreviate(a.scope)}' not in scope set '{bundle.scope_set.name}'"
             )
         resolve_component(a.component, log)  # raises UnknownComponentError
         if a.basis is Basis.ABSOLUTE:

@@ -68,23 +68,11 @@ def verify_fixtures(
     return results
 
 
-_DESCRIPTIONS = {
-    "ocel/minimal.json": "smallest valid log: one event, one object, one relation",
-    "ocel/mineral_water.json": "demo log: three bottle fillings on a shared machine, then one order delivery",
-    "ocel/orders.json": "two order fulfilment traces sharing a delivery truck",
-    "ocel/invalid_dangling_relation.json": "invalid log: relation to an undefined object",
-    "annotations/mineral_water.json": "demo bundle: scoped climate, ozone and work-accident figures on the delivery event",
-    "annotations/machine_allocation.json": "demo bundle: embodied machine impact split equally over the events using it",
-    "annotations/invalid_unknown_scope.json": "invalid bundle: scope label outside the ghg preset",
-    "annotations/factors.csv": "characterization table in CSV form",
-    "annotations/invalid_factors.csv": "invalid CSV table: undeclared impact class",
-    "literature/approaches.json": "published sustainable-process-modelling approaches scored per analysis pattern",
-}
-
-
 def write_manifest(root: Path | None = None) -> Path:
-    """Regenerate the manifest over the shipped files (dev helper)."""
+    """Regenerate the manifest over the shipped files (dev helper); each
+    path keeps the description the replaced manifest gave it."""
     root = root or data_root()
+    descriptions = {entry.path: entry.description for entry in load_manifest(root)}
     files = sorted(
         p.relative_to(root).as_posix()
         for p in root.rglob("*")
@@ -93,7 +81,7 @@ def write_manifest(root: Path | None = None) -> Path:
     doc = {
         "schema": MANIFEST_SCHEMA_ID,
         "files": [
-            {"path": rel, "sha256": _digest(root / rel), "description": _DESCRIPTIONS.get(rel, "")}
+            {"path": rel, "sha256": _digest(root / rel), "description": descriptions.get(rel, "")}
             for rel in files
         ],
     }

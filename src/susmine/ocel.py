@@ -132,7 +132,7 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
         try:
             ts = parse_timestamp(time_raw)
         except ValueError as exc:
-            raise SchemaError(f"event '{eid}': unparseable time '{time_raw}'") from exc
+            raise SchemaError(f"event '{eid}': unparseable time '{abbreviate(time_raw)}'") from exc
         events.append(Event(eid, raw["type"], ts, _attributes(raw.get("attributes", []), f"event '{eid}'")))
         where = f"event '{eid}' relationship"
         for rel in raw.get("relationships", []):

@@ -8,15 +8,15 @@ of assessment errors, so anything undeclared is an error.
 Factors are exact decimals; missing inverse directions are derived as
 1/factor. Consistency is checked at construction: declared inverse pairs
 must multiply to 1, and within each connected component every declared
-edge must agree with the spanning-tree scaling, which rules out
-contradictory multi-path conversions.
+edge must agree with the path products from the component's first unit,
+which rules out contradictory multi-path conversions.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 
-from .errors import NoConversionPathError, SchemaError, UnknownUnitError
+from .errors import NoConversionPathError, SchemaError, UnknownUnitError, abbreviate
 from .model import Quantity
 
 #: Units every registry knows even without a bundle declaration.
@@ -42,7 +42,7 @@ class UnitRegistry:
         for (src, dst), factor in declared.items():
             if src not in self.units or dst not in self.units:
                 missing = src if src not in self.units else dst
-                raise UnknownUnitError(f"conversion uses undeclared unit '{missing}'")
+                raise UnknownUnitError(f"conversion uses undeclared unit '{abbreviate(missing)}'")
             if not isinstance(factor, Decimal):
                 factor = Decimal(str(factor))
             if factor <= 0 or not factor.is_finite():
@@ -51,10 +51,26 @@ class UnitRegistry:
         # fill in inverses that were not declared explicitly
         for (src, dst), factor in list(self.conversions.items()):
             self.conversions.setdefault((dst, src), Decimal(1) / factor)
+        self._adjacent: dict[str, list[tuple[str, Decimal]]] = {unit: [] for unit in self.units}
+        for (src, dst), factor in self.conversions.items():
+            self._adjacent[src].append((dst, factor))
         self._check_consistency()
 
-    def _neighbors(self, unit: str) -> list[tuple[str, Decimal]]:
-        return [(dst, f) for (src, dst), f in self.conversions.items() if src == unit]
+    def _paths(self, from_unit: str) -> dict[str, Decimal]:
+        """Path product from ``from_unit`` to every unit it reaches, breadth
+        first: a unit's product comes from the first unit, in sorted order,
+        of the previous level that links to it."""
+        best: dict[str, Decimal] = {from_unit: Decimal(1)}
+        frontier = [from_unit]
+        while frontier:
+            next_frontier: list[str] = []
+            for current in sorted(frontier):
+                for dst, f in self._adjacent[current]:
+                    if dst not in best:
+                        best[dst] = best[current] * f
+                        next_frontier.append(dst)
+            frontier = next_frontier
+        return best
 
     def _check_consistency(self) -> None:
         # inverse pairs must cancel
@@ -62,25 +78,15 @@ class UnitRegistry:
             back = self.conversions[(dst, src)]
             if abs(float(factor * back) - 1.0) > 1e-12:
                 raise SchemaError(f"conversions {src}->{dst} and {dst}->{src} are inconsistent")
-        # spanning-tree scaling per connected component; every declared edge
-        # must agree with it, which bounds any path-product disagreement.
-        # scale[u] = value of one u in base units; factor(a->b) scales the
-        # amount, so scale[b] = scale[a] / factor.
-        scale: dict[str, Decimal] = {}
+        # every edge must agree with the path products from the first unit
+        # of its component, which bounds any path-product disagreement
+        component: dict[str, dict[str, Decimal]] = {}
         for unit in sorted(self.units):
-            if unit in scale:
-                continue
-            scale[unit] = Decimal(1)
-            frontier = [unit]
-            while frontier:
-                current = frontier.pop()
-                for dst, factor in self._neighbors(current):
-                    if dst not in scale:
-                        scale[dst] = scale[current] / factor
-                        frontier.append(dst)
+            if unit not in component:
+                paths = self._paths(unit)
+                component.update(dict.fromkeys(paths, paths))
         for (src, dst), factor in self.conversions.items():
-            implied = scale[src] / scale[dst]
-            if abs(float(factor / implied) - 1.0) > 1e-9:
+            if abs(float(factor * component[src][src] / component[src][dst]) - 1.0) > 1e-9:
                 raise SchemaError(
                     f"conversion {src}->{dst}={factor} disagrees with other declared paths"
                 )
@@ -90,11 +96,11 @@ class UnitRegistry:
 
     def require_unit(self, unit: str) -> None:
         if unit not in self.units:
-            raise UnknownUnitError(f"unit '{unit}' not in registry")
+            raise UnknownUnitError(f"unit '{abbreviate(unit)}' not in registry")
 
     def factor(self, from_unit: str, to_unit: str) -> Decimal:
-        """Path product converting one unit into another (BFS over declared
-        edges; deterministic by sorted neighbor order)."""
+        """The declared factor converting one unit into another, else the
+        path product along :meth:`_paths`."""
         self.require_unit(from_unit)
         self.require_unit(to_unit)
         if from_unit == to_unit:
@@ -102,20 +108,10 @@ class UnitRegistry:
         direct = self.conversions.get((from_unit, to_unit))
         if direct is not None:
             return direct
-        best: dict[str, Decimal] = {from_unit: Decimal(1)}
-        frontier = [from_unit]
-        while frontier:
-            next_frontier: list[str] = []
-            for current in sorted(frontier):
-                for dst, f in sorted(self._neighbors(current)):
-                    if dst in best:
-                        continue
-                    best[dst] = best[current] * f
-                    next_frontier.append(dst)
-            frontier = next_frontier
-        if to_unit not in best:
-            raise NoConversionPathError(f"no conversion path {from_unit} -> {to_unit}")
-        return best[to_unit]
+        paths = self._paths(from_unit)
+        if to_unit not in paths:
+            raise NoConversionPathError(f"no conversion path {abbreviate(from_unit)} -> {abbreviate(to_unit)}")
+        return paths[to_unit]
 
     def convert(self, q: Quantity, to_unit: str) -> Quantity:
         """Convert a quantity; Decimal amounts stay Decimal."""

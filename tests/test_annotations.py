@@ -10,6 +10,8 @@ from susmine import (
     ComponentRef,
     Direction,
     SchemaError,
+    SusmineError,
+    UnitRegistry,
     UnknownComponentError,
     UnknownScopeError,
     UnknownUnitError,
@@ -17,6 +19,7 @@ from susmine import (
     characterization_from_csv,
     empty_bundle,
     parse_annotations,
+    parse_ocel,
 )
 from susmine.annotations import (
     SCOPE_PRESETS,
@@ -28,7 +31,7 @@ from susmine.annotations import (
 )
 from susmine.fixtures import fixture_path
 
-from conftest import make_log
+from conftest import make_log, make_log_doc
 
 
 def bundle_doc(**overrides):
@@ -521,3 +524,36 @@ def test_table_entries_are_read_only_after_construction():
             table.entries[("noise", "h")] = TableEntry("noise", "h", None, {})
         with pytest.raises(AttributeError):
             table.entries = {}
+
+
+def _assignment(**fields):
+    return {"component": {"kind": "activity_instance", "id": "p1"}, "flow": "CO2",
+            "direction": "output", "amount": "5", "unit": "kg", **fields}
+
+
+def _bind_with_scope(scope):
+    bundle = parse_annotations(json.dumps(bundle_doc(assignments=[_assignment()])))
+    assignment = dataclasses.replace(bundle.assignments[0], scope=scope)
+    bind_annotations(shipping_log(), dataclasses.replace(bundle, assignments=[assignment]))
+
+
+@pytest.mark.parametrize("load", [
+    lambda v: parse_ocel(json.dumps(make_log_doc(events=[("e1", "a", v, [], {})]))),
+    lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(scope=v)]))),
+    _bind_with_scope,
+    lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(unit=v)]))),
+    lambda v: parse_annotations(json.dumps(bundle_doc(characterization={"factors": [{"flow": "CO2", "unit": v}]}))),
+    lambda v: characterization_from_csv(
+        f"flow,unit,category,factor,impact_unit,class\nCO2,{v},climate_change,1,kg CO2e,climate\n"),
+    lambda v: UnitRegistry(conversions={(v, "kg"): Decimal(1)}),
+    lambda v: UnitRegistry().factor("kg", v),
+    parse_scope_set,
+], ids=["event-time", "assignment-scope", "bound-scope", "assignment-unit", "factor-unit", "csv-unit",
+        "conversion-unit", "registry-unit", "scope-preset"])
+def test_long_input_literals_are_abbreviated_in_messages(load):
+    literal = "x" * 5000
+    with pytest.raises(SusmineError) as info:
+        load(literal)
+    message = str(info.value)
+    assert f"'{literal[:24]}... (5000 characters)'" in message
+    assert len(message) < 200

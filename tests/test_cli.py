@@ -598,6 +598,20 @@ def test_assess_rejects_allocation_key_values_summing_beyond_float_range(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_assess_rejects_related_events_from_a_non_object_source(tmp_path, capsys, demo_log_path,
+                                                               machine_bundle_path):
+    doc = json.loads(machine_bundle_path.read_text())
+    doc["allocations"][0]["source"] = {"kind": "activity_type", "id": "fill_bottle"}
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == ("error [pipeline]: related_events selection requires an object_instance source, "
+                   "got activity_type:fill_bottle\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_assess_rejects_factors_that_are_not_an_array(tmp_path, capsys, demo_log_path, demo_bundle_path):
     doc = json.loads(demo_bundle_path.read_text())
     doc["characterization"]["factors"] = 5

@@ -68,6 +68,8 @@ def test_write_manifest_round_trip(tmp_path):
     shutil.copytree(data_root(), root)
     write_manifest(root)
     assert all(verify_fixtures(root=root).values())
+    assert load_manifest(root) == load_manifest()
+    assert all(entry.description for entry in load_manifest(root))
 
 
 def test_valid_and_invalid_examples_for_every_schema():
