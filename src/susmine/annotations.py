@@ -29,7 +29,7 @@ import io
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from types import MappingProxyType
@@ -182,8 +182,9 @@ class AnnotationBundle:
 
 
 @dataclass
-class AnnotatedLog:
-    """A log plus its fully resolved annotations.
+class AnnotatedLog(AnnotationBundle):
+    """A bundle bound to a log: the bundle's fields plus the log and its
+    fully resolved annotations.
 
     ``resolved`` pairs each concrete component with the assignment that
     landed on it; type-level per-instance assignments appear once per
@@ -192,10 +193,6 @@ class AnnotatedLog:
 
     log: EventLog
     resolved: list[tuple[ComponentRef, FlowAssignment]]
-    table: CharacterizationTable
-    scope_set: ScopeSet
-    rules: list[AllocationRule]
-    registry: UnitRegistry
 
 
 #: Each record kind's fields and their kinds, None where the field's
@@ -235,13 +232,11 @@ def _choice(raw, field: str, where: str):
 def _as_decimal(value, where: str) -> Decimal:
     if isinstance(value, Decimal):
         dec = value
-    elif isinstance(value, (int, str)) and not isinstance(value, bool):
+    elif isinstance(value, str):
         try:
             dec = Decimal(value)
         except InvalidOperation as exc:
             raise SchemaError(f"{where}: invalid decimal '{abbreviate(value)}'") from exc
-    elif isinstance(value, float):
-        dec = Decimal(str(value))
     else:
         raise SchemaError(f"{where}: expected a number, got {literal(value)}")
     if not dec.is_finite():
@@ -285,7 +280,7 @@ def _parse_registry(raw: dict) -> UnitRegistry:
     for conv in raw.get("conversions", []):
         record(conv, "units.conversions", _CONVERSION_FIELDS, ("from", "to", "factor"))
         src, dst = conv["from"], conv["to"]
-        conversions[(src, dst)] = _as_decimal(conv["factor"], f"conversion {src}->{dst}")
+        conversions[(src, dst)] = _as_decimal(conv["factor"], f"conversion {abbreviate(src)}->{abbreviate(dst)}")
     return UnitRegistry(units=set(declare), conversions=conversions)
 
 
@@ -300,7 +295,8 @@ def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: s
     scope = raw.get("scope")
     if scope is not None and scope not in scope_set:
         raise UnknownScopeError(
-            f"{where}: scope '{abbreviate(scope)}' not in scope set '{scope_set.name}' {list(scope_set.scopes)}"
+            f"{where}: scope '{abbreviate(scope)}' not in scope set '{abbreviate(scope_set.name)}'"
+            f" {abbreviate(list(scope_set.scopes))}"
         )
     basis = _choice(raw.get("basis", Basis.ABSOLUTE.value), "basis", where)
     if basis is Basis.PER_INSTANCE and component.kind not in _TYPE_KINDS:
@@ -326,7 +322,7 @@ def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> Char
 
     categories: dict[str, CategoryInfo] = {}
     for name, info in sorted(raw.get("categories", {}).items()):
-        where = f"category '{name}'"
+        where = f"category '{abbreviate(name)}'"
         record(info, where, _CATEGORY_FIELDS, ("impact_unit", "class"), None)
         categories[name] = _category_info(info["impact_unit"], info["class"], scope_set, where)
 
@@ -335,18 +331,18 @@ def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> Char
         record(entry_raw, "characterization.factors", _FACTOR_FIELDS, ("flow", "unit"))
         flow, unit = entry_raw["flow"], entry_raw["unit"]
         if not registry.has_unit(unit):
-            raise UnknownUnitError(f"factor entry for '{flow}': unit '{abbreviate(unit)}' not in registry")
+            raise UnknownUnitError(f"factor entry for '{abbreviate(flow)}': unit '{abbreviate(unit)}' not in registry")
         direction = None
         if "direction" in entry_raw:
-            direction = _choice(entry_raw["direction"], "direction", f"factor entry '{flow}'")
+            direction = _choice(entry_raw["direction"], "direction", f"factor entry '{abbreviate(flow)}'")
         factors: dict[str, float] = {}
         for category, value in sorted(entry_raw.get("factors", {}).items()):
             if category not in categories:
-                raise SchemaError(f"factor entry '{flow}': undeclared category '{category}'")
-            factors[category] = float(_as_decimal(value, f"factor {flow}->{category}"))
+                raise SchemaError(f"factor entry '{abbreviate(flow)}': undeclared category '{abbreviate(category)}'")
+            factors[category] = float(_as_decimal(value, f"factor {abbreviate(flow)}->{abbreviate(category)}"))
         key = (flow, unit)
         if key in entries:
-            raise SchemaError(f"duplicate factor entry for flow '{flow}' [{unit}]")
+            raise SchemaError(f"duplicate factor entry for flow '{abbreviate(flow)}' [{abbreviate(unit)}]")
         entries[key] = TableEntry(flow, unit, direction, factors)
     return CharacterizationTable(entries, categories)
 
@@ -379,7 +375,7 @@ def _parse_rule(raw, where: str) -> AllocationRule:
     if qualifier is not None and isinstance(targets, tuple):
         raise SchemaError(f"{where}: 'qualifier' only applies to related_events selection")
     key = _parse_key(raw.get("key", "equal"), where)
-    fraction = _as_decimal(raw.get("fraction", 1), f"{where} fraction")
+    fraction = _as_decimal(raw.get("fraction", Decimal(1)), f"{where} fraction")
     return AllocationRule(source, targets, key, fraction, qualifier)
 
 
@@ -394,9 +390,9 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
-    # integers as decimals too: no int() digit limit, and _as_decimal's
-    # overflow check sees every number
-    data = json.loads(document, parse_float=Decimal, parse_int=Decimal)
+    # every number a decimal, NaN and Infinity too: no int() digit limit,
+    # and _as_decimal's finiteness and overflow checks see every number
+    data = json.loads(document, parse_constant=Decimal, parse_float=Decimal, parse_int=Decimal)
     record(data, "annotation bundle", _BUNDLE_FIELDS, entries=None)
     if data.get("schema") != SCHEMA_ID:
         raise SchemaError(f"annotation bundle must declare \"schema\": \"{SCHEMA_ID}\"")
@@ -441,12 +437,14 @@ def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
         info = _category_info(row["impact_unit"], row["class"], scope_set, f"CSV line {i}")
         existing = categories.get(category)
         if existing is not None and existing != info:
-            raise SchemaError(f"CSV line {i}: conflicting declaration for category '{category}'")
+            raise SchemaError(f"CSV line {i}: conflicting declaration for category '{abbreviate(category)}'")
         categories[category] = info
-        factor = float(_as_decimal(row["factor"], f"CSV line {i} factor {flow}->{category}"))
+        factor = float(_as_decimal(row["factor"], f"CSV line {i} factor {abbreviate(flow)}->{abbreviate(category)}"))
         bucket = factors_by_key.setdefault((flow, unit), {})
         if category in bucket:
-            raise SchemaError(f"CSV line {i}: duplicate factor for ({flow}, {unit}, {category})")
+            raise SchemaError(
+                f"CSV line {i}: duplicate factor for ({abbreviate(flow)}, {abbreviate(unit)}, {abbreviate(category)})"
+            )
         bucket[category] = factor
 
     entries = {
@@ -478,15 +476,11 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
     per-instance decimal amount unchanged.
     """
     resolved: list[tuple[ComponentRef, FlowAssignment]] = []
-    overrides: set[tuple[str, str, Direction]] = set()
-    for a in bundle.assignments:
-        if a.override and a.component.id is not None:
-            overrides.add((a.component.id, a.flow, a.direction))
-
+    overrides = {(a.component, a.flow, a.direction) for a in bundle.assignments if a.override}
     for i, a in enumerate(bundle.assignments):
         if a.scope is not None and a.scope not in bundle.scope_set:
             raise UnknownScopeError(
-                f"assignment #{i}: scope '{abbreviate(a.scope)}' not in scope set '{bundle.scope_set.name}'"
+                f"assignment #{i}: scope '{abbreviate(a.scope)}' not in scope set '{abbreviate(bundle.scope_set.name)}'"
             )
         resolve_component(a.component, log)  # raises UnknownComponentError
         if a.basis is Basis.ABSOLUTE:
@@ -495,9 +489,8 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
         # per-instance expansion
         for member in log.members(a.component):
             ref = member.ref
-            if (ref.id, a.flow, a.direction) in overrides:
-                continue
-            resolved.append((ref, a))
+            if (ref, a.flow, a.direction) not in overrides:
+                resolved.append((ref, a))
 
     for rule in bundle.rules:
         resolve_component(rule.source, log)
@@ -505,4 +498,5 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
             for target in rule.targets:
                 resolve_component(target, log)
 
-    return AnnotatedLog(log, resolved, bundle.table, bundle.scope_set, bundle.rules, bundle.registry)
+    bundle_fields = {f.name: getattr(bundle, f.name) for f in fields(AnnotationBundle)}
+    return AnnotatedLog(**bundle_fields, log=log, resolved=resolved)

@@ -23,7 +23,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Union
 
-from .errors import UnknownComponentError
+from .errors import UnknownComponentError, abbreviate
 
 Scalar = Union[str, int, float, bool, Decimal, None]
 
@@ -233,8 +233,9 @@ class EventLog:
         return out
 
     def digest(self) -> str:
-        """SHA-256 over a canonical rendering; identifies log content.
-        Computed on the first call; later calls return the stored value."""
+        """SHA-256 over the log as read (sorted type names; events, objects and
+        relations in log order), so the same content in another order gives
+        another digest. Computed on the first call; later calls return it."""
         if self._digest is not None:
             return self._digest
         payload = {
@@ -324,21 +325,21 @@ def resolve_component(ref: ComponentRef, log: EventLog):
         return log
     if ref.kind is ComponentKind.ACTIVITY_TYPE:
         if ref.id not in log.activity_types:
-            raise UnknownComponentError(f"unknown activity type '{ref.id}'")
+            raise UnknownComponentError(f"unknown activity type '{abbreviate(ref.id)}'")
         return ref.id
     if ref.kind is ComponentKind.OBJECT_TYPE:
         if ref.id not in log.object_types:
-            raise UnknownComponentError(f"unknown object type '{ref.id}'")
+            raise UnknownComponentError(f"unknown object type '{abbreviate(ref.id)}'")
         return ref.id
     if ref.kind is ComponentKind.ACTIVITY_INSTANCE:
         ev = log.event(ref.id)
         if ev is None:
-            raise UnknownComponentError(f"unknown event '{ref.id}'")
+            raise UnknownComponentError(f"unknown event '{abbreviate(ref.id)}'")
         return ev
     if ref.kind is ComponentKind.OBJECT_INSTANCE:
         obj = log.object(ref.id)
         if obj is None:
-            raise UnknownComponentError(f"unknown object '{ref.id}'")
+            raise UnknownComponentError(f"unknown object '{abbreviate(ref.id)}'")
         return obj
     raise UnknownComponentError(f"unknown component kind '{ref.kind}'")
 

@@ -1,14 +1,23 @@
 import dataclasses
 import json
+from datetime import datetime, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susmine import (
+    AnnotatedLog,
+    AnnotationBundle,
     Basis,
     ComponentKind,
     ComponentRef,
     Direction,
+    Event,
+    EventLog,
+    FlowAssignment,
+    ObjectInstance,
+    Quantity,
     SchemaError,
     SusmineError,
     UnitRegistry,
@@ -26,6 +35,7 @@ from susmine.annotations import (
     CategoryInfo,
     CharacterizationTable,
     ImpactClass,
+    ScopeSet,
     TableEntry,
     parse_scope_set,
 )
@@ -231,6 +241,105 @@ def test_override_suppresses_type_expansion_for_that_instance():
     assert s1 == [Decimal(5)]
 
 
+def test_override_suppresses_only_its_own_component_when_ids_are_shared():
+    # event x1 and object x1 share an id; the event's override must not
+    # suppress the expansion onto the object
+    log = make_log(events=[("x1", "make", "2024-01-01T08:00:00Z", [("x1", "makes")], {})],
+                   objects=[("x1", "item", {})])
+    doc = bundle_doc(assignments=[
+        {"component": {"kind": "object_type", "id": "item"},
+         "flow": "CO2", "direction": "output", "amount": "2", "unit": "kg",
+         "basis": "per_instance"},
+        {"component": {"kind": "activity_instance", "id": "x1"},
+         "flow": "CO2", "direction": "output", "amount": "5", "unit": "kg",
+         "override": True},
+    ])
+    al = bind_annotations(log, parse_annotations(json.dumps(doc)))
+    assert sorted((str(ref), a.quantity.amount) for ref, a in al.resolved) == [
+        ("activity_instance:x1", Decimal(5)), ("object_instance:x1", Decimal(2)),
+    ]
+
+
+_T0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+#: One id alphabet for events and objects, so their ids collide.
+_SHARED_IDS = ["x1", "x2", "x3"]
+
+
+@st.composite
+def _shared_id_bindings(draw):
+    """A small log whose event and object ids share one alphabet, and
+    assignments mixing absolute ones, type-level per-instance ones and
+    instance-level overrides on its components."""
+    event_ids = draw(st.lists(st.sampled_from(_SHARED_IDS), unique=True))
+    object_ids = draw(st.lists(st.sampled_from(_SHARED_IDS), unique=True))
+    events = [Event(i, draw(st.sampled_from(["make", "ship"])), _T0) for i in event_ids]
+    objects = [ObjectInstance(i, draw(st.sampled_from(["item", "box"]))) for i in object_ids]
+    log = EventLog({e.activity for e in events}, {o.object_type for o in objects}, events, objects)
+    types = sorted({ComponentRef(ComponentKind.ACTIVITY_TYPE, e.activity) for e in events}
+                   | {ComponentRef(ComponentKind.OBJECT_TYPE, o.object_type) for o in objects})
+    instances = [e.ref for e in events] + [o.ref for o in objects]
+    assignments = []
+    for choice in draw(st.lists(st.sampled_from(["absolute", "expand", "override"]), max_size=8)):
+        if choice == "absolute":
+            component = draw(st.sampled_from([ComponentRef(ComponentKind.PROCESS), *types, *instances]))
+        else:
+            pool = types if choice == "expand" else instances
+            if not pool:
+                continue
+            component = draw(st.sampled_from(pool))
+        flow = draw(st.sampled_from(["CO2", "CH4"]))
+        direction = draw(st.sampled_from(list(Direction)))
+        quantity = Quantity(Decimal(draw(st.integers(1, 9))), "kg")
+        basis = Basis.PER_INSTANCE if choice == "expand" else Basis.ABSOLUTE
+        assignments.append(FlowAssignment(component, flow, direction, quantity, None, basis, choice == "override"))
+    return log, assignments
+
+
+def _expected_resolved(log, assignments):
+    """Every absolute assignment as given, and each per-instance one on
+    every instance of its type, unless an override names that exact
+    component, flow and direction."""
+    def overridden(kind, component_id, a):
+        return any(b.override and b.component.kind is kind and b.component.id == component_id
+                   and b.flow == a.flow and b.direction is a.direction for b in assignments)
+
+    expected = []
+    for a in assignments:
+        if a.basis is Basis.ABSOLUTE:
+            expected.append((a.component, a))
+            continue
+        if a.component.kind is ComponentKind.ACTIVITY_TYPE:
+            kind = ComponentKind.ACTIVITY_INSTANCE
+            ids = [e.event_id for e in log.events if e.activity == a.component.id]
+        else:
+            kind = ComponentKind.OBJECT_INSTANCE
+            ids = [o.object_id for o in log.objects if o.object_type == a.component.id]
+        expected += [(ComponentRef(kind, i), a) for i in ids if not overridden(kind, i, a)]
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_id_bindings())
+def test_overrides_suppress_expansions_by_component(case):
+    log, assignments = case
+    bundle = dataclasses.replace(empty_bundle(), assignments=assignments)
+    assert bind_annotations(log, bundle).resolved == _expected_resolved(log, assignments)
+
+
+def test_annotated_log_is_the_bound_bundle(demo_log, demo_bundle):
+    al = bind_annotations(demo_log, demo_bundle)
+    assert isinstance(al, AnnotationBundle)
+    assert [f.name for f in dataclasses.fields(AnnotatedLog)] == [
+        *(f.name for f in dataclasses.fields(AnnotationBundle)), "log", "resolved",
+    ]
+    for f in dataclasses.fields(AnnotationBundle):
+        assert getattr(al, f.name) is getattr(demo_bundle, f.name)
+    assert al.log is demo_log
+    # a bound bundle binds again, to its bundle fields only
+    again = bind_annotations(demo_log, al)
+    assert again.resolved == al.resolved and again.rules is al.rules
+
+
 def test_empty_bundle_binds_to_empty_annotated_log():
     al = bind_annotations(shipping_log(), empty_bundle())
     assert al.resolved == []
@@ -340,6 +449,22 @@ def test_json_numbers_beyond_float_range_rejected(edit, field):
     text = json.dumps(doc).replace("true", "1e400")
     with pytest.raises(SchemaError, match=f"{field}: 1E[+]400 overflows a float"):
         parse_annotations(text)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("edit, field", [
+    (_set_amount, "assignment #0 amount"),
+    (_set_fraction, "allocation #0 fraction"),
+    (_set_factor, "factor CO2->climate_change"),
+    (_set_conversion, "conversion crate->kg"),
+])
+def test_json_non_finite_constants_rejected(edit, field, token):
+    # Python's json reads these tokens; they are numbers that are not finite
+    doc = bundle_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc).replace("true", token))
+    assert str(excinfo.value) == f"{field}: amount must be finite"
 
 
 @pytest.mark.parametrize("digits", [401, 5000])
@@ -537,23 +662,70 @@ def _bind_with_scope(scope):
     bind_annotations(shipping_log(), dataclasses.replace(bundle, assignments=[assignment]))
 
 
-@pytest.mark.parametrize("load", [
-    lambda v: parse_ocel(json.dumps(make_log_doc(events=[("e1", "a", v, [], {})]))),
-    lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(scope=v)]))),
-    _bind_with_scope,
-    lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(unit=v)]))),
-    lambda v: parse_annotations(json.dumps(bundle_doc(characterization={"factors": [{"flow": "CO2", "unit": v}]}))),
-    lambda v: characterization_from_csv(
+def _bind_in_scope_set(name):
+    bundle = parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(scope="scope1")])))
+    bind_annotations(shipping_log(), dataclasses.replace(bundle, scope_set=ScopeSet(name, ("site",))))
+
+
+def _bind_on(kind):
+    """Binds one assignment on a ``kind`` component with the given id to ``shipping_log()``."""
+    def bind(component_id):
+        doc = bundle_doc(assignments=[_assignment(component={"kind": kind, "id": component_id})])
+        bind_annotations(shipping_log(), parse_annotations(json.dumps(doc)))
+    return bind
+
+
+def _scope_set_doc(name, labels):
+    return bundle_doc(scopes={"name": name, "scopes": labels}, assignments=[_assignment(scope="elsewhere")])
+
+
+#: A 5,000-character literal as a message shows it: its first 24 characters and its length.
+_ABBREVIATED = f"{'x' * 24}... (5000 characters)"
+
+
+@pytest.mark.parametrize("load, shown", [
+    (lambda v: parse_ocel(json.dumps(make_log_doc(events=[("e1", "a", v, [], {})]))), f"'{_ABBREVIATED}'"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(scope=v)]))), f"'{_ABBREVIATED}'"),
+    (_bind_with_scope, f"'{_ABBREVIATED}'"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(unit=v)]))), f"'{_ABBREVIATED}'"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(characterization={"factors": [{"flow": "CO2", "unit": v}]}))),
+     f"'{_ABBREVIATED}'"),
+    (lambda v: characterization_from_csv(
         f"flow,unit,category,factor,impact_unit,class\nCO2,{v},climate_change,1,kg CO2e,climate\n"),
-    lambda v: UnitRegistry(conversions={(v, "kg"): Decimal(1)}),
-    lambda v: UnitRegistry().factor("kg", v),
-    parse_scope_set,
+     f"'{_ABBREVIATED}'"),
+    (lambda v: UnitRegistry(conversions={(v, "kg"): Decimal(1)}), f"'{_ABBREVIATED}'"),
+    (lambda v: UnitRegistry().factor("kg", v), f"'{_ABBREVIATED}'"),
+    (parse_scope_set, f"'{_ABBREVIATED}'"),
+    (_bind_in_scope_set, f"not in scope set '{_ABBREVIATED}'"),
+    (lambda v: parse_annotations(json.dumps(_scope_set_doc(v, ["scope1"]))), f"'{_ABBREVIATED}' ['scope1']"),
+    (lambda v: parse_annotations(json.dumps(_scope_set_doc("site", [v]))),
+     f"'site' ['{'x' * 22}... (5004 characters)"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(characterization={"factors": [{"flow": v, "unit": "t"}]}))),
+     f"factor entry for '{_ABBREVIATED}'"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(characterization={
+        "factors": [{"flow": "CO2", "unit": "kg", "factors": {v: 1}}]}))),
+     f"factor entry 'CO2': undeclared category '{_ABBREVIATED}'"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(characterization={
+        "categories": {v: {"impact_unit": "kg CO2e", "class": "mass"}}}))),
+     f"category '{_ABBREVIATED}': class must be"),
+    (lambda v: characterization_from_csv(
+        f"flow,unit,category,factor,impact_unit,class\n{v},kg,climate_change,one,kg CO2e,climate\n"),
+     f"CSV line 2 factor {_ABBREVIATED}->climate_change: invalid decimal 'one'"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(units={
+        "conversions": [{"from": v, "to": "kg", "factor": True}]}))),
+     f"conversion {_ABBREVIATED}->kg: expected a number, got true"),
+    (_bind_on("activity_type"), f"unknown activity type '{_ABBREVIATED}'"),
+    (_bind_on("object_type"), f"unknown object type '{_ABBREVIATED}'"),
+    (_bind_on("activity_instance"), f"unknown event '{_ABBREVIATED}'"),
+    (_bind_on("object_instance"), f"unknown object '{_ABBREVIATED}'"),
 ], ids=["event-time", "assignment-scope", "bound-scope", "assignment-unit", "factor-unit", "csv-unit",
-        "conversion-unit", "registry-unit", "scope-preset"])
-def test_long_input_literals_are_abbreviated_in_messages(load):
+        "conversion-unit", "registry-unit", "scope-preset", "bound-scope-set-name", "scope-set-name",
+        "scope-set-labels", "factor-flow", "undeclared-category", "category-declaration", "csv-flow",
+        "bundle-conversion-unit", "unknown-activity-type", "unknown-object-type", "unknown-event", "unknown-object"])
+def test_long_input_literals_are_abbreviated_in_messages(load, shown):
     literal = "x" * 5000
     with pytest.raises(SusmineError) as info:
         load(literal)
     message = str(info.value)
-    assert f"'{literal[:24]}... (5000 characters)'" in message
+    assert shown in message
     assert len(message) < 200
