@@ -43,7 +43,7 @@ from .model import (
     validate_log,
 )
 from .units import UnitRegistry
-from .ocel import parse_ocel, serialize_ocel
+from .ocel import parse_ocel
 from .annotations import (
     AllocationKey,
     AllocationRule,
@@ -57,7 +57,6 @@ from .annotations import (
     SCOPE_PRESETS,
     TableEntry,
     bind_annotations,
-    characterization_from_csv,
     empty_bundle,
     parse_annotations,
 )
@@ -76,7 +75,7 @@ from .dfg import AnnotatedDFG, annotate_dfg, build_dfg, emit_dot
 from .audit import CapabilityMatrix, SupportLevel, load_literature_matrix, pattern_audit
 from .pipeline import PipelineResult, run_pipeline
 from .report import build_report, render_report, write_outputs
-from .generator import GeneratedBundle, extend_annotations, generate_bundle
+from .generator import GeneratedBundle, generate_bundle
 from .fixtures import fixture_path, load_manifest, verify_fixtures
 
 __version__ = "0.1.0"

@@ -24,8 +24,6 @@ the same instance, flow and direction.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections.abc import Mapping
@@ -307,16 +305,6 @@ def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: s
     return FlowAssignment(component, raw["flow"], direction, Quantity(amount, unit), scope, basis, override)
 
 
-def _category_info(impact_unit, class_raw, scope_set: ScopeSet, where: str) -> CategoryInfo:
-    """Check one category declaration, from a bundle or a CSV row."""
-    if not impact_unit:
-        raise SchemaError(f"{where}: 'impact_unit' required")
-    impact_class = _choice(class_raw, "class", where)
-    if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
-        raise SchemaError(f"{where}: climate categories must use 'kg CO2e' under the ghg preset")
-    return CategoryInfo(impact_unit, impact_class)
-
-
 def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
     record(raw, "'characterization'", _TABLE_FIELDS, entries=None)
 
@@ -324,7 +312,10 @@ def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> Char
     for name, info in sorted(raw.get("categories", {}).items()):
         where = f"category '{abbreviate(name)}'"
         record(info, where, _CATEGORY_FIELDS, ("impact_unit", "class"), None)
-        categories[name] = _category_info(info["impact_unit"], info["class"], scope_set, where)
+        impact_unit, impact_class = info["impact_unit"], _choice(info["class"], "class", where)
+        if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
+            raise SchemaError(f"{where}: climate categories must use 'kg CO2e' under the ghg preset")
+        categories[name] = CategoryInfo(impact_unit, impact_class)
 
     entries: dict[tuple[str, str], TableEntry] = {}
     for entry_raw in raw.get("factors", []):
@@ -409,49 +400,6 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
         for i, raw in enumerate(data.get("allocations", []))
     ]
     return AnnotationBundle(assignments, table, scope_set, rules, registry)
-
-
-def characterization_from_csv(text: str, scope_set: ScopeSet | None = None,
-                              registry: UnitRegistry | None = None) -> CharacterizationTable:
-    """Load a characterization table from CSV.
-
-    Columns: flow,unit,category,factor,impact_unit,class. Rows sharing a
-    (flow, unit) merge into one entry; conflicting category declarations
-    raise :class:`SchemaError`. CSV entries apply to both directions.
-    """
-    scope_set = scope_set or SCOPE_PRESETS["ghg"]
-    registry = registry or UnitRegistry()
-    reader = csv.DictReader(io.StringIO(text))
-    required = {"flow", "unit", "category", "factor", "impact_unit", "class"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise SchemaError(f"characterization CSV requires columns {sorted(required)}")
-
-    categories: dict[str, CategoryInfo] = {}
-    factors_by_key: dict[tuple[str, str], dict[str, float]] = {}
-    for i, row in enumerate(reader, start=2):
-        flow, unit, category = row["flow"], row["unit"], row["category"]
-        if not flow or not unit or not category:
-            raise SchemaError(f"CSV line {i}: flow, unit and category are required")
-        if not registry.has_unit(unit):
-            raise UnknownUnitError(f"CSV line {i}: unit '{abbreviate(unit)}' not in registry")
-        info = _category_info(row["impact_unit"], row["class"], scope_set, f"CSV line {i}")
-        existing = categories.get(category)
-        if existing is not None and existing != info:
-            raise SchemaError(f"CSV line {i}: conflicting declaration for category '{abbreviate(category)}'")
-        categories[category] = info
-        factor = float(_as_decimal(row["factor"], f"CSV line {i} factor {abbreviate(flow)}->{abbreviate(category)}"))
-        bucket = factors_by_key.setdefault((flow, unit), {})
-        if category in bucket:
-            raise SchemaError(
-                f"CSV line {i}: duplicate factor for ({abbreviate(flow)}, {abbreviate(unit)}, {abbreviate(category)})"
-            )
-        bucket[category] = factor
-
-    entries = {
-        (flow, unit): TableEntry(flow, unit, None, factors)
-        for (flow, unit), factors in sorted(factors_by_key.items())
-    }
-    return CharacterizationTable(entries, categories)
 
 
 def empty_bundle() -> AnnotationBundle:

@@ -65,7 +65,7 @@ class SusmineError(Exception):
 
 
 class SchemaError(SusmineError):
-    """A document is valid JSON/CSV but does not match its schema."""
+    """A document is valid JSON but does not match its schema."""
 
 
 class IntegrityError(SusmineError):
@@ -109,7 +109,7 @@ class UncharacterizedFlowError(SusmineError):
         self.flow = flow
         self.unit = unit
         self.direction = direction
-        super().__init__(f"no characterization entry for flow '{flow}' [{unit}, {direction}]")
+        super().__init__(f"no characterization entry for flow '{abbreviate(flow)}' [{abbreviate(unit)}, {direction}]")
 
 
 class NonFiniteImpactError(SusmineError):

@@ -18,7 +18,7 @@ from decimal import Decimal
 from enum import Enum
 
 from .errors import NonFiniteImpactError, NoConversionPathError, UnknownUnitError
-from .errors import UncharacterizedFlowError, UnitMismatchError
+from .errors import UncharacterizedFlowError, UnitMismatchError, abbreviate
 from .model import ComponentRef, Direction, Quantity
 from .annotations import CharacterizationTable, ImpactClass, TableEntry
 from .inventory import Inventory
@@ -105,7 +105,8 @@ def characterize(
             if mode is Mode.STRICT:
                 if flow_known:
                     raise UnitMismatchError(
-                        f"no conversion path from '{q.unit}' to any table unit for flow '{key.flow}'"
+                        f"no conversion path from '{abbreviate(q.unit)}' to any table unit"
+                        f" for flow '{abbreviate(key.flow)}'"
                     )
                 raise UncharacterizedFlowError(key.flow, q.unit, key.direction.value)
             uncharacterized.add((key.flow, q.unit, key.direction.value))
@@ -122,8 +123,8 @@ def characterize(
                 vector_add(vec, (category, key.scope), base * factor, table.categories[category].impact_unit)
             except NonFiniteImpactError:
                 raise NonFiniteImpactError(
-                    f"{key.component}: flow '{key.flow}' in category '{category}' "
-                    f"overflows a float ({q.amount} {q.unit} x factor {factor})"
+                    f"{key.component}: flow '{abbreviate(key.flow)}' in category '{abbreviate(category)}' "
+                    f"overflows a float ({abbreviate(q.amount)} {abbreviate(q.unit)} x factor {factor})"
                 ) from None
 
     return vectors, sorted(uncharacterized)

@@ -71,14 +71,14 @@ class Inventory:
             return
         if existing.unit != quantity.unit:
             raise UnitMismatchError(
-                f"flow '{key.flow}' on {key.component} mixes units "
-                f"'{existing.unit}' and '{quantity.unit}'"
+                f"flow '{abbreviate(key.flow)}' on {key.component} mixes units "
+                f"'{abbreviate(existing.unit)}' and '{abbreviate(quantity.unit)}'"
             )
         try:
             total = _exact_add(existing.amount, quantity.amount)
         except Rounded:
             raise InexactSumError(
-                f"flow '{key.flow}' on {key.component} sums {abbreviate(existing.amount)} and "
+                f"flow '{abbreviate(key.flow)}' on {key.component} sums {abbreviate(existing.amount)} and "
                 f"{abbreviate(quantity.amount)} beyond {SUM_DIGITS} significant digits"
             ) from None
         self.entries[key] = Quantity(total, existing.unit)

@@ -358,9 +358,3 @@ def parse_timestamp(raw: str) -> datetime:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
 
-
-def format_timestamp(ts: datetime) -> str:
-    """Render a UTC timestamp with a trailing 'Z'."""
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")

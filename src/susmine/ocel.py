@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-from decimal import Decimal
 
 from .errors import TEXT, IntegrityError, SchemaError, abbreviate, record
 from .model import (
@@ -40,7 +39,6 @@ from .model import (
     ObjectInstance,
     Relation,
     Scalar,
-    format_timestamp,
     parse_timestamp,
     validate_log,
 )
@@ -66,9 +64,9 @@ def _attributes(raw: list, where: str, fields: dict = _VALUE_FIELDS) -> dict[str
         record(entry, where, fields, required, "attribute entries")
         name, value = entry["name"], entry[required[1]]
         if name in out:
-            raise SchemaError(f"{where}: attribute '{name}' is repeated")
+            raise SchemaError(f"{where}: attribute '{abbreviate(name)}' is repeated")
         if isinstance(value, (dict, list)):
-            raise SchemaError(f"{where}: attribute '{name}' must be a scalar")
+            raise SchemaError(f"{where}: attribute '{abbreviate(name)}' must be a scalar")
         out[name] = value
     return out
 
@@ -78,8 +76,8 @@ def _type_names(raw: list, section: str) -> set[str]:
     for entry in raw:
         name = record(entry, section, _TYPE_FIELDS, ("name",))["name"]
         if name in names:
-            raise SchemaError(f"{section}: type '{name}' is repeated")
-        _attributes(entry.get("attributes", []), f"{section} '{name}'", _DECLARATION_FIELDS)
+            raise SchemaError(f"{section}: type '{abbreviate(name)}' is repeated")
+        _attributes(entry.get("attributes", []), f"{section} '{abbreviate(name)}'", _DECLARATION_FIELDS)
         names.add(name)
     return names
 
@@ -122,19 +120,21 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
             raise SchemaError("objects: object-to-object relationships are not supported")
         record(raw, "objects", _OBJECT_FIELDS, ("id", "type"))
         oid = raw["id"]
-        objects.append(ObjectInstance(oid, raw["type"], _attributes(raw.get("attributes", []), f"object '{oid}'")))
+        attributes = _attributes(raw.get("attributes", []), f"object '{abbreviate(oid)}'")
+        objects.append(ObjectInstance(oid, raw["type"], attributes))
 
     events: list[Event] = []
     relations: list[Relation] = []
     for raw in data["events"]:
         record(raw, "events", _EVENT_FIELDS, ("id", "type", "time"))
         eid, time_raw = raw["id"], raw["time"]
+        name = f"event '{abbreviate(eid)}'"
         try:
             ts = parse_timestamp(time_raw)
         except ValueError as exc:
-            raise SchemaError(f"event '{eid}': unparseable time '{abbreviate(time_raw)}'") from exc
-        events.append(Event(eid, raw["type"], ts, _attributes(raw.get("attributes", []), f"event '{eid}'")))
-        where = f"event '{eid}' relationship"
+            raise SchemaError(f"{name}: unparseable time '{abbreviate(time_raw)}'") from exc
+        events.append(Event(eid, raw["type"], ts, _attributes(raw.get("attributes", []), name)))
+        where = f"{name} relationship"
         for rel in raw.get("relationships", []):
             record(rel, where, _RELATIONSHIP_FIELDS, ("objectId",))
             relations.append(Relation(eid, rel["objectId"], rel.get("qualifier", "")))
@@ -151,48 +151,4 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
         if violations:
             raise IntegrityError(violations)
     return log
-
-
-def _scalar_out(value: Scalar):
-    # Decimal attributes only occur on programmatically built logs; emit
-    # them as numbers so reparsing yields the standard float form.
-    return float(value) if isinstance(value, Decimal) else value
-
-
-def serialize_ocel(log: EventLog) -> str:
-    """Serialize back to the accepted subset; parse∘serialize is a fixed point."""
-    rels_by_event: dict[str, list[Relation]] = {}
-    for rel in log.relations:
-        rels_by_event.setdefault(rel.event_id, []).append(rel)
-
-    doc = {
-        "objectTypes": [{"name": n} for n in sorted(log.object_types)],
-        "eventTypes": [{"name": n} for n in sorted(log.activity_types)],
-        "objects": [
-            {
-                "id": o.object_id,
-                "type": o.object_type,
-                "attributes": [
-                    {"name": k, "value": _scalar_out(v)} for k, v in sorted(o.attributes.items())
-                ],
-            }
-            for o in log.objects
-        ],
-        "events": [
-            {
-                "id": e.event_id,
-                "type": e.activity,
-                "time": format_timestamp(e.timestamp),
-                "attributes": [
-                    {"name": k, "value": _scalar_out(v)} for k, v in sorted(e.attributes.items())
-                ],
-                "relationships": [
-                    {"objectId": r.object_id, "qualifier": r.qualifier}
-                    for r in rels_by_event.get(e.event_id, [])
-                ],
-            }
-            for e in log.events
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 

@@ -46,7 +46,9 @@ class UnitRegistry:
             if not isinstance(factor, Decimal):
                 factor = Decimal(str(factor))
             if factor <= 0 or not factor.is_finite():
-                raise SchemaError(f"conversion factor {src}->{dst} must be a positive finite number")
+                raise SchemaError(
+                    f"conversion factor {abbreviate(src)}->{abbreviate(dst)} must be a positive finite number"
+                )
             self.conversions[(src, dst)] = factor
         # fill in inverses that were not declared explicitly
         for (src, dst), factor in list(self.conversions.items()):
@@ -77,6 +79,7 @@ class UnitRegistry:
         for (src, dst), factor in self.conversions.items():
             back = self.conversions[(dst, src)]
             if abs(float(factor * back) - 1.0) > 1e-12:
+                src, dst = abbreviate(src), abbreviate(dst)
                 raise SchemaError(f"conversions {src}->{dst} and {dst}->{src} are inconsistent")
         # every edge must agree with the path products from the first unit
         # of its component, which bounds any path-product disagreement
@@ -88,7 +91,8 @@ class UnitRegistry:
         for (src, dst), factor in self.conversions.items():
             if abs(float(factor * component[src][src] / component[src][dst]) - 1.0) > 1e-9:
                 raise SchemaError(
-                    f"conversion {src}->{dst}={factor} disagrees with other declared paths"
+                    f"conversion {abbreviate(src)}->{abbreviate(dst)}={abbreviate(factor)}"
+                    " disagrees with other declared paths"
                 )
 
     def has_unit(self, unit: str) -> bool:

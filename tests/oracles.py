@@ -9,12 +9,17 @@ conversion paths are exercised by dedicated tests instead.
 :func:`report_dict` builds ``report.json``'s document as a plain dict from a
 pipeline result, sharing no code with ``susmine.report``, so that
 ``json.dumps`` of it checks the report emitter byte for byte.
+
+:func:`serialize_ocel` writes a parsed log back as the accepted OCEL
+subset, so that parse and serialize can be checked to be a fixed point.
 """
 
+import json
+from datetime import datetime, timezone
 from decimal import Decimal
 
 from susmine.impact import classify_impacts
-from susmine.model import Quantity
+from susmine.model import EventLog, Quantity, Relation, Scalar
 
 
 def _counts(log_doc):
@@ -223,3 +228,55 @@ def report_dict(result):
             ),
         }
     return report
+
+
+def _scalar_out(value: Scalar):
+    # Decimal attributes only occur on programmatically built logs; emit
+    # them as numbers so reparsing yields the standard float form.
+    return float(value) if isinstance(value, Decimal) else value
+
+
+def _time_out(ts: datetime) -> str:
+    """A timestamp in UTC with a trailing 'Z'; a naive one is taken as UTC."""
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def serialize_ocel(log: EventLog) -> str:
+    """Serialize back to the accepted subset; parse∘serialize is a fixed point."""
+    rels_by_event: dict[str, list[Relation]] = {}
+    for rel in log.relations:
+        rels_by_event.setdefault(rel.event_id, []).append(rel)
+
+    doc = {
+        "objectTypes": [{"name": n} for n in sorted(log.object_types)],
+        "eventTypes": [{"name": n} for n in sorted(log.activity_types)],
+        "objects": [
+            {
+                "id": o.object_id,
+                "type": o.object_type,
+                "attributes": [
+                    {"name": k, "value": _scalar_out(v)} for k, v in sorted(o.attributes.items())
+                ],
+            }
+            for o in log.objects
+        ],
+        "events": [
+            {
+                "id": e.event_id,
+                "type": e.activity,
+                "time": _time_out(e.timestamp),
+                "attributes": [
+                    {"name": k, "value": _scalar_out(v)} for k, v in sorted(e.attributes.items())
+                ],
+                "relationships": [
+                    {"objectId": r.object_id, "qualifier": r.qualifier}
+                    for r in rels_by_event.get(e.event_id, [])
+                ],
+            }
+            for e in log.events
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+

@@ -27,11 +27,12 @@ from susmine import (
 from susmine.allocation import allocation_weights
 from susmine.cli import main
 from susmine.fixtures import fixture_path
-from susmine.generator import extend_annotations, generate_bundle
+from susmine.generator import generate_bundle
 from susmine.inventory import rollup_inventory
 from susmine.scoping import scoped_total
 
 from conftest import rel_close
+from extend import extend_annotations
 from oracles import flat_impact_totals, flat_inventory_totals
 
 CORPUS_SEEDS = 220  # criterion 3 requires >= 200

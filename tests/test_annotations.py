@@ -20,15 +20,16 @@ from susmine import (
     Quantity,
     SchemaError,
     SusmineError,
+    UncharacterizedFlowError,
     UnitRegistry,
     UnknownComponentError,
     UnknownScopeError,
     UnknownUnitError,
     bind_annotations,
-    characterization_from_csv,
     empty_bundle,
     parse_annotations,
     parse_ocel,
+    run_pipeline,
 )
 from susmine.annotations import (
     SCOPE_PRESETS,
@@ -39,7 +40,6 @@ from susmine.annotations import (
     TableEntry,
     parse_scope_set,
 )
-from susmine.fixtures import fixture_path
 
 from conftest import make_log, make_log_doc
 
@@ -144,8 +144,16 @@ def test_per_instance_on_instance_component_rejected():
 def test_climate_unit_enforced_under_ghg_preset():
     doc = bundle_doc()
     doc["characterization"]["categories"]["climate_change"]["impact_unit"] = "t CO2e"
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="climate categories must use 'kg CO2e' under the ghg preset"):
         parse_annotations(json.dumps(doc))
+
+
+def test_empty_impact_unit_rejected():
+    doc = bundle_doc()
+    doc["characterization"]["categories"]["climate_change"]["impact_unit"] = ""
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == "category 'climate_change': 'impact_unit' must be a non-empty string, got \"\""
 
 
 def test_custom_scope_set_allows_other_climate_units():
@@ -343,30 +351,6 @@ def test_annotated_log_is_the_bound_bundle(demo_log, demo_bundle):
 def test_empty_bundle_binds_to_empty_annotated_log():
     al = bind_annotations(shipping_log(), empty_bundle())
     assert al.resolved == []
-
-
-def test_characterization_csv_round_trip():
-    table = characterization_from_csv(fixture_path("annotations/factors.csv").read_text())
-    assert ("CO2", "kg") in table.entries
-    assert table.entries[("CH4", "kg")].factors["climate_change"] == 28.0
-    assert table.categories["ozone_depletion"].impact_unit == "kg CFCe"
-
-
-def test_characterization_csv_bad_class():
-    with pytest.raises(SchemaError):
-        characterization_from_csv(fixture_path("annotations/invalid_factors.csv").read_text())
-
-
-def test_characterization_csv_empty_impact_unit_rejected():
-    text = "flow,unit,category,factor,impact_unit,class\nCH4,kg,methane,1.0,,environmental\n"
-    with pytest.raises(SchemaError, match="CSV line 2: 'impact_unit' required"):
-        characterization_from_csv(text)
-
-
-def test_csv_factor_overflow_rejected():
-    text = "flow,unit,category,factor,impact_unit,class\nCH4,kg,methane,1e400,kg CO2e,climate\n"
-    with pytest.raises(SchemaError, match="CSV line 2 factor CH4->methane: 1e400 overflows a float"):
-        characterization_from_csv(text)
 
 
 def test_duplicate_factor_entry_rejected():
@@ -618,15 +602,11 @@ def _tables_from_every_constructor():
         "categories": {"climate_change": {"impact_unit": "kg CO2e", "class": "climate"}},
         "factors": [{"flow": f, "unit": u, "factors": {"climate_change": x}} for f, u, x in rows],
     }))).table
-    csv_table = characterization_from_csv(
-        "flow,unit,category,factor,impact_unit,class\n"
-        + "".join(f"{f},{u},climate_change,{x},kg CO2e,climate\n" for f, u, x in rows)
-    )
     direct_table = CharacterizationTable(
         entries={(f, u): TableEntry(f, u, None, {"climate_change": x}) for f, u, x in rows},
         categories={"climate_change": CategoryInfo("kg CO2e", ImpactClass.CLIMATE)},
     )
-    return [json_table, csv_table, direct_table, empty_bundle().table]
+    return [json_table, direct_table, empty_bundle().table]
 
 
 def test_entries_for_flow_equals_sorted_scan():
@@ -679,6 +659,24 @@ def _scope_set_doc(name, labels):
     return bundle_doc(scopes={"name": name, "scopes": labels}, assignments=[_assignment(scope="elsewhere")])
 
 
+def _assess_flow(*assignments, factor=None):
+    """Runs the strict pipeline over ``shipping_log()`` with assignments of
+    one flow, given as (amount, unit) pairs and named by the returned
+    function's argument; ``factor`` gives the flow a climate factor in kg."""
+    def assess(flow):
+        doc = bundle_doc(assignments=[_assignment(flow=flow, amount=a, unit=u) for a, u in assignments])
+        if factor is not None:
+            doc["characterization"]["factors"] = [{"flow": flow, "unit": "kg", "factors": {"climate_change": factor}}]
+        run_pipeline(shipping_log(), parse_annotations(json.dumps(doc)))
+    return assess
+
+
+def _log_with_repeated_attribute(name):
+    doc = make_log_doc(objects=[("o1", "order", {})])
+    doc["objects"][0]["attributes"] = [{"name": name, "value": 1}, {"name": name, "value": 2}]
+    parse_ocel(json.dumps(doc))
+
+
 #: A 5,000-character literal as a message shows it: its first 24 characters and its length.
 _ABBREVIATED = f"{'x' * 24}... (5000 characters)"
 
@@ -689,9 +687,6 @@ _ABBREVIATED = f"{'x' * 24}... (5000 characters)"
     (_bind_with_scope, f"'{_ABBREVIATED}'"),
     (lambda v: parse_annotations(json.dumps(bundle_doc(assignments=[_assignment(unit=v)]))), f"'{_ABBREVIATED}'"),
     (lambda v: parse_annotations(json.dumps(bundle_doc(characterization={"factors": [{"flow": "CO2", "unit": v}]}))),
-     f"'{_ABBREVIATED}'"),
-    (lambda v: characterization_from_csv(
-        f"flow,unit,category,factor,impact_unit,class\nCO2,{v},climate_change,1,kg CO2e,climate\n"),
      f"'{_ABBREVIATED}'"),
     (lambda v: UnitRegistry(conversions={(v, "kg"): Decimal(1)}), f"'{_ABBREVIATED}'"),
     (lambda v: UnitRegistry().factor("kg", v), f"'{_ABBREVIATED}'"),
@@ -708,9 +703,6 @@ _ABBREVIATED = f"{'x' * 24}... (5000 characters)"
     (lambda v: parse_annotations(json.dumps(bundle_doc(characterization={
         "categories": {v: {"impact_unit": "kg CO2e", "class": "mass"}}}))),
      f"category '{_ABBREVIATED}': class must be"),
-    (lambda v: characterization_from_csv(
-        f"flow,unit,category,factor,impact_unit,class\n{v},kg,climate_change,one,kg CO2e,climate\n"),
-     f"CSV line 2 factor {_ABBREVIATED}->climate_change: invalid decimal 'one'"),
     (lambda v: parse_annotations(json.dumps(bundle_doc(units={
         "conversions": [{"from": v, "to": "kg", "factor": True}]}))),
      f"conversion {_ABBREVIATED}->kg: expected a number, got true"),
@@ -718,10 +710,31 @@ _ABBREVIATED = f"{'x' * 24}... (5000 characters)"
     (_bind_on("object_type"), f"unknown object type '{_ABBREVIATED}'"),
     (_bind_on("activity_instance"), f"unknown event '{_ABBREVIATED}'"),
     (_bind_on("object_instance"), f"unknown object '{_ABBREVIATED}'"),
-], ids=["event-time", "assignment-scope", "bound-scope", "assignment-unit", "factor-unit", "csv-unit",
+    (lambda v: parse_ocel(json.dumps(make_log_doc(events=[(v, "a", "never", [], {})]))),
+     f"event '{_ABBREVIATED}': unparseable time 'never'"),
+    (lambda v: parse_ocel(json.dumps(make_log_doc(objects=[(v, "order", {"size": [1]})]))),
+     f"object '{_ABBREVIATED}': attribute 'size' must be a scalar"),
+    (lambda v: parse_ocel(json.dumps(make_log_doc(activity_types=[v, v]))), f"type '{_ABBREVIATED}' is repeated"),
+    (_log_with_repeated_attribute, f"object 'o1': attribute '{_ABBREVIATED}' is repeated"),
+    (_assess_flow(("5", "kg")), f"no characterization entry for flow '{_ABBREVIATED}' [kg, output]"),
+    (lambda v: UnitRegistry(units={v}, conversions={(v, "kg"): Decimal(0)}),
+     f"conversion factor {_ABBREVIATED}->kg must be"),
+    (lambda v: UnitRegistry(units={v}, conversions={(v, "kg"): Decimal(2), ("kg", v): Decimal(2)}),
+     f"conversions {_ABBREVIATED}->kg and kg->{_ABBREVIATED} are inconsistent"),
+    (lambda v: UnitRegistry(units={v}, conversions={(v, "kg"): Decimal(2), (v, "g"): Decimal(1)}),
+     f"conversion {_ABBREVIATED}->kg=2 disagrees"),
+    (_assess_flow(("5", "kWh"), factor=1), f"to any table unit for flow '{_ABBREVIATED}'"),
+    (_assess_flow(("1e300", "kg"), factor=1e300), f"flow '{_ABBREVIATED}' in category 'climate_change' overflows"),
+    (_assess_flow(("5", "kg"), ("5", "g"), factor=1), f"flow '{_ABBREVIATED}' on activity_instance:p1 mixes units"),
+    (_assess_flow(("1E+300", "kg"), ("1E-800", "kg"), factor=1),
+     f"flow '{_ABBREVIATED}' on activity_instance:p1 sums 1E+300 and 1E-800 beyond"),
+], ids=["event-time", "assignment-scope", "bound-scope", "assignment-unit", "factor-unit",
         "conversion-unit", "registry-unit", "scope-preset", "bound-scope-set-name", "scope-set-name",
-        "scope-set-labels", "factor-flow", "undeclared-category", "category-declaration", "csv-flow",
-        "bundle-conversion-unit", "unknown-activity-type", "unknown-object-type", "unknown-event", "unknown-object"])
+        "scope-set-labels", "factor-flow", "undeclared-category", "category-declaration",
+        "bundle-conversion-unit", "unknown-activity-type", "unknown-object-type", "unknown-event", "unknown-object",
+        "event-id", "object-id", "type-name", "attribute-name", "uncharacterized-flow", "conversion-factor",
+        "inconsistent-conversions", "disagreeing-conversion", "no-conversion-path", "overflowing-flow",
+        "mixed-units", "inexact-sum"])
 def test_long_input_literals_are_abbreviated_in_messages(load, shown):
     literal = "x" * 5000
     with pytest.raises(SusmineError) as info:
@@ -729,3 +742,10 @@ def test_long_input_literals_are_abbreviated_in_messages(load, shown):
     message = str(info.value)
     assert shown in message
     assert len(message) < 200
+
+
+def test_uncharacterized_flow_error_keeps_its_flow_and_unit_whole():
+    flow, unit = "f" * 5000, "u" * 5000
+    error = UncharacterizedFlowError(flow, unit, "output")
+    assert (error.flow, error.unit) == (flow, unit)
+    assert len(str(error)) < 200

@@ -12,9 +12,10 @@ from susmine import (
     run_pipeline,
 )
 from susmine.audit import AUDIT_COLUMNS
-from susmine.generator import extend_annotations, generate_bundle
+from susmine.generator import generate_bundle
 
 from conftest import make_log
+from extend import extend_annotations
 from test_annotations import bundle_doc
 from test_inventory import instance_assignment
 

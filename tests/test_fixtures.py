@@ -8,7 +8,6 @@ from susmine import (
     MissingFixtureError,
     SchemaError,
     UnknownScopeError,
-    characterization_from_csv,
     parse_annotations,
     parse_ocel,
 )
@@ -84,10 +83,8 @@ def test_valid_and_invalid_examples_for_every_schema():
     parse_annotations(fixture_path("annotations/machine_allocation.json").read_bytes())
     with pytest.raises(UnknownScopeError):
         parse_annotations(fixture_path("annotations/invalid_unknown_scope.json").read_bytes())
-    # characterization CSV
-    characterization_from_csv(fixture_path("annotations/factors.csv").read_text())
-    with pytest.raises(SchemaError):
-        characterization_from_csv(fixture_path("annotations/invalid_factors.csv").read_text())
+    with pytest.raises(SchemaError, match="class must be"):
+        parse_annotations(fixture_path("annotations/invalid_impact_class.json").read_bytes())
     # literature matrix
     from susmine import CapabilityMatrix, load_literature_matrix
 

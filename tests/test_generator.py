@@ -4,12 +4,13 @@ from decimal import Decimal
 import pytest
 
 from susmine import parse_annotations, parse_ocel, run_pipeline, validate_log
-from susmine.generator import extend_annotations, generate_bundle
+from susmine.generator import generate_bundle
 from susmine.inventory import rollup_inventory
 from susmine.model import ComponentKind
 from susmine.scoping import scoped_total
 
 from conftest import rel_close
+from extend import extend_annotations
 from oracles import flat_impact_totals, flat_inventory_totals
 
 

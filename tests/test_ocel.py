@@ -6,10 +6,11 @@ import sys
 import pytest
 
 import susmine
-from susmine import ComponentKind, IntegrityError, SchemaError, build_dfg, parse_ocel, serialize_ocel
+from susmine import ComponentKind, IntegrityError, SchemaError, build_dfg, parse_ocel
 from susmine.generator import generate_bundle
 
 from conftest import make_log_doc
+from oracles import serialize_ocel
 
 
 MINIMAL = {

@@ -5,8 +5,6 @@ crash or exit as a usage error. The same holds for documents that name ids
 the log lacks, and for the sweep seeded from each shipped invalid fixture."""
 
 import copy
-import csv
-import io
 import json
 
 import pytest
@@ -167,19 +165,6 @@ def test_relation_to_an_absent_event_changes_only_the_digest(demo_log, machine_b
 INVALID_FIXTURES = sorted(path.relative_to(data_root()).as_posix() for path in data_root().rglob("invalid_*"))
 
 
-def bundle_with_csv_table(bundle_doc, csv_text):
-    """``bundle_doc`` with its characterization taken from a factor table in CSV form."""
-    doc = copy.deepcopy(bundle_doc)
-    categories, factors = {}, {}
-    for row in csv.DictReader(io.StringIO(csv_text)):
-        categories[row["category"]] = {"impact_unit": row["impact_unit"], "class": row["class"]}
-        entry = factors.setdefault((row["flow"], row["unit"]), {"flow": row["flow"], "unit": row["unit"],
-                                                                "factors": {}})
-        entry["factors"][row["category"]] = float(row["factor"])
-    doc["characterization"] = {"categories": categories, "factors": list(factors.values())}
-    return doc
-
-
 def seeded_documents(rel, log_doc, bundle_doc):
     """(log, bundle, the document to sweep) with the invalid fixture ``rel``
     in place of its valid counterpart."""
@@ -190,14 +175,12 @@ def seeded_documents(rel, log_doc, bundle_doc):
         fitted["assignments"][0]["component"] = {"kind": "activity_instance", "id": "e1"}
         fitted["allocations"] = []
         return json.loads(text), fitted, "log"
-    if rel.endswith(".csv"):
-        return log_doc, bundle_with_csv_table(bundle_doc, text), "bundle"
     return log_doc, json.loads(text), "bundle"
 
 
 def test_every_invalid_fixture_is_seeded():
     assert INVALID_FIXTURES == [
-        "annotations/invalid_factors.csv",
+        "annotations/invalid_impact_class.json",
         "annotations/invalid_unknown_scope.json",
         "ocel/invalid_dangling_relation.json",
     ]
