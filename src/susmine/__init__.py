@@ -65,7 +65,6 @@ from .inventory import (
     Inventory,
     direct_inventory,
     functional_unit_scale,
-    inventory_to_csv,
     rollup_inventory,
 )
 from .impact import Mode, characterize, classify_impacts
@@ -74,7 +73,7 @@ from .allocation import AllocationLedger, LedgerEntry, allocation_weights, apply
 from .dfg import AnnotatedDFG, annotate_dfg, build_dfg, emit_dot
 from .audit import CapabilityMatrix, SupportLevel, load_literature_matrix, pattern_audit
 from .pipeline import PipelineResult, run_pipeline
-from .report import build_report, render_report, write_outputs
+from .report import build_report, inventory_to_csv, render_report, write_outputs
 from .generator import GeneratedBundle, generate_bundle
 from .fixtures import fixture_path, load_manifest, verify_fixtures
 

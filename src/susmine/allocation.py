@@ -21,13 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    DuplicateSourceError,
-    InvalidAllocationKeyError,
-    MissingAttributeError,
-    NoTargetsError,
-    SchemaError,
-)
+from .errors import InvalidAllocationKeyError, MissingAttributeError, NoTargetsError, abbreviate
 from .model import ComponentKind, ComponentRef, Quantity, resolve_component
 from .annotations import RELATED_EVENTS, AllocationRule, AnnotatedLog
 from .impact import Mode, vector_add
@@ -57,16 +51,8 @@ class AllocationLedger:
 
 def _select_targets(rule: AllocationRule, al: AnnotatedLog) -> list[ComponentRef]:
     if rule.targets == RELATED_EVENTS:
-        if rule.source.kind is not ComponentKind.OBJECT_INSTANCE:
-            raise SchemaError(
-                f"related_events selection requires an object_instance source, got {rule.source}"
-            )
-        refs = [e.ref for e in al.log.events_related_to(rule.source.id, rule.qualifier)]
-    else:
-        refs = list(rule.targets)
-        for ref in refs:
-            resolve_component(ref, al.log)
-    return sorted(set(refs))
+        return sorted({e.ref for e in al.log.events_related_to(rule.source.id, rule.qualifier)})
+    return sorted(set(rule.targets))
 
 
 def _attribute_value(ref: ComponentRef, al: AnnotatedLog, attribute: str):
@@ -83,12 +69,12 @@ def allocation_weights(
     Weights, keyed in target order, are non-negative and sum to 1.
     Proportional keys read the named attribute off each target; a missing
     attribute is an error in strict mode and a zero weight (with a
-    warning) in lenient mode.
+    warning) in lenient mode. The rule's references are trusted as
+    :func:`bind_annotations` resolved them.
     """
-    resolve_component(rule.source, al.log)
     targets = _select_targets(rule, al)
     if not targets:
-        raise NoTargetsError(f"rule on {rule.source} selected no targets")
+        raise NoTargetsError(f"rule on {abbreviate(rule.source)} selected no targets")
     warnings: list[str] = []
 
     if not rule.key.proportional:
@@ -102,7 +88,8 @@ def allocation_weights(
         if raw is None or isinstance(raw, (str, bool)):
             if Mode(mode) is Mode.STRICT:
                 raise MissingAttributeError(
-                    f"target {ref} lacks numeric attribute '{attribute}' required by key '{rule.key.label}'"
+                    f"target {abbreviate(ref)} lacks numeric attribute '{abbreviate(attribute)}'"
+                    f" required by key '{abbreviate(rule.key.label)}'"
                 )
             warnings.append(f"{rule.source}: target {ref} lacks '{attribute}', weighted 0")
             values.append(0.0)
@@ -110,13 +97,16 @@ def allocation_weights(
         value = float(raw)
         if value < 0:
             raise InvalidAllocationKeyError(
-                f"target {ref}: attribute '{attribute}' is negative ({value}); weights must be >= 0"
+                f"target {abbreviate(ref)}: attribute '{abbreviate(attribute)}' is negative ({value});"
+                " weights must be >= 0"
             )
         values.append(value)
 
     total = sum(values)
     if not math.isfinite(total):
-        raise InvalidAllocationKeyError(f"{rule.source}: '{attribute}' values sum beyond float range ({total})")
+        raise InvalidAllocationKeyError(
+            f"{abbreviate(rule.source)}: '{abbreviate(attribute)}' values sum beyond float range ({total})"
+        )
     if total == 0:
         warnings.append(
             f"{rule.source}: all '{attribute}' values zero, falling back to equal split"
@@ -136,15 +126,9 @@ def apply_allocations(
     Each source's fraction-scaled vector is split by the rule's weights
     and added to the targets; the source keeps (1 - fraction) of it.
     Returns the reallocated map and the ledger, both deterministically
-    ordered. Raises :class:`DuplicateSourceError` when two rules share a
-    source.
+    ordered. No two rules share a source: :class:`AnnotationBundle`
+    rejects a rule set where they do.
     """
-    seen_sources: set[ComponentRef] = set()
-    for rule in al.rules:
-        if rule.source in seen_sources:
-            raise DuplicateSourceError(f"multiple rules name source {rule.source}")
-        seen_sources.add(rule.source)
-
     result: dict[ComponentRef, ScopedVector] = {ref: dict(sv) for ref, sv in impacts.items()}
     ledger = AllocationLedger()
 

@@ -32,7 +32,8 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import TEXT, SchemaError, UnknownScopeError, UnknownUnitError, abbreviate, literal, record
+from .errors import (TEXT, DuplicateSourceError, SchemaError, UnknownScopeError, UnknownUnitError,
+                     abbreviate, literal, record)
 from .model import UNSCOPED, ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
 from .units import UnitRegistry
 
@@ -165,18 +166,32 @@ class AllocationRule:
 
     def __post_init__(self):
         if not (0 <= self.fraction <= 1):
-            raise SchemaError(f"allocation fraction must lie in [0,1], got {self.fraction}")
+            raise SchemaError(f"allocation fraction must lie in [0,1], got {abbreviate(self.fraction)}")
+        if self.targets == RELATED_EVENTS and self.source.kind is not ComponentKind.OBJECT_INSTANCE:
+            raise SchemaError(
+                f"related_events selection requires an object_instance source, got {abbreviate(self.source)}"
+            )
 
 
 @dataclass
 class AnnotationBundle:
-    """Parsed but unbound annotation document."""
+    """Parsed but unbound annotation document. No two of its rules may
+    name one source: the second raises :class:`DuplicateSourceError`."""
 
     assignments: list[FlowAssignment]
     table: CharacterizationTable
     scope_set: ScopeSet
     rules: list[AllocationRule]
     registry: UnitRegistry
+
+    def __post_init__(self):
+        first: dict[ComponentRef, int] = {}
+        for i, rule in enumerate(self.rules):
+            j = first.setdefault(rule.source, i)
+            if j != i:
+                raise DuplicateSourceError(
+                    f"allocation #{i}: source {abbreviate(rule.source)} is already named by allocation #{j}"
+                )
 
 
 @dataclass
@@ -374,8 +389,9 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
     """Parse an annotation bundle document.
 
     Raises ``json.JSONDecodeError`` for malformed JSON, and
-    ``SchemaError`` / ``UnknownScopeError`` / ``UnknownUnitError`` when
-    the content is invalid. Scope labels are checked here, at parse time.
+    ``SchemaError`` / ``UnknownScopeError`` / ``UnknownUnitError`` /
+    ``DuplicateSourceError`` when the content is invalid. Scope labels
+    are checked here, at parse time.
     ``scopes_override`` replaces the document's scope set (and every
     scope label is re-validated against it).
     """

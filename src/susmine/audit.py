@@ -32,9 +32,6 @@ class SupportLevel(str, Enum):
     HALF = "half"
     NONE = "none"
 
-    def rank(self) -> int:
-        return {"none": 0, "half": 1, "full": 2}[self.value]
-
 
 AUDIT_COLUMNS = (
     "AP1",

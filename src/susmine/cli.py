@@ -16,7 +16,9 @@ Exit codes: 0 success; 1 analysis/data error; 2 I/O, syntax or usage
 error. Errors print ``error [<stage>]: <message>`` once a stage
 (load-log, parse-annotations, pipeline, write-outputs) has begun.
 Configuration comes from flags only; ``--config FILE`` may supply
-the same keys as JSON, with flags winning on conflict.
+the same keys as JSON, with flags winning on conflict. A key of any
+subcommand is accepted, so one file serves them all; any other key is a
+usage error.
 
 While a command runs, :func:`main` raises the cyclic collector's gen-0
 threshold to :data:`GC_GEN0_THRESHOLD` and restores the previous
@@ -33,17 +35,17 @@ import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .errors import SusmineError
+from .errors import SusmineError, abbreviate
 from .model import Quantity, validate_log
 from .annotations import parse_annotations, parse_scope_set, empty_bundle
 from .audit import CapabilityMatrix, load_literature_matrix
 from .dfg import emit_dot
 from .generator import generate_bundle
 from .impact import Mode
-from .inventory import FunctionalUnit, inventory_to_csv
+from .inventory import FunctionalUnit
 from .ocel import parse_ocel
 from .pipeline import PipelineResult, run_pipeline
-from .report import ledger_csv, write_files, write_outputs
+from .report import inventory_to_csv, ledger_csv, write_files, write_outputs
 
 #: Allocations between young collections while a command runs. A run
 #: builds hundreds of thousands of acyclic cells and leaves little cyclic
@@ -110,6 +112,9 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("--config file must contain a JSON object")
+        unknown = [abbreviate(k) for k in sorted(config.keys() - _CONFIG_KEYS)]
+        if unknown:
+            raise ValueError(f"--config has unknown key(s) {unknown}")
         for key in _CONFIG_KEYS:
             if key not in config:
                 continue
@@ -127,13 +132,13 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
 def _parse_fu(raw: str) -> FunctionalUnit:
     parts = raw.split(":")
     if len(parts) != 2 or not parts[0]:
-        raise ValueError(f"--fu expects <object_type>:<amount>, got '{raw}'")
+        raise ValueError(f"--fu expects <object_type>:<amount>, got '{abbreviate(raw)}'")
     try:
         amount = Decimal(parts[1])
     except InvalidOperation:
-        raise ValueError(f"--fu amount '{parts[1]}' is not a number") from None
+        raise ValueError(f"--fu amount '{abbreviate(parts[1])}' is not a number") from None
     if not amount.is_finite() or math.isinf(float(amount)):  # impact arithmetic is in floats
-        raise ValueError(f"--fu amount '{parts[1]}' is not a finite number within float range")
+        raise ValueError(f"--fu amount '{abbreviate(parts[1])}' is not a finite number within float range")
     return FunctionalUnit(parts[0], Quantity(amount, "count"))
 
 

@@ -47,7 +47,8 @@ def record(raw, where: str, fields: dict, required: tuple[str, ...] = (),
         try:
             kind = fields[key]
         except KeyError:
-            raise SchemaError(f"{where}: unsupported key(s) {sorted(raw.keys() - fields.keys())}") from None
+            unknown = [abbreviate(k) for k in sorted(raw.keys() - fields.keys())]
+            raise SchemaError(f"{where}: unsupported key(s) {unknown}") from None
         if kind is TEXT:
             if isinstance(value, str) and value:
                 continue

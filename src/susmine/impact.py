@@ -123,7 +123,7 @@ def characterize(
                 vector_add(vec, (category, key.scope), base * factor, table.categories[category].impact_unit)
             except NonFiniteImpactError:
                 raise NonFiniteImpactError(
-                    f"{key.component}: flow '{abbreviate(key.flow)}' in category '{abbreviate(category)}' "
+                    f"{abbreviate(key.component)}: flow '{abbreviate(key.flow)}' in category '{abbreviate(category)}' "
                     f"overflows a float ({abbreviate(q.amount)} {abbreviate(q.unit)} x factor {factor})"
                 ) from None
 

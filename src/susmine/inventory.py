@@ -16,12 +16,10 @@ activity flows — redistribution across kinds is allocation's job.
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow, Rounded
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple
 
 from .errors import (
     InexactSumError,
@@ -71,14 +69,14 @@ class Inventory:
             return
         if existing.unit != quantity.unit:
             raise UnitMismatchError(
-                f"flow '{abbreviate(key.flow)}' on {key.component} mixes units "
+                f"flow '{abbreviate(key.flow)}' on {abbreviate(key.component)} mixes units "
                 f"'{abbreviate(existing.unit)}' and '{abbreviate(quantity.unit)}'"
             )
         try:
             total = _exact_add(existing.amount, quantity.amount)
         except Rounded:
             raise InexactSumError(
-                f"flow '{abbreviate(key.flow)}' on {key.component} sums {abbreviate(existing.amount)} and "
+                f"flow '{abbreviate(key.flow)}' on {abbreviate(key.component)} sums {abbreviate(existing.amount)} and "
                 f"{abbreviate(quantity.amount)} beyond {SUM_DIGITS} significant digits"
             ) from None
         self.entries[key] = Quantity(total, existing.unit)
@@ -149,7 +147,7 @@ def functional_unit_scale(al: AnnotatedLog, fu: FunctionalUnit) -> tuple[Decimal
     float is 0 or subnormal would zero every per-unit impact or drop its
     digits, so it raises."""
     if fu.object_type not in al.log.object_types:
-        raise UnknownComponentError(f"unknown object type '{fu.object_type}'")
+        raise UnknownComponentError(f"unknown object type '{abbreviate(fu.object_type)}'")
     objects = al.log.members(ComponentRef(ComponentKind.OBJECT_TYPE, fu.object_type))
     if fu.measured_attribute is None:
         total = Decimal(len(objects))
@@ -161,41 +159,19 @@ def functional_unit_scale(al: AnnotatedLog, fu: FunctionalUnit) -> tuple[Decimal
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float, Decimal)):
                 raise UnitMismatchError(
-                    f"object '{obj.object_id}': attribute '{fu.measured_attribute}' is not numeric"
+                    f"object '{abbreviate(obj.object_id)}': attribute '{abbreviate(fu.measured_attribute)}'"
+                    " is not numeric"
                 )
             total += value if isinstance(value, Decimal) else Decimal(str(value))
     if total == 0:
         raise ZeroOutputError(
-            f"log contains no measured output of object type '{fu.object_type}'"
+            f"log contains no measured output of object type '{abbreviate(fu.object_type)}'"
         )
     scale = fu.reference.amount / total
     if abs(float(scale)) < sys.float_info.min:
         raise ZeroOutputError(
-            f"functional unit scale for object type '{fu.object_type}' underflows a float: "
+            f"functional unit scale for object type '{abbreviate(fu.object_type)}' underflows a float: "
             f"{abbreviate(fu.reference.amount)} / {abbreviate(total)}"
         )
     return total, scale
 
-
-#: Column names of one inventory row, in report.json and inventory.csv alike.
-INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
-
-
-def write_csv(out: TextIO | None, header: Iterable[str], rows: Iterable[Iterable]) -> str | None:
-    """Write ``header`` and then ``rows`` as CSV lines, a ``None`` cell as
-    ""; onto ``out``, or returned as text without a stream."""
-    stream = io.StringIO() if out is None else out
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return stream.getvalue() if out is None else None
-
-
-def inventory_to_csv(inv: Inventory, out: TextIO | None = None) -> str | None:
-    """The inventory as CSV rows of INVENTORY_COLUMNS, the exact amount as
-    a string; written onto ``out``, or returned without a stream."""
-    return write_csv(out, INVENTORY_COLUMNS, (
-        (key.component.kind.value, key.component.id, key.flow, key.direction.value,
-         key.scope, str(q.amount), q.unit)
-        for key, q in inv.entries.items()
-    ))

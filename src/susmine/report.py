@@ -18,12 +18,15 @@ for any ``indent``; neither the report dict nor its text is ever held
 whole on the way to disk.
 
 :func:`render_report` is the only writer of the document;
-:func:`build_report` parses its text. The tests check the emitter against
-an independently built dict, ``tests/oracles.report_dict``.
+:func:`build_report` parses its text. It and the four CSV projections
+write onto a text stream ``out``, which they require, and return None.
+The tests check the emitter against an independently built dict,
+``tests/oracles.report_dict``.
 """
 
 from __future__ import annotations
 
+import csv
 import errno
 import io
 import json
@@ -34,13 +37,13 @@ import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .errors import NonFiniteImpactError
 from .allocation import LedgerEntry
 from .model import ComponentKind, ComponentRef, Direction, Quantity
 from .impact import classify_impacts
-from .inventory import InvKey, inventory_to_csv, write_csv
+from .inventory import Inventory, InvKey
 from .pipeline import PipelineResult
 from .scoping import ScopedVector, collapse_scopes, unscoped_share
 
@@ -175,7 +178,9 @@ def _layout(result: PipelineResult) -> dict:
 def build_report(result: PipelineResult) -> dict:
     """The report as one dict: :func:`render_report`'s text, parsed. Every
     float round-trips exactly through its ``repr``."""
-    return json.loads(render_report(result))
+    text = io.StringIO()
+    render_report(result, text)
+    return json.loads(text.getvalue())
 
 
 def _newline(depth: int) -> str:
@@ -270,46 +275,64 @@ def _inventory_text(entry: tuple[InvKey, Quantity]) -> str:
             f'{_NL4}"scope": {_quote(key.scope)},{_NL4}"unit": {_quote(q.unit)}{_NL3}}}')
 
 
-def render_report(result: PipelineResult, out: TextIO | None = None) -> str | None:
-    """Write ``report.json``'s text onto ``out``; without a stream, return it."""
-    stream = io.StringIO() if out is None else out
-    _emit(_layout(result), 0, stream.write)
-    stream.write("\n")
-    return stream.getvalue() if out is None else None
+def render_report(result: PipelineResult, out: TextIO) -> None:
+    """Write ``report.json``'s text onto ``out``."""
+    _emit(_layout(result), 0, out.write)
+    out.write("\n")
+
+
+#: Column names of one inventory row, in report.json and inventory.csv alike.
+INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
+
+
+def write_csv(out: TextIO, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` onto ``out`` as CSV lines, a
+    ``None`` cell as ""."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def inventory_to_csv(inv: Inventory, out: TextIO) -> None:
+    """The inventory as CSV rows of INVENTORY_COLUMNS, the exact amount as
+    a string."""
+    write_csv(out, INVENTORY_COLUMNS, (
+        (key.component.kind.value, key.component.id, key.flow, key.direction.value,
+         key.scope, str(q.amount), q.unit)
+        for key, q in inv.entries.items()
+    ))
 
 
 def _class_values(result: PipelineResult) -> dict[str, str]:
     return {category: info.impact_class.value for category, info in result.al.table.categories.items()}
 
 
-def impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
-    """Post-allocation per-component impacts, collapsed over scopes;
-    written onto ``out``, or returned without a stream."""
+def impact_csv(result: PipelineResult, out: TextIO) -> None:
+    """Post-allocation per-component impacts, collapsed over scopes."""
     classes = _class_values(result)
     header = ("component_kind", "component_id", "category", "class", "amount", "impact_unit")
-    return write_csv(out, header, (
+    write_csv(out, header, (
         (_KIND_VALUES[ref.kind], ref.id or "", category, classes[category], repr(amount), unit)
         for ref, sv in result.post_allocation.items()
         for category, (amount, unit) in collapse_scopes(sv).items()
     ))
 
 
-def scoped_impact_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
+def scoped_impact_csv(result: PipelineResult, out: TextIO) -> None:
     """As :func:`impact_csv` plus a scope column."""
     classes = _class_values(result)
     header = ("component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit")
-    return write_csv(out, header, (
+    write_csv(out, header, (
         (_KIND_VALUES[ref.kind], ref.id or "", category, classes[category], scope, repr(amount), unit)
         for ref, sv in result.post_allocation.items()
         for (category, scope), (amount, unit) in sv.items()
     ))
 
 
-def ledger_csv(result: PipelineResult, out: TextIO | None = None) -> str | None:
-    """The allocation ledger, one row per transfer; written onto ``out``,
-    or returned without a stream."""
-    return write_csv(out, ("source_kind", "source_id", "target_kind", "target_id",
-                           "category", "scope", "amount", "weight"), (
+def ledger_csv(result: PipelineResult, out: TextIO) -> None:
+    """The allocation ledger, one row per transfer."""
+    write_csv(out, ("source_kind", "source_id", "target_kind", "target_id",
+                    "category", "scope", "amount", "weight"), (
         (_KIND_VALUES[e.source.kind], e.source.id or "", _KIND_VALUES[e.target.kind], e.target.id or "",
          e.category, e.scope, repr(e.amount), repr(e.weight))
         for e in result.ledger.entries

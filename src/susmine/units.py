@@ -17,7 +17,6 @@ from __future__ import annotations
 from decimal import Decimal
 
 from .errors import NoConversionPathError, SchemaError, UnknownUnitError, abbreviate
-from .model import Quantity
 
 #: Units every registry knows even without a bundle declaration.
 DEFAULT_UNITS = ("kg", "g", "kWh", "Wh", "MJ", "count", "h")
@@ -116,9 +115,3 @@ class UnitRegistry:
         if to_unit not in paths:
             raise NoConversionPathError(f"no conversion path {abbreviate(from_unit)} -> {abbreviate(to_unit)}")
         return paths[to_unit]
-
-    def convert(self, q: Quantity, to_unit: str) -> Quantity:
-        """Convert a quantity; Decimal amounts stay Decimal."""
-        f = self.factor(q.unit, to_unit)
-        amount = q.amount * f if isinstance(q.amount, Decimal) else q.amount * float(f)
-        return Quantity(amount, to_unit)

@@ -1,10 +1,19 @@
-"""A strict superset of a generated bundle's annotations, for the tests
-that check audit capabilities only grow as annotations are added."""
+"""Variants of a generated bundle's annotations: a strict superset, for
+the tests that check audit capabilities only grow as annotations are
+added, and a copy with avoided-burden credits, for the tests that check
+conservation when signs are mixed."""
 
+import copy
 import json
 import random
+from decimal import Decimal
 
+from susmine.audit import SupportLevel
 from susmine.generator import _FLOWS, _SCOPES, GeneratedBundle, _amount
+
+#: The audit's support levels from least to most: an extension's level for
+#: a column is at least the base's in this order.
+LEVEL_ORDER = (SupportLevel.NONE, SupportLevel.HALF, SupportLevel.FULL)
 
 
 def extend_annotations(bundle: GeneratedBundle, seed: int) -> str:
@@ -89,3 +98,13 @@ def extend_annotations(bundle: GeneratedBundle, seed: int) -> str:
         })
 
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def signed(bundle_doc: dict, seed: int) -> dict:
+    """A copy of a bundle document with a seeded 40% of its assignment
+    amounts negated, each digit for digit."""
+    doc = copy.deepcopy(bundle_doc)
+    assignments = doc.get("assignments", [])
+    for a in random.Random(seed).sample(assignments, round(0.4 * len(assignments))):
+        a["amount"] = str(-Decimal(str(a["amount"])))
+    return doc

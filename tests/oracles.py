@@ -12,14 +12,26 @@ pipeline result, sharing no code with ``susmine.report``, so that
 
 :func:`serialize_ocel` writes a parsed log back as the accepted OCEL
 subset, so that parse and serialize can be checked to be a fixed point.
+
+:func:`rendered` gives what one of ``susmine.report``'s writers writes
+onto a stream, as a string.
 """
 
+import io
 import json
 from datetime import datetime, timezone
 from decimal import Decimal
 
 from susmine.impact import classify_impacts
 from susmine.model import EventLog, Quantity, Relation, Scalar
+
+
+def rendered(write, subject) -> str:
+    """The text ``write(subject, out)`` writes onto a fresh stream; the
+    writer itself returns None."""
+    out = io.StringIO()
+    assert write(subject, out) is None
+    return out.getvalue()
 
 
 def _counts(log_doc):
@@ -53,9 +65,11 @@ def flat_inventory_totals(log_doc, ann_doc):
     return totals
 
 
-def flat_impact_totals(log_doc, ann_doc):
+def flat_impact_totals(log_doc, ann_doc, magnitude=False):
     """Global impact totals (category, scope) -> float via a flat double
-    loop over assignment occurrences x factor entries."""
+    loop over assignment occurrences x factor entries; with ``magnitude``,
+    the sum of each term's absolute value instead, which bounds the
+    rounding error of any order of summing the terms."""
     per_activity, per_object_type = _counts(log_doc)
     entries = ann_doc.get("characterization", {}).get("factors", [])
     totals = {}
@@ -70,7 +84,7 @@ def flat_impact_totals(log_doc, ann_doc):
             for category, factor in entry["factors"].items():
                 key = (category, scope)
                 contribution = float(Decimal(str(a["amount"]))) * factor * n
-                totals[key] = totals.get(key, 0.0) + contribution
+                totals[key] = totals.get(key, 0.0) + (abs(contribution) if magnitude else contribution)
     return totals
 
 

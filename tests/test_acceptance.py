@@ -3,7 +3,8 @@
 Each test prints a `[acceptance] criterion N (...): PASS` line when its
 assertions hold (run with `pytest -s tests/test_acceptance.py` to see
 them). The generated-bundle corpus is shared across the conservation,
-oracle-equivalence and graph-conservation criteria.
+oracle-equivalence and graph-conservation criteria, which also run on a
+copy of it with avoided-burden credits (negative amounts).
 """
 
 import functools
@@ -32,7 +33,7 @@ from susmine.inventory import rollup_inventory
 from susmine.scoping import scoped_total
 
 from conftest import rel_close
-from extend import extend_annotations
+from extend import LEVEL_ORDER, extend_annotations, signed
 from oracles import flat_impact_totals, flat_inventory_totals
 
 CORPUS_SEEDS = 220  # criterion 3 requires >= 200
@@ -69,6 +70,26 @@ def corpus():
         result = run_pipeline(log, bundle)
         items.append((gb, log, bundle, result))
     return items, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def signed_corpus():
+    """The corpus's bundles with a seeded 40% of their assignment amounts
+    negated. Every tenth also repeats its first assignment negated, so
+    that the two cancel exactly in the inventory. Each item carries the
+    oracle's sum of absolute terms per (category, scope): a total that
+    cancels has no relative error, so tolerances scale with that sum."""
+    items = []
+    for seed in range(CORPUS_SEEDS):
+        gb = generate_bundle(seed, 10 + (seed * 7) % 191)
+        log_doc = json.loads(gb.log_json)
+        ann_doc = signed(json.loads(gb.annotations_json), seed)
+        if seed % 10 == 0:
+            first = ann_doc["assignments"][0]
+            ann_doc["assignments"].append(dict(first, amount=str(-Decimal(first["amount"]))))
+        result = run_pipeline(parse_ocel(gb.log_json), parse_annotations(json.dumps(ann_doc)))
+        items.append((seed, log_doc, ann_doc, result, flat_impact_totals(log_doc, ann_doc, magnitude=True)))
+    return items
 
 
 @criterion(1, "worked-example reproduction")
@@ -213,6 +234,55 @@ def test_criterion_6_dfg_conservation(corpus):
         assert rel_close(node_climate, process_climate, 1e-9), gb.seed
 
 
+@criterion(3, "conservation suite with credits")
+def test_criterion_3_conservation_with_credits(signed_corpus):
+    for seed, _, _, result, magnitude in signed_corpus:
+        before = scoped_total(result.scoped)
+        after = scoped_total(result.post_allocation)
+        assert set(after) == set(before)
+        for key, q in before.items():
+            assert abs(after[key].amount - q.amount) <= 1e-9 * magnitude[key], (seed, key)
+        al = result.al
+        for rule in al.rules:
+            weights, _ = allocation_weights(rule, al)
+            assert all(w >= 0 for w in weights.values()), seed
+            assert abs(sum(weights.values()) - 1.0) <= 1e-12, seed
+
+
+@criterion(4, "oracle equivalence with credits")
+def test_criterion_4_oracle_equivalence_with_credits(signed_corpus):
+    cancelled = 0
+    for seed, log_doc, ann_doc, result, magnitude in signed_corpus:
+        cancelled += sum(1 for q in result.inventory.entries.values() if q.amount == 0)
+        proc = rollup_inventory(result.al, ComponentKind.PROCESS)
+        got_inv = {(k.flow, k.direction.value, k.scope): q.amount for k, q in proc.entries.items()}
+        assert got_inv == flat_inventory_totals(log_doc, ann_doc), seed
+
+        got_imp = {key: q.amount for key, q in scoped_total(result.scoped).items()}
+        want_imp = flat_impact_totals(log_doc, ann_doc)
+        assert set(got_imp) == set(want_imp), seed
+        for key in got_imp:
+            assert abs(got_imp[key] - want_imp[key]) <= 1e-9 * magnitude[key], (seed, key)
+    assert cancelled  # some inventory cell is exactly zero
+
+
+@criterion(6, "graph conservation with credits")
+def test_criterion_6_dfg_conservation_with_credits(signed_corpus):
+    for seed, log_doc, _, result, magnitude in signed_corpus:
+        node_events = sum(n.event_count for n in result.dfg.nodes.values())
+        assert node_events == len(log_doc["events"]), seed
+        node_climate = sum(
+            q.amount for node in result.dfg.nodes.values()
+            for (category, _s), q in node.vector.items() if category == "climate_change"
+        )
+        process_climate = sum(
+            q.amount for (category, _s), q in scoped_total(result.post_allocation).items()
+            if category == "climate_change"
+        )
+        bound = 1e-9 * sum(m for (category, _s), m in magnitude.items() if category == "climate_change")
+        assert abs(node_climate - process_climate) <= bound, seed
+
+
 @criterion(7, "byte-identical artifacts")
 def test_criterion_7_determinism(tmp_path):
     gen = tmp_path / "gen"
@@ -246,6 +316,6 @@ def test_criterion_8_audit_monotonicity():
         extended_doc = extend_annotations(gb, seed + 5000)
         extended = run_pipeline(log, parse_annotations(extended_doc))
         for col, level in base.audit_row.items():
-            assert extended.audit_row[col].rank() >= level.rank(), (seed, col)
+            assert LEVEL_ORDER.index(extended.audit_row[col]) >= LEVEL_ORDER.index(level), (seed, col)
         checked += 1
     assert checked == 50

@@ -178,15 +178,14 @@ def test_scope_and_category_travel_unchanged():
 
 
 def test_duplicate_source_rejected():
-    log = machine_log(2)
     doc = bundle_doc(allocations=[
         {"source": {"kind": "object_instance", "id": "m1"}, "targets": "related_events"},
+        {"source": {"kind": "object_instance", "id": "m2"}, "targets": "related_events"},
         {"source": {"kind": "object_instance", "id": "m1"}, "targets": "related_events", "key": "mass"},
     ])
-    al = bind_annotations(log, parse_annotations(json.dumps(doc)))
-    vectors, _ = scoped_impacts(al)
-    with pytest.raises(DuplicateSourceError):
-        apply_allocations(al, vectors)
+    with pytest.raises(DuplicateSourceError) as info:
+        parse_annotations(json.dumps(doc))
+    assert str(info.value) == "allocation #2: source object_instance:m1 is already named by allocation #0"
 
 
 def test_explicit_target_list():

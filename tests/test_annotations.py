@@ -16,6 +16,7 @@ from susmine import (
     Event,
     EventLog,
     FlowAssignment,
+    FunctionalUnit,
     ObjectInstance,
     Quantity,
     SchemaError,
@@ -27,6 +28,7 @@ from susmine import (
     UnknownUnitError,
     bind_annotations,
     empty_bundle,
+    functional_unit_scale,
     parse_annotations,
     parse_ocel,
     run_pipeline,
@@ -671,6 +673,46 @@ def _assess_flow(*assignments, factor=None):
     return assess
 
 
+def _assess_on_event(*assignments, factor=1):
+    """Runs the strict pipeline with CO2 assignments, given as (amount,
+    unit) pairs, on one event named by the returned function's argument;
+    ``factor`` is CO2's climate factor in kg."""
+    def assess(event_id):
+        log = make_log(events=[(event_id, "pack", "2024-01-01T07:00:00Z", [], {})])
+        component = {"kind": "activity_instance", "id": event_id}
+        doc = bundle_doc(assignments=[_assignment(component=component, amount=a, unit=u) for a, u in assignments])
+        doc["characterization"]["factors"][0]["factors"]["climate_change"] = factor
+        run_pipeline(log, parse_annotations(json.dumps(doc)))
+    return assess
+
+
+def _scale(log, object_type, attribute=None):
+    """Scales ``log`` to one unit of ``object_type``, measured by ``attribute``."""
+    unit = FunctionalUnit(object_type, Quantity(Decimal(1), "count"), attribute)
+    functional_unit_scale(bind_annotations(log, empty_bundle()), unit)
+
+
+def _allocate(*values):
+    """Runs the strict pipeline with one related_events rule keyed on an
+    attribute. The returned function's argument is the rule's source
+    object's id, the attribute's name and, with an index appended, the id
+    of each related event; ``values`` gives each event's value of the
+    attribute, None for none."""
+    def allocate(name):
+        events = [(f"{name}{i}", "run", "2024-01-01T08:00:00Z", [(name, "uses")], {} if v is None else {name: v})
+                  for i, v in enumerate(values)]
+        log = make_log(events=events, objects=[(name, "machine", {})])
+        rule = {"source": {"kind": "object_instance", "id": name}, "key": {"attribute": name}}
+        run_pipeline(log, parse_annotations(json.dumps(bundle_doc(allocations=[rule]))))
+    return allocate
+
+
+def _parse_rules(*sources):
+    """Parses one related_events rule per (kind, id) source."""
+    rules = [{"source": {"kind": kind, "id": cid}} for kind, cid in sources]
+    parse_annotations(json.dumps(bundle_doc(allocations=rules)))
+
+
 def _log_with_repeated_attribute(name):
     doc = make_log_doc(objects=[("o1", "order", {})])
     doc["objects"][0]["attributes"] = [{"name": name, "value": 1}, {"name": name, "value": 2}]
@@ -679,6 +721,9 @@ def _log_with_repeated_attribute(name):
 
 #: A 5,000-character literal as a message shows it: its first 24 characters and its length.
 _ABBREVIATED = f"{'x' * 24}... (5000 characters)"
+#: So is a component with that id.
+_EVENT = f"activity_instance:{'x' * 6}... (5018 characters)"
+_OBJECT = f"object_instance:{'x' * 8}... (5016 characters)"
 
 
 @pytest.mark.parametrize("load, shown", [
@@ -728,13 +773,34 @@ _ABBREVIATED = f"{'x' * 24}... (5000 characters)"
     (_assess_flow(("5", "kg"), ("5", "g"), factor=1), f"flow '{_ABBREVIATED}' on activity_instance:p1 mixes units"),
     (_assess_flow(("1E+300", "kg"), ("1E-800", "kg"), factor=1),
      f"flow '{_ABBREVIATED}' on activity_instance:p1 sums 1E+300 and 1E-800 beyond"),
+    (_assess_on_event(("5", "kg"), ("5", "g")), f"on {_EVENT} mixes units"),
+    (_assess_on_event(("1E+300", "kg"), ("1E-800", "kg")), f"on {_EVENT} sums 1E+300 and 1E-800 beyond"),
+    (_assess_on_event(("1e300", "kg"), factor=1e300), f"{_EVENT}: flow 'CO2' in category 'climate_change' overflows"),
+    (lambda v: _scale(make_log(objects=[(v, "order", {"size": "big"})]), "order", "size"),
+     f"object '{_ABBREVIATED}': attribute 'size' is not"),
+    (lambda v: _scale(make_log(objects=[("o1", "order", {v: "big"})]), "order", v),
+     f"object 'o1': attribute '{_ABBREVIATED}' is not"),
+    (lambda v: _scale(make_log(object_types=[v]), v), f"no measured output of object type '{_ABBREVIATED}'"),
+    (lambda v: _scale(shipping_log(), v), f"unknown object type '{_ABBREVIATED}'"),
+    (_allocate(), f"rule on {_OBJECT} selected no targets"),
+    (_allocate(None), f"lacks numeric attribute '{_ABBREVIATED}' required by key 'attribute:{'x' * 14}..."),
+    (_allocate(-1), f"target activity_instance:{'x' * 6}... (5019 characters): attribute '{_ABBREVIATED}'"
+                    " is negative"),
+    (_allocate(1e308, 1e308), f"{_OBJECT}: '{_ABBREVIATED}' values sum beyond float range"),
+    (lambda v: _parse_rules(("object_instance", v), ("object_instance", v)),
+     f"allocation #1: source {_OBJECT} is already named by allocation #0"),
+    (lambda v: _parse_rules(("activity_type", v)), f"got activity_type:{'x' * 10}... (5014 characters)"),
+    (lambda v: parse_annotations(json.dumps(bundle_doc(**{v: 1}))), f"unsupported key(s) ['{_ABBREVIATED}']"),
 ], ids=["event-time", "assignment-scope", "bound-scope", "assignment-unit", "factor-unit",
         "conversion-unit", "registry-unit", "scope-preset", "bound-scope-set-name", "scope-set-name",
         "scope-set-labels", "factor-flow", "undeclared-category", "category-declaration",
         "bundle-conversion-unit", "unknown-activity-type", "unknown-object-type", "unknown-event", "unknown-object",
         "event-id", "object-id", "type-name", "attribute-name", "uncharacterized-flow", "conversion-factor",
         "inconsistent-conversions", "disagreeing-conversion", "no-conversion-path", "overflowing-flow",
-        "mixed-units", "inexact-sum"])
+        "mixed-units", "inexact-sum", "mixed-units-component", "inexact-sum-component", "overflowing-component",
+        "fu-object-id", "fu-attribute-name", "fu-zero-output", "fu-unknown-type", "no-targets",
+        "missing-key-attribute", "negative-key-attribute", "key-sum-overflow", "duplicate-source",
+        "related-events-source", "unknown-key"])
 def test_long_input_literals_are_abbreviated_in_messages(load, shown):
     literal = "x" * 5000
     with pytest.raises(SusmineError) as info:

@@ -15,7 +15,7 @@ from susmine.audit import AUDIT_COLUMNS
 from susmine.generator import generate_bundle
 
 from conftest import make_log
-from extend import extend_annotations
+from extend import LEVEL_ORDER, extend_annotations
 from test_annotations import bundle_doc
 from test_inventory import instance_assignment
 
@@ -154,4 +154,4 @@ def test_extension_never_lowers_cells():
         extended_doc = extend_annotations(gb, seed + 1000)
         extended = run_pipeline(log, parse_annotations(extended_doc))
         for col in AUDIT_COLUMNS:
-            assert extended.audit_row[col].rank() >= base.audit_row[col].rank(), (seed, col)
+            assert LEVEL_ORDER.index(extended.audit_row[col]) >= LEVEL_ORDER.index(base.audit_row[col]), (seed, col)

@@ -346,6 +346,32 @@ def test_config_mode_is_strict_or_lenient(tmp_path, capsys, demo_log_path, demo_
     assert not (tmp_path / "out").exists()
 
 
+def test_config_unknown_keys_are_usage_errors(tmp_path, capsys):
+    # a misspelled "mode" must not leave the run strict without a word
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"log": str(fixture_path("ocel/invalid_dangling_relation.json")),
+                                "mdoe": "lenient", "Out": "x"}))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: --config has unknown key(s) ['Out', 'mdoe']\n"
+    path.write_text(json.dumps({"m" * 5000: "lenient"}))
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: --config has unknown key(s) ['{'m' * 24}... (5000 characters)']\n"
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path, capsys, demo_log_path, demo_bundle_path):
+    # one file serves every subcommand: assess takes no --seed, generate no --log
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"log": str(demo_log_path), "annotations": str(demo_bundle_path),
+                                "seed": 5, "size": 10, "out": str(tmp_path / "out")}))
+    code, _, _ = run(capsys, "assess", "--config", str(path))
+    assert code == 0
+    code, _, _ = run(capsys, "generate", "--config", str(path), "--out", str(tmp_path / "gen"))
+    assert code == 0
+    assert (tmp_path / "out" / "report.json").exists() and (tmp_path / "gen" / "log.json").exists()
+
+
 def test_config_seed_and_size_may_be_integers(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 5, "size": 40, "out": str(tmp_path / "gen")}))
@@ -379,6 +405,21 @@ def test_fu_flag_bad_syntax(capsys, demo_log_path, demo_bundle_path, tmp_path):
                                  "--out", str(tmp_path / "out"), "--fu", f"order:{amount}")
             assert (code, out) == (2, "")
             assert err == f"error: --fu amount '{amount}' is not a finite number within float range\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fu, code, message", [
+    ("t" * 5000 + ":1", 1, f"error [pipeline]: unknown object type '{'t' * 24}... (5000 characters)'"),
+    ("t" * 5000, 2, f"error: --fu expects <object_type>:<amount>, got '{'t' * 24}... (5000 characters)'"),
+    ("order:" + "t" * 5000, 2, f"error: --fu amount '{'t' * 24}... (5000 characters)' is not a number"),
+    ("order:1" + "0" * 5000, 2, f"error: --fu amount '1{'0' * 23}... (5001 digits)' is not a finite number"),
+], ids=["object-type", "syntax", "not-a-number", "beyond-float-range"])
+def test_long_fu_literals_are_abbreviated(fu, code, message, capsys, demo_log_path, demo_bundle_path, tmp_path):
+    status, out, err = run(capsys, "assess", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path),
+                           "--out", str(tmp_path / "out"), "--fu", fu)
+    assert (status, out) == (code, "")
+    assert err.startswith(message)
+    assert len(err) < 200
     assert not (tmp_path / "out").exists()
 
 
@@ -607,8 +648,21 @@ def test_assess_rejects_related_events_from_a_non_object_source(tmp_path, capsys
     code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                        "--annotations", str(bundle), "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err == ("error [pipeline]: related_events selection requires an object_instance source, "
+    assert err == ("error [parse-annotations]: related_events selection requires an object_instance source, "
                    "got activity_type:fill_bottle\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_assess_rejects_a_repeated_allocation_source(tmp_path, capsys, demo_log_path, machine_bundle_path):
+    doc = json.loads(machine_bundle_path.read_text())
+    doc["allocations"].append(dict(doc["allocations"][0], key="mass"))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
+                       "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == ("error [parse-annotations]: allocation #1: source object_instance:machine1 "
+                   "is already named by allocation #0\n")
     assert not (tmp_path / "out").exists()
 
 

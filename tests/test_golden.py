@@ -17,6 +17,8 @@ from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
 from susmine.report import OUTPUT_FILES
 
+from oracles import rendered
+
 DEMO_DIGESTS = {
     "mineral_water": {
         "report.json": "a1460da8a31875ef9b85b6beda7f5748610afa33281fd58a9e8cc92ee8cc9f77",
@@ -104,7 +106,7 @@ def test_corpus_reports_match_golden():
     for seed in range(CORPUS_SEEDS):
         gb = generate_bundle(seed, 10 + (seed * 7) % 191)
         result = run_pipeline(parse_ocel(gb.log_json), parse_annotations(gb.annotations_json))
-        digests.append(_sha256(render_report(result).encode("utf-8")))
+        digests.append(_sha256(rendered(render_report, result).encode("utf-8")))
     combined = _sha256("".join(digests).encode("ascii"))
     if combined != CORPUS_DIGEST:
         moved = [seed for seed, d in enumerate(digests) if d[:8] != CORPUS_PREFIXES[seed]]

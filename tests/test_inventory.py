@@ -23,15 +23,16 @@ from susmine.inventory import (
     Inventory,
     direct_inventory,
     functional_unit_scale,
-    inventory_to_csv,
     rollup_inventory,
 )
 from susmine.errors import abbreviate
 from susmine.model import PROCESS_REF, Direction, UNSCOPED
 from susmine.pipeline import run_pipeline
 from susmine.generator import generate_bundle
+from susmine.report import inventory_to_csv
 
 from conftest import make_log
+from oracles import rendered
 from test_annotations import bundle_doc, shipping_log
 from test_model import lenient_log
 
@@ -312,7 +313,7 @@ def test_negative_amounts_flagged_not_dropped():
 def test_csv_projection_shape():
     log = shipping_log()
     al = bound(log, [instance_assignment("s0", 5, scope="scope1")])
-    text = inventory_to_csv(direct_inventory(al))
+    text = rendered(inventory_to_csv, direct_inventory(al))
     lines = text.strip().split("\n")
     assert lines[0] == "component_kind,component_id,flow,direction,scope,amount,unit"
     assert lines[1] == "activity_instance,s0,CO2,output,scope1,5,kg"
@@ -324,7 +325,7 @@ def test_process_ref_row_has_empty_id():
         "component": {"kind": "process"},
         "flow": "CO2", "direction": "output", "amount": "1", "unit": "kg",
     }])
-    text = inventory_to_csv(rollup_inventory(al, ComponentKind.PROCESS))
+    text = rendered(inventory_to_csv, rollup_inventory(al, ComponentKind.PROCESS))
     assert "process,,CO2,output,unscoped,1,kg" in text
     assert PROCESS_REF.id is None
 
@@ -407,8 +408,8 @@ def test_splitting_an_amount_across_far_apart_exponents_keeps_its_inventory_row(
 
     def rows(assignments):
         al = bound(log, assignments)
-        return [inventory_to_csv(direct_inventory(al)),
-                inventory_to_csv(rollup_inventory(al, ComponentKind.PROCESS))]
+        return [rendered(inventory_to_csv, direct_inventory(al)),
+                rendered(inventory_to_csv, rollup_inventory(al, ComponentKind.PROCESS))]
 
     expected = rows([instance_assignment("s0", whole, scope="scope1")])
     assert rows([instance_assignment("s0", a, scope="scope1") for a in parts]) == expected

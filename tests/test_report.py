@@ -19,12 +19,12 @@ from susmine import (
 )
 from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
-from susmine.inventory import FunctionalUnit, inventory_to_csv
+from susmine.inventory import FunctionalUnit
 from susmine.model import Quantity
-from susmine.report import impact_csv, ledger_csv, scoped_impact_csv, write_outputs
+from susmine.report import impact_csv, inventory_to_csv, ledger_csv, scoped_impact_csv, write_outputs
 
 from conftest import dec, rel_close
-from oracles import report_dict
+from oracles import rendered, report_dict
 
 
 def pipeline_for(seed=8, size=60, fu=None):
@@ -104,15 +104,15 @@ def test_negative_entries_surfaced(demo_log):
 
 
 def test_render_is_deterministic(demo_log, demo_bundle):
-    a = render_report(run_pipeline(demo_log, demo_bundle))
-    b = render_report(run_pipeline(demo_log, demo_bundle))
+    a = rendered(render_report, run_pipeline(demo_log, demo_bundle))
+    b = rendered(render_report, run_pipeline(demo_log, demo_bundle))
     assert a == b
     json.loads(a)  # valid JSON
 
 
 def test_csv_projections_parse_and_agree():
     result, _ = pipeline_for(6, 70)
-    rows = list(csv.DictReader(io.StringIO(scoped_impact_csv(result))))
+    rows = list(csv.DictReader(io.StringIO(rendered(scoped_impact_csv, result))))
     report = build_report(result)
     total_from_csv = sum(
         float(r["amount"]) for r in rows if r["category"] == "climate_change"
@@ -120,10 +120,10 @@ def test_csv_projections_parse_and_agree():
     want = report["impacts"]["process_totals"].get("climate_change", {"total": {"amount": 0.0}})
     assert rel_close(total_from_csv, want["total"]["amount"])
 
-    flat = list(csv.DictReader(io.StringIO(impact_csv(result))))
+    flat = list(csv.DictReader(io.StringIO(rendered(impact_csv, result))))
     assert {r["category"] for r in flat} >= {r["category"] for r in rows}
 
-    ledger_rows = list(csv.DictReader(io.StringIO(ledger_csv(result))))
+    ledger_rows = list(csv.DictReader(io.StringIO(rendered(ledger_csv, result))))
     for r in ledger_rows:
         assert r["source_kind"] == "object_instance"
         assert 0.0 <= float(r["weight"]) <= 1.0
@@ -218,7 +218,7 @@ def test_render_report_equals_json_dumps_on_demo_bundles(bundle, fu, demo_log):
     annotations = parse_annotations(fixture_path(f"annotations/{bundle}.json").read_bytes())
     result = run_pipeline(demo_log, annotations, fu=fu)
     expected = json.dumps(report_dict(result), indent=2, sort_keys=True) + "\n"
-    assert render_report(result) == expected
+    assert rendered(render_report, result) == expected
 
 
 # -- the streamed report and projections ----------------------------------------
@@ -267,7 +267,7 @@ def edge_result(demo_log, fu=None):
 
 def assert_render_matches_oracle(result):
     expected = json.dumps(report_dict(result), indent=2, sort_keys=True) + "\n"
-    assert render_report(result) == expected
+    assert rendered(render_report, result) == expected
     assert build_report(result) == report_dict(result)
 
 
@@ -320,19 +320,14 @@ def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
     result = edge_result(demo_log, FunctionalUnit("bottle", Quantity(dec(1), "count")))
     written = write_outputs(result, tmp_path)
     texts = {
-        "report.json": render_report(result),
-        "inventory.csv": inventory_to_csv(result.inventory),
-        "impacts.csv": impact_csv(result),
-        "impacts_scoped.csv": scoped_impact_csv(result),
-        "ledger.csv": ledger_csv(result),
+        "report.json": rendered(render_report, result),
+        "inventory.csv": rendered(inventory_to_csv, result.inventory),
+        "impacts.csv": rendered(impact_csv, result),
+        "impacts_scoped.csv": rendered(scoped_impact_csv, result),
+        "ledger.csv": rendered(ledger_csv, result),
         "dfg.dot": emit_dot(result.dfg),
     }
     assert {name: path.read_bytes().decode("utf-8") for name, path in written.items()} == texts
-    for project, subject in ((render_report, result), (inventory_to_csv, result.inventory),
-                             (impact_csv, result), (scoped_impact_csv, result), (ledger_csv, result)):
-        stream = io.StringIO()
-        assert project(subject, stream) is None
-        assert stream.getvalue() == project(subject)
 
 
 def test_failed_render_leaves_existing_outputs_unchanged(tmp_path, monkeypatch, demo_log, demo_bundle):
