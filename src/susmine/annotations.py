@@ -24,7 +24,6 @@ the same instance, flow and direction.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -33,7 +32,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .errors import (TEXT, DuplicateSourceError, SchemaError, UnknownScopeError, UnknownUnitError,
-                     abbreviate, literal, record)
+                     abbreviate, literal, load_json, record)
 from .model import UNSCOPED, ComponentKind, ComponentRef, Direction, EventLog, Quantity, resolve_component
 from .units import UnitRegistry
 
@@ -119,8 +118,9 @@ class CharacterizationTable:
     """Map from (flow, unit) to per-category factors, plus the category
     declarations (impact unit and climate/environmental/social class).
 
-    Construction indexes the entries by flow, so ``entries`` is a
-    read-only view: build a new table instead of writing into it.
+    Construction checks that every factor's category is declared and
+    indexes the entries by flow, so ``entries`` is a read-only view:
+    build a new table instead of writing into it.
     """
 
     entries: Mapping[tuple[str, str], TableEntry] = field(default_factory=dict)
@@ -130,6 +130,11 @@ class CharacterizationTable:
         by_flow: dict[str, list[TableEntry]] = {}
         for (flow, _), entry in sorted(self.entries.items()):
             by_flow.setdefault(flow, []).append(entry)
+            for category in entry.factors:
+                if category not in self.categories:
+                    raise SchemaError(
+                        f"factor entry '{abbreviate(flow)}': undeclared category '{abbreviate(category)}'"
+                    )
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         object.__setattr__(self, "_by_flow", by_flow)
 
@@ -164,19 +169,13 @@ class AllocationRule:
     fraction: Decimal = Decimal(1)
     qualifier: str | None = None
 
-    def __post_init__(self):
-        if not (0 <= self.fraction <= 1):
-            raise SchemaError(f"allocation fraction must lie in [0,1], got {abbreviate(self.fraction)}")
-        if self.targets == RELATED_EVENTS and self.source.kind is not ComponentKind.OBJECT_INSTANCE:
-            raise SchemaError(
-                f"related_events selection requires an object_instance source, got {abbreviate(self.source)}"
-            )
-
 
 @dataclass
 class AnnotationBundle:
-    """Parsed but unbound annotation document. No two of its rules may
-    name one source: the second raises :class:`DuplicateSourceError`."""
+    """Annotation document, parsed or built in code. Construction checks
+    every rule that ties its records to the registry, the scope set and
+    one another, and so does binding, which builds an
+    :class:`AnnotatedLog` from it; each message names its record."""
 
     assignments: list[FlowAssignment]
     table: CharacterizationTable
@@ -185,8 +184,37 @@ class AnnotationBundle:
     registry: UnitRegistry
 
     def __post_init__(self):
+        if self.scope_set.name == "ghg":
+            for name, info in self.table.categories.items():
+                if info.impact_class is ImpactClass.CLIMATE and info.impact_unit != "kg CO2e":
+                    raise SchemaError(
+                        f"category '{abbreviate(name)}': climate categories must use 'kg CO2e' under the ghg preset"
+                    )
+        units = [(f"factor entry for '{abbreviate(e.flow)}'", e.unit) for e in self.table.entries.values()]
+        units += [(f"assignment #{i}", a.quantity.unit) for i, a in enumerate(self.assignments)]
+        for where, unit in units:
+            if unit not in self.registry.units:
+                raise UnknownUnitError(f"{where}: unit '{abbreviate(unit)}' not in registry")
+        for i, a in enumerate(self.assignments):
+            if a.scope is not None and a.scope not in self.scope_set:
+                raise UnknownScopeError(
+                    f"assignment #{i}: scope '{abbreviate(a.scope)}' not in scope set"
+                    f" '{abbreviate(self.scope_set.name)}' {abbreviate(list(self.scope_set.scopes))}"
+                )
+            if a.basis is Basis.PER_INSTANCE and a.component.kind not in _TYPE_KINDS:
+                raise SchemaError(f"assignment #{i}: per_instance basis is only legal on type-level components")
+            if a.override and a.component.kind not in _INSTANCE_KINDS:
+                raise SchemaError(f"assignment #{i}: 'override' is only legal on instance-level components")
         first: dict[ComponentRef, int] = {}
         for i, rule in enumerate(self.rules):
+            if not (0 <= rule.fraction <= 1):
+                raise SchemaError(f"allocation #{i}: fraction must lie in [0,1], got {abbreviate(rule.fraction)}")
+            if rule.targets == RELATED_EVENTS:
+                if rule.source.kind is not ComponentKind.OBJECT_INSTANCE:
+                    raise SchemaError(f"allocation #{i}: related_events selection requires an object_instance"
+                                      f" source, got {abbreviate(rule.source)}")
+            elif rule.qualifier is not None:
+                raise SchemaError(f"allocation #{i}: 'qualifier' only applies to related_events selection")
             j = first.setdefault(rule.source, i)
             if j != i:
                 raise DuplicateSourceError(
@@ -297,55 +325,34 @@ def _parse_registry(raw: dict) -> UnitRegistry:
     return UnitRegistry(units=set(declare), conversions=conversions)
 
 
-def _parse_assignment(raw, scope_set: ScopeSet, registry: UnitRegistry, where: str) -> FlowAssignment:
+def _parse_assignment(raw, where: str) -> FlowAssignment:
     record(raw, where, _ASSIGNMENT_FIELDS, _ASSIGNMENT_REQUIRED, "assignments")
     component = parse_component_ref(raw["component"], f"{where} component")
     direction = _choice(raw["direction"], "direction", where)
     amount = _as_decimal(raw["amount"], f"{where} amount")
-    unit = raw["unit"]
-    if not registry.has_unit(unit):
-        raise UnknownUnitError(f"{where}: unit '{abbreviate(unit)}' not in registry")
-    scope = raw.get("scope")
-    if scope is not None and scope not in scope_set:
-        raise UnknownScopeError(
-            f"{where}: scope '{abbreviate(scope)}' not in scope set '{abbreviate(scope_set.name)}'"
-            f" {abbreviate(list(scope_set.scopes))}"
-        )
     basis = _choice(raw.get("basis", Basis.ABSOLUTE.value), "basis", where)
-    if basis is Basis.PER_INSTANCE and component.kind not in _TYPE_KINDS:
-        raise SchemaError(f"{where}: per_instance basis is only legal on type-level components")
-    override = raw.get("override", False)
-    if override and component.kind not in _INSTANCE_KINDS:
-        raise SchemaError(f"{where}: 'override' is only legal on instance-level components")
-    return FlowAssignment(component, raw["flow"], direction, Quantity(amount, unit), scope, basis, override)
+    return FlowAssignment(component, raw["flow"], direction, Quantity(amount, raw["unit"]), raw.get("scope"), basis,
+                          raw.get("override", False))
 
 
-def _parse_table(raw: dict, scope_set: ScopeSet, registry: UnitRegistry) -> CharacterizationTable:
+def _parse_table(raw: dict) -> CharacterizationTable:
     record(raw, "'characterization'", _TABLE_FIELDS, entries=None)
 
     categories: dict[str, CategoryInfo] = {}
     for name, info in sorted(raw.get("categories", {}).items()):
         where = f"category '{abbreviate(name)}'"
         record(info, where, _CATEGORY_FIELDS, ("impact_unit", "class"), None)
-        impact_unit, impact_class = info["impact_unit"], _choice(info["class"], "class", where)
-        if scope_set.name == "ghg" and impact_class is ImpactClass.CLIMATE and impact_unit != "kg CO2e":
-            raise SchemaError(f"{where}: climate categories must use 'kg CO2e' under the ghg preset")
-        categories[name] = CategoryInfo(impact_unit, impact_class)
+        categories[name] = CategoryInfo(info["impact_unit"], _choice(info["class"], "class", where))
 
     entries: dict[tuple[str, str], TableEntry] = {}
     for entry_raw in raw.get("factors", []):
         record(entry_raw, "characterization.factors", _FACTOR_FIELDS, ("flow", "unit"))
         flow, unit = entry_raw["flow"], entry_raw["unit"]
-        if not registry.has_unit(unit):
-            raise UnknownUnitError(f"factor entry for '{abbreviate(flow)}': unit '{abbreviate(unit)}' not in registry")
         direction = None
         if "direction" in entry_raw:
             direction = _choice(entry_raw["direction"], "direction", f"factor entry '{abbreviate(flow)}'")
-        factors: dict[str, float] = {}
-        for category, value in sorted(entry_raw.get("factors", {}).items()):
-            if category not in categories:
-                raise SchemaError(f"factor entry '{abbreviate(flow)}': undeclared category '{abbreviate(category)}'")
-            factors[category] = float(_as_decimal(value, f"factor {abbreviate(flow)}->{abbreviate(category)}"))
+        factors = {category: float(_as_decimal(value, f"factor {abbreviate(flow)}->{abbreviate(category)}"))
+                   for category, value in sorted(entry_raw.get("factors", {}).items())}
         key = (flow, unit)
         if key in entries:
             raise SchemaError(f"duplicate factor entry for flow '{abbreviate(flow)}' [{abbreviate(unit)}]")
@@ -377,12 +384,9 @@ def _parse_rule(raw, where: str) -> AllocationRule:
         targets = tuple(parse_component_ref(t, f"{where} target") for t in targets_raw)
     else:
         raise SchemaError(f"{where}: 'targets' must be 'related_events' or a list of components")
-    qualifier = raw.get("qualifier")
-    if qualifier is not None and isinstance(targets, tuple):
-        raise SchemaError(f"{where}: 'qualifier' only applies to related_events selection")
     key = _parse_key(raw.get("key", "equal"), where)
     fraction = _as_decimal(raw.get("fraction", Decimal(1)), f"{where} fraction")
-    return AllocationRule(source, targets, key, fraction, qualifier)
+    return AllocationRule(source, targets, key, fraction, raw.get("qualifier"))
 
 
 def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = None) -> AnnotationBundle:
@@ -390,31 +394,25 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
 
     Raises ``json.JSONDecodeError`` for malformed JSON, and
     ``SchemaError`` / ``UnknownScopeError`` / ``UnknownUnitError`` /
-    ``DuplicateSourceError`` when the content is invalid. Scope labels
-    are checked here, at parse time.
-    ``scopes_override`` replaces the document's scope set (and every
-    scope label is re-validated against it).
+    ``DuplicateSourceError`` when the content is invalid. The parsers
+    read the grammar; the :class:`AnnotationBundle` they build checks
+    itself once every record is read, so a grammar fault anywhere is
+    reported before any fault of its checks.
+    ``scopes_override`` replaces the document's scope set, and the
+    bundle's scope labels are checked against it.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     # every number a decimal, NaN and Infinity too: no int() digit limit,
     # and _as_decimal's finiteness and overflow checks see every number
-    data = json.loads(document, parse_constant=Decimal, parse_float=Decimal, parse_int=Decimal)
+    data = load_json(document, parse_constant=Decimal, parse_float=Decimal, parse_int=Decimal)
     record(data, "annotation bundle", _BUNDLE_FIELDS, entries=None)
     if data.get("schema") != SCHEMA_ID:
         raise SchemaError(f"annotation bundle must declare \"schema\": \"{SCHEMA_ID}\"")
 
     registry = _parse_registry(data.get("units", {}))
     scope_set = scopes_override if scopes_override is not None else parse_scope_set(data.get("scopes", "ghg"))
-    table = _parse_table(data.get("characterization", {}), scope_set, registry)
-    assignments = [
-        _parse_assignment(raw, scope_set, registry, f"assignment #{i}")
-        for i, raw in enumerate(data.get("assignments", []))
-    ]
-    rules = [
-        _parse_rule(raw, f"allocation #{i}")
-        for i, raw in enumerate(data.get("allocations", []))
-    ]
+    table = _parse_table(data.get("characterization", {}))
+    assignments = [_parse_assignment(raw, f"assignment #{i}") for i, raw in enumerate(data.get("assignments", []))]
+    rules = [_parse_rule(raw, f"allocation #{i}") for i, raw in enumerate(data.get("allocations", []))]
     return AnnotationBundle(assignments, table, scope_set, rules, registry)
 
 
@@ -433,34 +431,30 @@ def bind_annotations(log: EventLog, bundle: AnnotationBundle) -> AnnotatedLog:
     """Resolve every assignment against the log and expand type-level
     per-instance assignments to their instances.
 
-    Raises :class:`UnknownComponentError` for dangling references and for
-    expanding over an instance with an empty id (lenient logs), and
-    :class:`UnknownScopeError` for a scope outside the bundle's scope set.
+    Building the :class:`AnnotatedLog` first runs the bundle's own checks
+    again, which catches a bundle edited after it was built. Raises
+    :class:`UnknownComponentError` for dangling references and for
+    expanding over an instance with an empty id (lenient logs).
     Expansion conserves totals exactly: each instance receives the
     per-instance decimal amount unchanged.
     """
-    resolved: list[tuple[ComponentRef, FlowAssignment]] = []
-    overrides = {(a.component, a.flow, a.direction) for a in bundle.assignments if a.override}
-    for i, a in enumerate(bundle.assignments):
-        if a.scope is not None and a.scope not in bundle.scope_set:
-            raise UnknownScopeError(
-                f"assignment #{i}: scope '{abbreviate(a.scope)}' not in scope set '{abbreviate(bundle.scope_set.name)}'"
-            )
+    bundle_fields = {f.name: getattr(bundle, f.name) for f in fields(AnnotationBundle)}
+    al = AnnotatedLog(**bundle_fields, log=log, resolved=[])
+    overrides = {(a.component, a.flow, a.direction) for a in al.assignments if a.override}
+    for a in al.assignments:
         resolve_component(a.component, log)  # raises UnknownComponentError
         if a.basis is Basis.ABSOLUTE:
-            resolved.append((a.component, a))
+            al.resolved.append((a.component, a))
             continue
         # per-instance expansion
         for member in log.members(a.component):
             ref = member.ref
             if (ref, a.flow, a.direction) not in overrides:
-                resolved.append((ref, a))
+                al.resolved.append((ref, a))
 
-    for rule in bundle.rules:
+    for rule in al.rules:
         resolve_component(rule.source, log)
         if isinstance(rule.targets, tuple):
             for target in rule.targets:
                 resolve_component(target, log)
-
-    bundle_fields = {f.name: getattr(bundle, f.name) for f in fields(AnnotationBundle)}
-    return AnnotatedLog(**bundle_fields, log=log, resolved=resolved)
+    return al

@@ -35,9 +35,9 @@ import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .errors import SusmineError, abbreviate
+from .errors import SusmineError, abbreviate, load_json
 from .model import Quantity, validate_log
-from .annotations import parse_annotations, parse_scope_set, empty_bundle
+from .annotations import SCOPE_PRESETS, parse_annotations, parse_scope_set, empty_bundle
 from .audit import CapabilityMatrix, load_literature_matrix
 from .dfg import emit_dot
 from .generator import generate_bundle
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--log", help="event log (OCEL 2.0 JSON subset)")
         if annotations:
             p.add_argument("--annotations", help="annotation bundle (susmine/1 JSON)")
-            p.add_argument("--scopes", help="scope set override for the bundle: ghg, lca, or a JSON file")
+            p.add_argument("--scopes",
+                           help=f"scope set override for the bundle: {', '.join(SCOPE_PRESETS)}, or a JSON file")
         if out:
             p.add_argument("--out", help="output directory")
         if fu:
@@ -108,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = load_json(Path(args.config).read_bytes())
         if not isinstance(config, dict):
             raise ValueError("--config file must contain a JSON object")
         unknown = [abbreviate(k) for k in sorted(config.keys() - _CONFIG_KEYS)]
@@ -143,10 +143,8 @@ def _parse_fu(raw: str) -> FunctionalUnit:
 
 
 def _load_scopes_override(raw: str):
-    if raw in ("ghg", "lca"):
-        return parse_scope_set(raw)
-    with open(raw, "r", encoding="utf-8") as fh:
-        return parse_scope_set(json.load(fh))
+    """A preset by name, else the scope set in the JSON file ``raw`` names."""
+    return parse_scope_set(raw if raw in SCOPE_PRESETS else load_json(Path(raw).read_bytes()))
 
 
 def _read(path: str | None, what: str) -> bytes:

@@ -32,6 +32,17 @@ def literal(value) -> str:
     return abbreviate(value if isinstance(value, Decimal) else json.dumps(value, ensure_ascii=False))
 
 
+def load_json(document: bytes | str, **hooks):
+    """A UTF-8 document decoded with ``json.loads`` and its ``hooks``;
+    nesting too deep for the decoder is malformed JSON, not a ``RecursionError``."""
+    if isinstance(document, bytes):
+        document = document.decode("utf-8")
+    try:
+        return json.loads(document, **hooks)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep to decode", document, 0) from None
+
+
 def record(raw, where: str, fields: dict, required: tuple[str, ...] = (),
            entries: str | None = "entries") -> dict:
     """``raw`` as a record of a JSON grammar: an object whose every key is

@@ -29,10 +29,9 @@ can still be loaded and audited.
 
 from __future__ import annotations
 
-import json
 import math
 
-from .errors import TEXT, IntegrityError, SchemaError, abbreviate, record
+from .errors import TEXT, IntegrityError, SchemaError, abbreviate, load_json, record
 from .model import (
     Event,
     EventLog,
@@ -104,11 +103,7 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
     for structural problems and non-finite numbers, and ``IntegrityError``
     when strict and the log violates its invariants.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    data = json.loads(
-        document, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int
-    )
+    data = load_json(document, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_finite_int)
     record(data, "document", _DOCUMENT_FIELDS, tuple(_DOCUMENT_FIELDS), None)
 
     activity_types = _type_names(data["eventTypes"], "eventTypes")
@@ -131,7 +126,7 @@ def parse_ocel(document: bytes | str, strict: bool = True) -> EventLog:
         name = f"event '{abbreviate(eid)}'"
         try:
             ts = parse_timestamp(time_raw)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # out of range once moved to UTC
             raise SchemaError(f"{name}: unparseable time '{abbreviate(time_raw)}'") from exc
         events.append(Event(eid, raw["type"], ts, _attributes(raw.get("attributes", []), name)))
         where = f"{name} relationship"

@@ -94,9 +94,6 @@ class UnitRegistry:
                     " disagrees with other declared paths"
                 )
 
-    def has_unit(self, unit: str) -> bool:
-        return unit in self.units
-
     def require_unit(self, unit: str) -> None:
         if unit not in self.units:
             raise UnknownUnitError(f"unit '{abbreviate(unit)}' not in registry")

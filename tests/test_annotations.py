@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susmine import (
+    AllocationRule,
     AnnotatedLog,
     AnnotationBundle,
     Basis,
@@ -27,6 +29,7 @@ from susmine import (
     UnknownScopeError,
     UnknownUnitError,
     bind_annotations,
+    direct_inventory,
     empty_bundle,
     functional_unit_scale,
     parse_annotations,
@@ -34,6 +37,7 @@ from susmine import (
     run_pipeline,
 )
 from susmine.annotations import (
+    RELATED_EVENTS,
     SCOPE_PRESETS,
     CategoryInfo,
     CharacterizationTable,
@@ -42,6 +46,7 @@ from susmine.annotations import (
     TableEntry,
     parse_scope_set,
 )
+from susmine.fixtures import fixture_path
 
 from conftest import make_log, make_log_doc
 
@@ -336,6 +341,128 @@ def test_overrides_suppress_expansions_by_component(case):
     assert bind_annotations(log, bundle).resolved == _expected_resolved(log, assignments)
 
 
+_GHG = SCOPE_PRESETS["ghg"]
+_TYPE_KINDS = {ComponentKind.ACTIVITY_TYPE, ComponentKind.OBJECT_TYPE}
+_INSTANCE_KINDS = {ComponentKind.ACTIVITY_INSTANCE, ComponentKind.OBJECT_INSTANCE}
+
+
+@functools.cache
+def _demo_log():
+    """The demo log, read once: a Hypothesis test takes no function-scoped fixture."""
+    return parse_ocel(fixture_path("ocel/mineral_water.json").read_bytes())
+
+
+@functools.cache
+def _demo_components():
+    """Every component of the demo log, by kind."""
+    log = _demo_log()
+    ids = {
+        ComponentKind.ACTIVITY_TYPE: sorted(log.activity_types),
+        ComponentKind.OBJECT_TYPE: sorted(log.object_types),
+        ComponentKind.ACTIVITY_INSTANCE: [e.event_id for e in log.events],
+        ComponentKind.OBJECT_INSTANCE: [o.object_id for o in log.objects],
+    }
+    return {ComponentKind.PROCESS: [ComponentRef(ComponentKind.PROCESS)],
+            **{kind: [ComponentRef(kind, i) for i in names] for kind, names in ids.items()}}
+
+
+def _assignment_fault(a: FlowAssignment) -> bool:
+    """Whether a bundle under the ghg preset and the default registry must reject ``a``."""
+    return (a.quantity.unit not in UnitRegistry().units
+            or (a.scope is not None and a.scope not in _GHG)
+            or (a.basis is Basis.PER_INSTANCE and a.component.kind not in _TYPE_KINDS)
+            or (a.override and a.component.kind not in _INSTANCE_KINDS))
+
+
+def _rule_fault(rules, i) -> bool:
+    """Whether a bundle must reject ``rules[i]``."""
+    rule = rules[i]
+    if rule.targets == RELATED_EVENTS:
+        misplaced = rule.source.kind is not ComponentKind.OBJECT_INSTANCE
+    else:
+        misplaced = rule.qualifier is not None
+    return misplaced or not 0 <= rule.fraction <= 1 or any(r.source == rule.source for r in rules[:i])
+
+
+@st.composite
+def _code_built_bundles(draw):
+    """Assignments and allocation rules on the demo log. Half the bundles
+    draw only sound values; the others draw each field's faulty values too."""
+    sound = draw(st.booleans())
+    components = _demo_components()
+    every_component = [c for refs in components.values() for c in refs]
+    any_component = st.sampled_from(list(ComponentKind)).flatmap(lambda kind: st.sampled_from(components[kind]))
+
+    def field(good, bad):
+        return st.sampled_from(good if sound else good + bad)
+
+    assignments = []
+    for _ in range(draw(st.integers(0, 5))):
+        component = draw(any_component)
+        if component.kind in _TYPE_KINDS:
+            basis = draw(field(list(Basis), []))
+        else:
+            basis = draw(field([Basis.ABSOLUTE], [Basis.PER_INSTANCE]))
+        override = draw(field([False, True], []) if component.kind in _INSTANCE_KINDS else field([False], [True]))
+        quantity = Quantity(Decimal(draw(st.integers(-9, 9))), draw(field(["kg"], ["stone"])))
+        scope = draw(field([None, "scope1", "scope3"], ["scope9"]))
+        direction = draw(st.sampled_from(list(Direction)))
+        assignments.append(FlowAssignment(component, "CO2", direction, quantity, scope, basis, override))
+    rules: list[AllocationRule] = []
+    for _ in range(draw(st.integers(0, 3))):
+        explicit = draw(st.booleans())
+        # a related_events source must be an object, and no source may repeat
+        fresh = [c for c in (every_component if explicit else components[ComponentKind.OBJECT_INSTANCE])
+                 if c not in {r.source for r in rules}]
+        source = draw(field(fresh, [c for c in every_component if c not in fresh]))
+        targets = draw(st.lists(any_component, min_size=1, max_size=2).map(tuple)) if explicit else RELATED_EVENTS
+        qualifier = draw(field([None], ["uses"]) if explicit else field([None, "uses"], []))
+        fraction = Decimal(draw(field(["0", "0.5", "1"], ["-0.5", "2"])))
+        rules.append(AllocationRule(source, targets, fraction=fraction, qualifier=qualifier))
+    return assignments, rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(_code_built_bundles())
+def test_a_bundle_built_in_code_is_rejected_or_conserves_its_inventory(case):
+    assignments, rules = case
+    faulty = ([f"assignment #{i}: " for i, a in enumerate(assignments) if _assignment_fault(a)]
+              + [f"allocation #{i}: " for i in range(len(rules)) if _rule_fault(rules, i)])
+    try:
+        bundle = AnnotationBundle(assignments, CharacterizationTable(), _GHG, rules, UnitRegistry())
+    except SusmineError as exc:
+        assert str(exc).startswith(tuple(faulty)), (str(exc), faulty)
+        return
+    assert faulty == []
+    if any(a.override for a in assignments):
+        return  # an override suppresses expansions by design
+    log = _demo_log()
+    inventory = direct_inventory(bind_annotations(log, bundle))
+    expected = sum(a.quantity.amount * (len(log.members(a.component)) if a.basis is Basis.PER_INSTANCE else 1)
+                   for a in assignments)
+    assert sum(q.amount for q in inventory.entries.values()) == expected
+
+
+def test_a_factor_on_an_undeclared_category_is_rejected_when_the_table_is_built():
+    entries = {("CO2", "kg"): TableEntry("CO2", "kg", None, {"climate_change": 1.0})}
+    with pytest.raises(SchemaError) as info:
+        CharacterizationTable(entries=entries)
+    assert str(info.value) == "factor entry 'CO2': undeclared category 'climate_change'"
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("assignment #0", lambda b: dataclasses.replace(b, assignments=[FlowAssignment(
+        ComponentRef(ComponentKind.PROCESS), "CO2", Direction.OUTPUT, Quantity(Decimal(5), "stone"))])),
+    ("factor entry for 'CO2'", lambda b: dataclasses.replace(b, table=CharacterizationTable(
+        entries={("CO2", "stone"): TableEntry("CO2", "stone", None, {"climate_change": 1.0})},
+        categories=b.table.categories))),
+], ids=["assignment", "factor"])
+def test_an_unknown_unit_is_rejected_when_the_bundle_is_built(where, edit, demo_bundle):
+    with pytest.raises(UnknownUnitError) as info:
+        edit(demo_bundle)
+    assert str(info.value) == f"{where}: unit 'stone' not in registry"
+
+
 def test_annotated_log_is_the_bound_bundle(demo_log, demo_bundle):
     al = bind_annotations(demo_log, demo_bundle)
     assert isinstance(al, AnnotationBundle)
@@ -623,7 +750,8 @@ def test_entries_for_flow_equals_sorted_scan():
 
 def test_table_entries_are_read_only_after_construction():
     source = {("CO2", "kg"): TableEntry("CO2", "kg", None, {"climate_change": 1.0})}
-    direct = CharacterizationTable(entries=source)
+    categories = {"climate_change": CategoryInfo("kg CO2e", ImpactClass.CLIMATE)}
+    direct = CharacterizationTable(entries=source, categories=categories)
     source[("CH4", "kg")] = TableEntry("CH4", "kg", None, {"climate_change": 28.0})
     assert direct.entries_for_flow("CH4") == [] and ("CH4", "kg") not in direct.entries
     for table in [*_tables_from_every_constructor(), direct]:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from susmine import cli
+from susmine.annotations import SCOPE_PRESETS, ScopeSet
 from susmine.audit import CapabilityMatrix
 from susmine.cli import GC_GEN0_THRESHOLD, main
 from susmine.dfg import build_dfg, emit_dot
@@ -41,6 +42,38 @@ def test_validate_malformed_json(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--log", str(bad))
     assert code == 2
     assert "malformed JSON" in err
+
+
+#: Nesting deeper than the JSON decoder's recursion limit.
+_NESTED = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("flag", ["log", "annotations", "scopes", "config"])
+def test_nesting_too_deep_is_malformed_json(flag, tmp_path, capsys, demo_log_path, demo_bundle_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text(_NESTED)
+    paths = {"log": str(demo_log_path), "annotations": str(demo_bundle_path), flag: str(nested)}
+    argv = ["assess", "--out", str(tmp_path / "out")] + [f"--{name}={path}" for name, path in paths.items()]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert re.match(r"error( \[[a-z-]+\])?: malformed JSON: ", err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "assess"])
+@pytest.mark.parametrize("time", ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+23:59"])
+def test_event_time_beyond_the_utc_range_is_a_load_error(command, time, tmp_path, capsys):
+    doc = json.loads(fixture_path("ocel/minimal.json").read_text())
+    doc["events"][0]["time"] = time
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(doc))
+    argv = [command, "--log", str(log)] + (["--out", str(tmp_path / "out")] if command == "assess" else [])
+    code, out, err = run(capsys, *argv)
+    event = doc["events"][0]["id"]
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err == f"error [load-log]: event '{event}': unparseable time '{time}'\n"
 
 
 def test_validate_missing_file(capsys):
@@ -443,6 +476,16 @@ def test_scopes_file_holding_null_is_a_data_error(tmp_path, capsys, demo_log_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_scopes_flag_reads_every_preset(tmp_path, capsys, monkeypatch, demo_log_path, demo_bundle_path):
+    # a preset added to the library is a --scopes name, not a file to open
+    monkeypatch.setitem(SCOPE_PRESETS, "site", ScopeSet("site", ("scope1", "scope2", "scope3", "offsite")))
+    code, _, err = run(capsys, "assess", "--log", str(demo_log_path), "--annotations", str(demo_bundle_path),
+                       "--out", str(tmp_path / "out"), "--scopes", "site")
+    assert code == 0, err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scope_set"] == {"name": "site", "scopes": ["scope1", "scope2", "scope3", "offsite"]}
+
+
 @pytest.mark.parametrize("command", ["dfg", "assess"])
 @pytest.mark.parametrize("via_config", [False, True])
 def test_scopes_without_annotations_is_a_usage_error(command, via_config, tmp_path, capsys, demo_log_path):
@@ -648,8 +691,8 @@ def test_assess_rejects_related_events_from_a_non_object_source(tmp_path, capsys
     code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                        "--annotations", str(bundle), "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err == ("error [parse-annotations]: related_events selection requires an object_instance source, "
-                   "got activity_type:fill_bottle\n")
+    assert err == ("error [parse-annotations]: allocation #0: related_events selection requires an object_instance"
+                   " source, got activity_type:fill_bottle\n")
     assert not (tmp_path / "out").exists()
 
 

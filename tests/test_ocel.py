@@ -190,6 +190,19 @@ def test_bad_timestamp():
         parse_ocel(json.dumps(doc))
 
 
+#: Valid ISO-8601 times whose UTC instant falls outside the representable range.
+OUT_OF_RANGE_TIMES = ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+23:59"]
+
+
+@pytest.mark.parametrize("time", OUT_OF_RANGE_TIMES)
+def test_time_beyond_the_utc_range_rejected(time):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["events"][0]["time"] = time
+    with pytest.raises(SchemaError) as info:
+        parse_ocel(json.dumps(doc))
+    assert str(info.value) == f"event 'e1': unparseable time '{time}'"
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_json_constants_rejected(token):
     text = json.dumps(MINIMAL).replace('"attributes": []', f'"attributes": [{{"name": "mass_kg", "value": {token}}}]', 1)
