@@ -404,9 +404,7 @@ def parse_annotations(document: bytes | str, scopes_override: ScopeSet | None = 
     # every number a decimal, NaN and Infinity too: no int() digit limit,
     # and _as_decimal's finiteness and overflow checks see every number
     data = load_json(document, parse_constant=Decimal, parse_float=Decimal, parse_int=Decimal)
-    record(data, "annotation bundle", _BUNDLE_FIELDS, entries=None)
-    if data.get("schema") != SCHEMA_ID:
-        raise SchemaError(f"annotation bundle must declare \"schema\": \"{SCHEMA_ID}\"")
+    record(data, "annotation bundle", _BUNDLE_FIELDS, entries=None, schema=SCHEMA_ID)
 
     registry = _parse_registry(data.get("units", {}))
     scope_set = scopes_override if scopes_override is not None else parse_scope_set(data.get("scopes", "ghg"))

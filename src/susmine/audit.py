@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError, record
+from .errors import SchemaError, load_json, record
 from .fixtures import fixture_path
 from .model import UNSCOPED, ComponentRef
 from .annotations import AnnotatedLog, ImpactClass
@@ -71,9 +71,7 @@ class CapabilityMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "CapabilityMatrix":
-        data = record(json.loads(text), "capability matrix", _MATRIX_FIELDS, entries=None)
-        if data.get("schema") != MATRIX_SCHEMA_ID:
-            raise SchemaError(f"capability matrix must declare \"schema\": \"{MATRIX_SCHEMA_ID}\"")
+        data = record(load_json(text), "capability matrix", _MATRIX_FIELDS, entries=None, schema=MATRIX_SCHEMA_ID)
         rows: list[tuple[str, dict[str, SupportLevel]]] = []
         for raw in data.get("rows", []):
             record(raw, "capability matrix", _ROW_FIELDS, ("approach", "cells"), "rows")

@@ -16,9 +16,9 @@ Exit codes: 0 success; 1 analysis/data error; 2 I/O, syntax or usage
 error. Errors print ``error [<stage>]: <message>`` once a stage
 (load-log, parse-annotations, pipeline, write-outputs) has begun.
 Configuration comes from flags only; ``--config FILE`` may supply
-the same keys as JSON, with flags winning on conflict. A key of any
-subcommand is accepted, so one file serves them all; any other key is a
-usage error.
+the same keys as JSON, with flags winning on conflict: ``mode`` and
+every other flag that takes a value. A key of any subcommand is
+accepted, so one file serves them all; any other key is a usage error.
 
 While a command runs, :func:`main` raises the cyclic collector's gen-0
 threshold to :data:`GC_GEN0_THRESHOLD` and restores the previous
@@ -52,10 +52,28 @@ from .report import inventory_to_csv, ledger_csv, write_files, write_outputs
 #: garbage, so the default 700 only spends time re-scanning live objects.
 GC_GEN0_THRESHOLD = 50_000
 
-_CONFIG_KEYS = ("log", "annotations", "out", "mode", "scopes", "fu", "seed", "size")
 _MODES = tuple(mode.value for mode in Mode)
+#: flag -> its argparse options; every flag that takes a value, bar
+#: ``--config`` itself, is also a ``--config`` key, in this order
+_FLAGS = {
+    "log": {"help": "event log (OCEL 2.0 JSON subset)"},
+    "annotations": {"help": "annotation bundle (susmine/1 JSON)"},
+    "out": {"help": "output directory"},
+    "mode": {"choices": _MODES, "help": "ingest/analysis mode (default strict)"},
+    "scopes": {"help": f"scope set override for the bundle: {', '.join(SCOPE_PRESETS)}, or a JSON file"},
+    "fu": {"help": "functional unit as <object_type>:<amount>"},
+    "seed": {"help": "64-bit unsigned generator seed (required)"},
+    "size": {"help": "number of events (default 40)"},
+    "literature": {"action": "store_true",
+                   "help": "print the shipped literature matrix instead of auditing a bundle"},
+    "config": {"help": "JSON file supplying the same keys as flags; flags win"},
+}
+_CONFIG_KEYS = tuple(flag for flag, options in _FLAGS.items() if flag != "config" and "action" not in options)
 #: config keys that may also be JSON integers
 _INT_CONFIG_KEYS = ("seed", "size")
+#: flags every command takes, after its own
+_SHARED_FLAGS = ("mode", "config")
+_ANALYSIS_FLAGS = ("log", "annotations", "scopes", "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,46 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sustainability analysis of business processes from object-centric event logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, log=False, annotations=False, out=False, fu=False):
-        if log:
-            p.add_argument("--log", help="event log (OCEL 2.0 JSON subset)")
-        if annotations:
-            p.add_argument("--annotations", help="annotation bundle (susmine/1 JSON)")
-            p.add_argument("--scopes",
-                           help=f"scope set override for the bundle: {', '.join(SCOPE_PRESETS)}, or a JSON file")
-        if out:
-            p.add_argument("--out", help="output directory")
-        if fu:
-            p.add_argument("--fu", help="functional unit as <object_type>:<amount>")
-        p.add_argument("--mode", choices=_MODES, help="ingest/analysis mode (default strict)")
-        p.add_argument("--config", help="JSON file supplying the same keys as flags; flags win")
-
-    p = sub.add_parser("validate", help="validate a log")
-    common(p, log=True)
-
-    p = sub.add_parser("assess", help="run the full analysis and write all artifacts")
-    common(p, log=True, annotations=True, out=True, fu=True)
-
-    p = sub.add_parser("inventory", help="emit the flow inventory CSV")
-    common(p, log=True, annotations=True, out=True, fu=True)
-
-    p = sub.add_parser("allocate", help="run allocation and emit the transfer ledger CSV")
-    common(p, log=True, annotations=True, out=True)
-
-    p = sub.add_parser("dfg", help="emit the directly-follows graph as DOT")
-    common(p, log=True, annotations=True, out=True)
-
-    p = sub.add_parser("audit", help="pattern-coverage capability matrix")
-    common(p, log=True, annotations=True, out=True)
-    p.add_argument("--literature", action="store_true",
-                   help="print the shipped literature matrix instead of auditing a bundle")
-
-    p = sub.add_parser("generate", help="generate a seeded synthetic bundle")
-    common(p, out=True)
-    p.add_argument("--seed", help="64-bit unsigned generator seed (required)")
-    p.add_argument("--size", help="number of events (default 40)")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, *_SHARED_FLAGS):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -276,14 +258,15 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+#: command -> (handler, help, its own flags)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "assess": _cmd_assess,
-    "inventory": _cmd_inventory,
-    "allocate": _cmd_allocate,
-    "dfg": _cmd_dfg,
-    "audit": _cmd_audit,
-    "generate": _cmd_generate,
+    "validate": (_cmd_validate, "validate a log", ("log",)),
+    "assess": (_cmd_assess, "run the full analysis and write all artifacts", (*_ANALYSIS_FLAGS, "fu")),
+    "inventory": (_cmd_inventory, "emit the flow inventory CSV", (*_ANALYSIS_FLAGS, "fu")),
+    "allocate": (_cmd_allocate, "run allocation and emit the transfer ledger CSV", _ANALYSIS_FLAGS),
+    "dfg": (_cmd_dfg, "emit the directly-follows graph as DOT", _ANALYSIS_FLAGS),
+    "audit": (_cmd_audit, "pattern-coverage capability matrix", (*_ANALYSIS_FLAGS, "literature")),
+    "generate": (_cmd_generate, "generate a seeded synthetic bundle", ("out", "seed", "size")),
 }
 
 
@@ -302,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
     try:
         args = _apply_config(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except json.JSONDecodeError as exc:
         return _fail(args, f"malformed JSON: {exc}", 2)
     except (OSError, ValueError) as exc:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the susmine engine.
 
-Malformed JSON is reported via ``json.JSONDecodeError`` by the parsers;
-everything past the byte level raises a :class:`SusmineError` subclass.
+Every JSON document is decoded by :func:`load_json`, which reports
+malformed JSON as ``json.JSONDecodeError``, and its records are checked
+by :func:`record`; everything past the byte level raises a
+:class:`SusmineError` subclass.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ def load_json(document: bytes | str, **hooks):
 
 
 def record(raw, where: str, fields: dict, required: tuple[str, ...] = (),
-           entries: str | None = "entries") -> dict:
+           entries: str | None = "entries", schema: str | None = None) -> dict:
     """``raw`` as a record of a JSON grammar: an object whose every key is
     in ``fields`` and of the kind ``fields`` maps it to (null is of no
     kind), and which has every key in ``required``. Keys are checked in
     document order, where an unknown one names every unknown key; then
-    the first missing key is named in the tuple's order. ``entries``
-    names what must be objects when the record is an array entry; None
-    words the message for a single record."""
+    the first missing key is named in the tuple's order; then, when
+    ``schema`` names a document's identifier, its ``"schema"`` key must
+    hold it. ``entries`` names what must be objects when the record is
+    an array entry; None words the message for a single record."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object" if entries is None else f"{where}: {entries} must be objects")
     for key, value in raw.items():
@@ -69,6 +72,8 @@ def record(raw, where: str, fields: dict, required: tuple[str, ...] = (),
     for key in required:
         if key not in raw:
             raise SchemaError(f"{where}: missing required key '{key}'")
+    if schema is not None and raw.get("schema") != schema:
+        raise SchemaError(f'{where} must declare "schema": "{schema}"')
     return raw
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import MissingFixtureError, SchemaError, record
+from .errors import MissingFixtureError, load_json, record
 
 MANIFEST_SCHEMA_ID = "susmine-manifest/1"
 MANIFEST_NAME = "MANIFEST.json"
@@ -39,9 +39,8 @@ def fixture_path(rel: str) -> Path:
 
 def load_manifest(root: Path | None = None) -> list[ManifestEntry]:
     root = root or data_root()
-    raw = record(json.loads((root / MANIFEST_NAME).read_text("utf-8")), "manifest", _MANIFEST_FIELDS, entries=None)
-    if raw.get("schema") != MANIFEST_SCHEMA_ID:
-        raise SchemaError(f"manifest must declare \"schema\": \"{MANIFEST_SCHEMA_ID}\"")
+    raw = record(load_json((root / MANIFEST_NAME).read_bytes()), "manifest", _MANIFEST_FIELDS,
+                 entries=None, schema=MANIFEST_SCHEMA_ID)
     files = raw.get("files", [])
     for item in files:
         record(item, "manifest", _FILE_FIELDS, ("path", "sha256"), "files")

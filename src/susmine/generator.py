@@ -86,6 +86,7 @@ def _make_log(rng: random.Random, size: int):
     events: list[dict] = []
     objects: list[dict] = []
     relations: dict[str, list[tuple[str, str]]] = {}  # event_id -> [(object_id, qualifier)]
+    events_by_object: dict[str, list[str]] = {}  # object_id -> related event ids, in log order
 
     n_objects = 0 if size == 0 else max(2, size // 2)
     for i in range(n_objects):
@@ -117,12 +118,13 @@ def _make_log(rng: random.Random, size: int):
             for obj in rng.sample(objects, k=min(len(objects), rng.randrange(1, 4))):
                 qualifier = "uses" if obj["type"] in ("machine", "truck") else rng.choice(_QUALIFIERS)
                 rels.append((obj["id"], qualifier))
+                events_by_object.setdefault(obj["id"], []).append(event_id)  # sample draws each object once
         relations[event_id] = rels
 
-    return events, objects, relations
+    return events, objects, relations, events_by_object
 
 
-def _make_annotations(rng: random.Random, events, objects, relations):
+def _make_annotations(rng: random.Random, events, objects, events_by_object):
     assignments: list[dict] = []
     rules: list[dict] = []
 
@@ -166,13 +168,6 @@ def _make_annotations(rng: random.Random, events, objects, relations):
             )
 
     # object assignments, each fully reallocated onto its related events
-    events_by_object: dict[str, list[str]] = {}
-    for event_id, rels in relations.items():
-        for object_id, _ in rels:
-            bucket = events_by_object.setdefault(object_id, [])
-            if event_id not in bucket:
-                bucket.append(event_id)
-
     event_attrs = {ev["id"]: ev["attributes"] for ev in events}
     for obj in objects:
         related = events_by_object.get(obj["id"], [])
@@ -265,10 +260,9 @@ def _log_doc(events, objects, relations) -> dict:
     }
 
 
-def _ground_truth(seed, size, events, objects, relations, assignments, rules) -> dict:
+def _ground_truth(seed, size, events, objects, events_by_object, assignments, rules) -> dict:
     """Direct summation over the generation records; no pipeline code."""
     activity_of = {e["id"]: e["activity"] for e in events}
-    type_of = {o["id"]: o["type"] for o in objects}
     event_attrs = {e["id"]: e["attributes"] for e in events}
 
     per_activity: dict[str, int] = {}
@@ -279,11 +273,9 @@ def _ground_truth(seed, size, events, objects, relations, assignments, rules) ->
         per_object_type[o["type"]] = per_object_type.get(o["type"], 0) + 1
 
     def occurrences(a: dict) -> int:
+        # only activity types carry per_instance assignments
         if a.get("basis") == "per_instance":
-            kind, cid = a["component"]["kind"], a["component"]["id"]
-            if kind == "activity_type":
-                return per_activity.get(cid, 0)
-            return per_object_type.get(cid, 0)
+            return per_activity[a["component"]["id"]]
         return 1
 
     def scope_label(a: dict) -> str:
@@ -328,19 +320,11 @@ def _ground_truth(seed, size, events, objects, relations, assignments, rules) ->
                 key = (category, scope)
                 vec[key] = vec.get(key, 0.0) + amount * factor
 
-    events_by_object: dict[str, list[str]] = {}
-    for event_id, rels in relations.items():
-        for object_id, _ in rels:
-            bucket = events_by_object.setdefault(object_id, [])
-            if event_id not in bucket:
-                bucket.append(event_id)
-
+    # every rule's source has related events and at least one assignment
     for rule in rules:
         source = rule["source"]["id"]
-        vec = object_vectors.get(source, {})
-        targets = sorted(set(events_by_object.get(source, [])))
-        if not targets or not vec:
-            continue
+        vec = object_vectors[source]
+        targets = sorted(events_by_object[source])  # "e10000" sorts before "e9999"
         key_name = rule["key"]
         if key_name == "equal":
             weights = {t: 1.0 / len(targets) for t in targets}
@@ -409,13 +393,13 @@ def generate_bundle(seed: int, size: int = 40) -> GeneratedBundle:
     if size < 0:
         raise ValueError("size must be >= 0")
     rng = random.Random(seed)
-    events, objects, relations = _make_log(rng, size)
-    assignments, rules = _make_annotations(rng, events, objects, relations)
+    events, objects, relations, events_by_object = _make_log(rng, size)
+    assignments, rules = _make_annotations(rng, events, objects, events_by_object)
     return GeneratedBundle(
         seed=seed,
         size=size,
         log_json=json.dumps(_log_doc(events, objects, relations), indent=2, sort_keys=True) + "\n",
         annotations_json=json.dumps(_annotation_doc(assignments, rules), indent=2, sort_keys=True) + "\n",
-        ground_truth=_ground_truth(seed, size, events, objects, relations, assignments, rules),
+        ground_truth=_ground_truth(seed, size, events, objects, events_by_object, assignments, rules),
     )
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import functools
 import io
 import json
 import math
@@ -39,6 +40,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
+from . import dfg
 from .errors import NonFiniteImpactError
 from .allocation import LedgerEntry
 from .model import ComponentKind, ComponentRef, Direction, Quantity
@@ -49,15 +51,18 @@ from .scoping import ScopedVector, collapse_scopes, unscoped_share
 
 REPORT_SCHEMA_ID = "susmine-report/1"
 
-#: Files written by a full assessment, in a fixed layout.
-OUTPUT_FILES = (
-    "report.json",
-    "inventory.csv",
-    "impacts.csv",
-    "impacts_scoped.csv",
-    "ledger.csv",
-    "dfg.dot",
-)
+#: Files written by a full assessment, in a fixed layout: name ->
+#: render(result, out). Each render looks its writer up when it runs, so
+#: a writer rebound on its module (a tracer's wrapper) is the one called.
+_ARTIFACTS = {
+    "report.json": lambda result, out: render_report(result, out),
+    "inventory.csv": lambda result, out: inventory_to_csv(result.inventory, out),
+    "impacts.csv": lambda result, out: impact_csv(result, out),
+    "impacts_scoped.csv": lambda result, out: scoped_impact_csv(result, out),
+    "ledger.csv": lambda result, out: ledger_csv(result, out),
+    "dfg.dot": lambda result, out: out.write(dfg.emit_dot(result.dfg)),
+}
+OUTPUT_FILES = tuple(_ARTIFACTS)
 
 #: Enum values read once, not through the ``Enum`` descriptor on every row.
 _KIND_VALUES = {kind: kind.value for kind in ComponentKind}
@@ -377,13 +382,4 @@ def write_outputs(result: PipelineResult, outdir: str | Path) -> dict[str, Path]
     """Write the full artifact set, :data:`OUTPUT_FILES`, through
     :func:`write_files`; re-running on identical inputs overwrites with
     identical bytes."""
-    from .dfg import emit_dot
-
-    return write_files({
-        "report.json": lambda out: render_report(result, out),
-        "inventory.csv": lambda out: inventory_to_csv(result.inventory, out),
-        "impacts.csv": lambda out: impact_csv(result, out),
-        "impacts_scoped.csv": lambda out: scoped_impact_csv(result, out),
-        "ledger.csv": lambda out: ledger_csv(result, out),
-        "dfg.dot": lambda out: out.write(emit_dot(result.dfg)),
-    }, outdir)
+    return write_files({name: functools.partial(render, result) for name, render in _ARTIFACTS.items()}, outdir)

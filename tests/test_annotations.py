@@ -138,6 +138,32 @@ def test_missing_schema_id_rejected():
         parse_annotations(json.dumps(doc))
 
 
+_PROCESS_WITH_ID = {"component": {"kind": "process", "id": "p1"},
+                    "flow": "CO2", "direction": "output", "amount": "5", "unit": "kg"}
+
+
+def _with_scopes(*labels):
+    return lambda doc: doc.update(scopes={"name": "site", "scopes": list(labels)})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("schema"), 'annotation bundle must declare "schema": "susmine/1"'),
+    (lambda doc: doc.update(schema="susmine/2"), 'annotation bundle must declare "schema": "susmine/1"'),
+    (_with_scopes(), "scope set must declare at least one scope"),
+    (_with_scopes("in", "in"), "scope labels must be unique"),
+    (_with_scopes("unscoped"), "'unscoped' is a reserved scope label"),
+    (_with_scopes(5), "custom scope set requires a list of scope labels"),
+    (lambda doc: doc.update(assignments=[_PROCESS_WITH_ID]), "assignment #0 component: process refs carry no id"),
+], ids=["no-schema", "other-schema", "no-scopes", "repeated-scope", "reserved-scope", "non-string-scope",
+        "process-with-id"])
+def test_document_faults_are_named(edit, message):
+    doc = bundle_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as excinfo:
+        parse_annotations(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
 def test_per_instance_on_instance_component_rejected():
     doc = bundle_doc(assignments=[{
         "component": {"kind": "activity_instance", "id": "e1"},

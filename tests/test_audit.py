@@ -139,6 +139,13 @@ def test_matrix_records_are_schema_errors(rows, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("declared", [{}, {"schema": "susmine-matrix/2"}], ids=["no-schema", "other-schema"])
+def test_a_matrix_must_declare_its_schema(declared):
+    with pytest.raises(SchemaError) as excinfo:
+        CapabilityMatrix.from_json(json.dumps({**declared, "rows": []}))
+    assert str(excinfo.value) == 'capability matrix must declare "schema": "susmine-matrix/1"'
+
+
 def test_render_text_has_all_columns():
     text = load_literature_matrix().render_text()
     for col in AUDIT_COLUMNS:

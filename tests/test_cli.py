@@ -9,7 +9,7 @@ from susmine.annotations import SCOPE_PRESETS, ScopeSet
 from susmine.audit import CapabilityMatrix
 from susmine.cli import GC_GEN0_THRESHOLD, main
 from susmine.dfg import build_dfg, emit_dot
-from susmine.fixtures import fixture_path
+from susmine.fixtures import fixture_path, load_manifest
 from susmine.generator import generate_bundle
 from susmine.errors import SusmineError
 from susmine.ocel import parse_ocel
@@ -61,6 +61,16 @@ def test_nesting_too_deep_is_malformed_json(flag, tmp_path, capsys, demo_log_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("load", [
+    lambda root: CapabilityMatrix.from_json(_NESTED),
+    load_manifest,
+], ids=["matrix", "manifest"])
+def test_a_matrix_or_manifest_nested_too_deep_is_malformed_json(load, tmp_path):
+    (tmp_path / "MANIFEST.json").write_text(_NESTED)
+    with pytest.raises(json.JSONDecodeError, match="nesting too deep to decode"):
+        load(tmp_path)
+
+
 @pytest.mark.parametrize("command", ["validate", "assess"])
 @pytest.mark.parametrize("time", ["9999-12-31T23:59:59-23:59", "0001-01-01T00:00:00+23:59"])
 def test_event_time_beyond_the_utc_range_is_a_load_error(command, time, tmp_path, capsys):
@@ -74,6 +84,69 @@ def test_event_time_beyond_the_utc_range_is_a_load_error(command, time, tmp_path
     assert (code, out) == (1, "")
     assert "Traceback" not in err
     assert err == f"error [load-log]: event '{event}': unparseable time '{time}'\n"
+
+
+_ANALYSIS_FLAGS = ["--log", "--annotations", "--scopes", "--out"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("validate", ["--log"]),
+    ("assess", [*_ANALYSIS_FLAGS, "--fu"]),
+    ("inventory", [*_ANALYSIS_FLAGS, "--fu"]),
+    ("allocate", _ANALYSIS_FLAGS),
+    ("dfg", _ANALYSIS_FLAGS),
+    ("audit", [*_ANALYSIS_FLAGS, "--literature"]),
+    ("generate", ["--out", "--seed", "--size"]),
+])
+def test_every_command_help_lists_its_flags(command, flags, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: susmine {command} ")
+    assert set(re.findall(r"--[a-z]+", out)) == {"--help", *flags, "--mode", "--config"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"fu": "order:0"}, "error: functional unit reference amount must be a positive decimal"),
+    ({"config": [1]}, "error: --config file must contain a JSON object"),
+    ({"log": None}, "error [load-log]: --log is required"),
+], ids=["fu-zero", "config-array", "no-log"])
+def test_usage_errors_exit_2_before_writing(flags, message, tmp_path, capsys, demo_log_path, demo_bundle_path):
+    values = {"log": str(demo_log_path), "annotations": str(demo_bundle_path), "out": str(tmp_path / "out"),
+              **flags}
+    if "config" in values:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values["config"]))
+        values["config"] = str(config)
+    code, out, err = run(capsys, "assess", *(f"--{flag}={value}" for flag, value in values.items() if value))
+    assert (code, out, err) == (2, "", message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, code, err", [
+    ("strict", 1, "error [pipeline]: target activity_type:deliver_order lacks numeric attribute 'mass_kg'"
+                  " required by key 'mass'\n"),
+    ("lenient", 0, "warning: object_instance:machine1: target activity_type:deliver_order lacks 'mass_kg',"
+                   " weighted 0\n"),
+], ids=["strict", "lenient"])
+def test_allocate_weighs_a_type_level_target_by_no_attribute(mode, code, err, tmp_path, capsys,
+                                                             demo_log_path, machine_bundle_path):
+    doc = json.loads(machine_bundle_path.read_text())
+    doc["allocations"][0].update(key="mass", targets=[
+        {"kind": "activity_instance", "id": "e2"}, {"kind": "activity_type", "id": "deliver_order"},
+    ])
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    status, out, stderr = run(capsys, "allocate", "--mode", mode, "--log", str(demo_log_path),
+                              "--annotations", str(bundle))
+    assert (status, stderr) == (code, err)
+    if code == 0:  # the whole transfer lands on the one target with a mass
+        assert out.splitlines() == [
+            "source_kind,source_id,target_kind,target_id,category,scope,amount,weight",
+            "object_instance,machine1,activity_instance,e2,climate_change,scope3,30.0,1.0",
+            "object_instance,machine1,activity_type,deliver_order,climate_change,scope3,0.0,0.0",
+        ]
 
 
 def test_validate_missing_file(capsys):
@@ -1010,7 +1083,7 @@ def test_a_command_runs_under_the_raised_gen0_threshold(outcome, code, monkeypat
             raise outcome
         return outcome
 
-    monkeypatch.setitem(cli._COMMANDS, "validate", command)
+    monkeypatch.setitem(cli._COMMANDS, "validate", (command, *cli._COMMANDS["validate"][1:]))
     if code is None:
         with pytest.raises(SystemExit):
             main(["validate"])

@@ -34,7 +34,9 @@ def test_manifest_covers_every_shipped_file():
     (lambda doc: doc["files"][0].pop("path"), "manifest: missing required key 'path'"),
     (lambda doc: doc["files"][0].update(sha256=None), "manifest: 'sha256' must be a string, got null"),
     (lambda doc: doc["files"].append("ocel/minimal.json"), "manifest: files must be objects"),
-], ids=["no-path", "null-digest", "not-an-object"])
+    (lambda doc: doc.pop("schema"), 'manifest must declare "schema": "susmine-manifest/1"'),
+    (lambda doc: doc.update(schema="susmine-manifest/2"), 'manifest must declare "schema": "susmine-manifest/1"'),
+], ids=["no-path", "null-digest", "not-an-object", "no-schema", "other-schema"])
 def test_malformed_manifest_entries_are_schema_errors(tmp_path, edit, message):
     doc = json.loads((data_root() / "MANIFEST.json").read_text())
     edit(doc)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 from decimal import Decimal
@@ -328,6 +329,21 @@ def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
         "dfg.dot": emit_dot(result.dfg),
     }
     assert {name: path.read_bytes().decode("utf-8") for name, path in written.items()} == texts
+
+
+@pytest.mark.parametrize("module, writer", [
+    ("report", "render_report"), ("report", "inventory_to_csv"), ("report", "impact_csv"),
+    ("report", "scoped_impact_csv"), ("report", "ledger_csv"), ("dfg", "emit_dot"),
+])
+def test_write_outputs_looks_each_writer_up_when_it_runs(module, writer, tmp_path, monkeypatch,
+                                                         demo_log, demo_bundle):
+    # a tracer wraps a writer by rebinding it on its module
+    owner = importlib.import_module(f"susmine.{module}")
+    wrapped = getattr(owner, writer)
+    calls = []
+    monkeypatch.setattr(owner, writer, lambda *args: calls.append(writer) or wrapped(*args))
+    write_outputs(run_pipeline(demo_log, demo_bundle), tmp_path)
+    assert calls == [writer]
 
 
 def test_failed_render_leaves_existing_outputs_unchanged(tmp_path, monkeypatch, demo_log, demo_bundle):
