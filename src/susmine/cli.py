@@ -13,8 +13,9 @@ Subcommands wire the pipeline end to end:
     generate   seeded synthetic bundle with ground truth
 
 Exit codes: 0 success; 1 analysis/data error; 2 I/O, syntax or usage
-error. Errors print ``error [<stage>]: <message>`` once a stage
-(load-log, parse-annotations, pipeline, write-outputs) has begun.
+error. Errors raised in a stage print ``error [<stage>]: <message>``: load-log,
+parse-annotations, bind, inventory, characterization, allocation, audit, dfg,
+functional-unit or write-outputs; any other prints ``error: <message>``.
 Configuration comes from flags only; ``--config FILE`` may supply
 the same keys as JSON, with flags winning on conflict: ``mode`` and
 every other flag that takes a value. A key of any subcommand is
@@ -44,7 +45,7 @@ from .generator import generate_bundle
 from .impact import Mode
 from .inventory import FunctionalUnit
 from .ocel import parse_ocel
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import PipelineResult, run_pipeline, stage
 from .report import inventory_to_csv, ledger_csv, write_files, write_outputs
 
 #: Allocations between young collections while a command runs. A run
@@ -71,8 +72,6 @@ _FLAGS = {
 _CONFIG_KEYS = tuple(flag for flag, options in _FLAGS.items() if flag != "config" and "action" not in options)
 #: config keys that may also be JSON integers
 _INT_CONFIG_KEYS = ("seed", "size")
-#: flags every command takes, after its own
-_SHARED_FLAGS = ("mode", "config")
 _ANALYSIS_FLAGS = ("log", "annotations", "scopes", "out")
 
 
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in (*flags, *_SHARED_FLAGS):
+        for flag in (*flags, "config"):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
@@ -137,22 +136,21 @@ def _read(path: str | None, what: str) -> bytes:
 
 def _analyse(args) -> PipelineResult:
     """Load the log and the bundle (empty without ``--annotations``) and
-    run the pipeline, recording the stage under way in ``args.stage``."""
+    run the pipeline."""
     if args.scopes and not args.annotations:
         raise ValueError("--scopes requires --annotations")
     mode = Mode(args.mode or "strict")
     fu = _parse_fu(args.fu) if getattr(args, "fu", None) else None
-    args.stage = "load-log"
-    log = parse_ocel(_read(args.log, "log"), strict=(mode is Mode.STRICT))
-    if mode is Mode.LENIENT:  # strict ingest has already raised on these
-        for violation in validate_log(log):
-            print(f"warning: {violation}", file=sys.stderr)
-    args.stage = "parse-annotations"
-    bundle = empty_bundle()
-    if args.annotations:
-        override = _load_scopes_override(args.scopes) if args.scopes else None
-        bundle = parse_annotations(_read(args.annotations, "annotations"), scopes_override=override)
-    args.stage = "pipeline"
+    with stage("load-log"):
+        log = parse_ocel(_read(args.log, "log"), strict=(mode is Mode.STRICT))
+        if mode is Mode.LENIENT:  # strict ingest has already raised on these
+            for violation in validate_log(log):
+                print(f"warning: {violation}", file=sys.stderr)
+    with stage("parse-annotations"):
+        bundle = empty_bundle()
+        if args.annotations:
+            override = _load_scopes_override(args.scopes) if args.scopes else None
+            bundle = parse_annotations(_read(args.annotations, "annotations"), scopes_override=override)
     return run_pipeline(log, bundle, mode, fu)
 
 
@@ -160,19 +158,20 @@ def _emit(out_dir: str | None, renders: dict) -> None:
     """Write each ``name -> render(stream)`` into ``out_dir`` through
     :func:`write_files` and name the files written; without an output
     directory, stream every render to standard output."""
-    if out_dir:
-        for path in write_files(renders, out_dir).values():
-            print(f"wrote {path}")
-    else:
-        for render in renders.values():
-            render(sys.stdout)
+    with stage("write-outputs"):
+        if out_dir:
+            for path in write_files(renders, out_dir).values():
+                print(f"wrote {path}")
+        else:
+            for render in renders.values():
+                render(sys.stdout)
 
 
 def _cmd_validate(args) -> int:
     mode = Mode(args.mode or "strict")
-    args.stage = "load-log"
-    log = parse_ocel(_read(args.log, "log"), strict=False)
-    violations = validate_log(log)
+    with stage("load-log"):
+        log = parse_ocel(_read(args.log, "log"), strict=False)
+        violations = validate_log(log)
     if not violations:
         print(f"ok: {len(log.events)} events, {len(log.objects)} objects, no violations")
         return 0
@@ -187,8 +186,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_assess(args) -> int:
     result = _analyse(args)
-    args.stage = "write-outputs"
-    written = write_outputs(result, args.out or ".")
+    with stage("write-outputs"):
+        written = write_outputs(result, args.out or ".")
     for name in sorted(written):
         print(f"wrote {written[name]}")
     return 0
@@ -196,7 +195,6 @@ def _cmd_assess(args) -> int:
 
 def _cmd_inventory(args) -> int:
     result = _analyse(args)
-    args.stage = "write-outputs"
     # with a functional unit, the per-FU process inventory is the artifact
     inventory = result.fu_inventory if result.fu else result.inventory
     _emit(args.out, {"inventory.csv": lambda out: inventory_to_csv(inventory, out)})
@@ -205,7 +203,6 @@ def _cmd_inventory(args) -> int:
 
 def _cmd_allocate(args) -> int:
     result = _analyse(args)
-    args.stage = "write-outputs"
     _emit(args.out, {"ledger.csv": lambda out: ledger_csv(result, out)})
     for warning in result.ledger.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -216,7 +213,6 @@ def _cmd_dfg(args) -> int:
     # without --annotations the pipeline runs on the empty bundle, whose
     # annotated graph renders exactly as the bare one
     result = _analyse(args)
-    args.stage = "write-outputs"
     _emit(args.out, {"dfg.dot": lambda out: out.write(emit_dot(result.dfg))})
     return 0
 
@@ -228,10 +224,10 @@ def _cmd_audit(args) -> int:
         matrix = load_literature_matrix()
     else:
         result = _analyse(args)
-        args.stage = "write-outputs"
         name = Path(args.annotations).stem if args.annotations else "bundle"
         matrix = CapabilityMatrix([(name, result.audit_row)])
-    sys.stdout.write(matrix.render_text())
+    with stage("write-outputs"):
+        sys.stdout.write(matrix.render_text())
     if args.out:
         _emit(args.out, {"audit.json": lambda out: out.write(matrix.to_json() + "\n")})
     return 0
@@ -258,40 +254,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-#: command -> (handler, help, its own flags)
+#: command -> (handler, help, its flags bar ``--config``, which every command takes last)
 _COMMANDS = {
-    "validate": (_cmd_validate, "validate a log", ("log",)),
-    "assess": (_cmd_assess, "run the full analysis and write all artifacts", (*_ANALYSIS_FLAGS, "fu")),
-    "inventory": (_cmd_inventory, "emit the flow inventory CSV", (*_ANALYSIS_FLAGS, "fu")),
-    "allocate": (_cmd_allocate, "run allocation and emit the transfer ledger CSV", _ANALYSIS_FLAGS),
-    "dfg": (_cmd_dfg, "emit the directly-follows graph as DOT", _ANALYSIS_FLAGS),
-    "audit": (_cmd_audit, "pattern-coverage capability matrix", (*_ANALYSIS_FLAGS, "literature")),
+    "validate": (_cmd_validate, "validate a log", ("log", "mode")),
+    "assess": (_cmd_assess, "run the full analysis and write all artifacts", (*_ANALYSIS_FLAGS, "fu", "mode")),
+    "inventory": (_cmd_inventory, "emit the flow inventory CSV", (*_ANALYSIS_FLAGS, "fu", "mode")),
+    "allocate": (_cmd_allocate, "run allocation and emit the transfer ledger CSV", (*_ANALYSIS_FLAGS, "mode")),
+    "dfg": (_cmd_dfg, "emit the directly-follows graph as DOT", (*_ANALYSIS_FLAGS, "mode")),
+    "audit": (_cmd_audit, "pattern-coverage capability matrix", (*_ANALYSIS_FLAGS, "literature", "mode")),
     "generate": (_cmd_generate, "generate a seeded synthetic bundle", ("out", "seed", "size")),
 }
-
-
-def _fail(args, message, code: int) -> int:
-    """Report a failure on stderr, naming the stage under way if one began."""
-    prefix = f"error [{args.stage}]" if args.stage else "error"
-    print(f"{prefix}: {message}", file=sys.stderr)
-    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.stage = None
     thresholds = gc.get_threshold()
     gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
     try:
         args = _apply_config(args)
         return _COMMANDS[args.command][0](args)
-    except json.JSONDecodeError as exc:
-        return _fail(args, f"malformed JSON: {exc}", 2)
-    except (OSError, ValueError) as exc:
-        return _fail(args, exc, 2)
-    except SusmineError as exc:
-        return _fail(args, exc, 1)
+    except (OSError, ValueError, SusmineError) as exc:
+        stage_name = getattr(exc, "stage", None)
+        prefix = f"error [{stage_name}]" if stage_name else "error"
+        malformed = "malformed JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+        print(f"{prefix}: {malformed}{exc}", file=sys.stderr)
+        return 1 if isinstance(exc, SusmineError) else 2
     finally:
         gc.set_threshold(*thresholds)
 

@@ -68,10 +68,11 @@ def verify_fixtures(
 
 
 def write_manifest(root: Path | None = None) -> Path:
-    """Regenerate the manifest over the shipped files (dev helper); each
-    path keeps the description the replaced manifest gave it."""
+    """Write the manifest over the shipped files (dev helper); each path
+    keeps the description a replaced manifest gave it, else has none."""
     root = root or data_root()
-    descriptions = {entry.path: entry.description for entry in load_manifest(root)}
+    replaced = load_manifest(root) if (root / MANIFEST_NAME).is_file() else []
+    descriptions = {entry.path: entry.description for entry in replaced}
     files = sorted(
         p.relative_to(root).as_posix()
         for p in root.rglob("*")

@@ -1,11 +1,12 @@
 """End-to-end analysis pipeline: inventory -> impacts -> scopes -> allocation.
 
-``run_pipeline`` is the one place the stage order lives; everything the
-reporting layer needs is collected into a :class:`PipelineResult`.
+``run_pipeline`` is the one place the stage order lives, each in a :func:`stage`
+block; everything the reporting layer needs is collected into a :class:`PipelineResult`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -43,6 +44,17 @@ class PipelineResult:
     fu_inventory: Inventory | None = None
 
 
+@contextmanager
+def stage(name: str):
+    """Set ``stage = name`` on an exception leaving the block, which is
+    re-raised unchanged. Stages do not nest."""
+    try:
+        yield
+    except Exception as exc:
+        exc.stage = name
+        raise
+
+
 def activity_type_totals(
     al: AnnotatedLog, vectors: dict[ComponentRef, ScopedVector]
 ) -> dict[str, ScopedVector]:
@@ -65,13 +77,20 @@ def run_pipeline(
     mode: Mode = Mode.STRICT,
     fu: FunctionalUnit | None = None,
 ) -> PipelineResult:
-    al = bind_annotations(log, bundle)
-    inventory = direct_inventory(al)
-    scoped, uncharacterized = scoped_impacts(al, mode)
-    post, ledger = apply_allocations(al, scoped, mode)
-    audit_row = pattern_audit(al, scoped, ledger)
-    dfg = build_dfg(log)
-    annotate_dfg(dfg, activity_type_totals(al, post), log.digest())
+    with stage("bind"):
+        al = bind_annotations(log, bundle)
+    with stage("inventory"):
+        inventory = direct_inventory(al)
+    with stage("characterization"):
+        scoped, uncharacterized = scoped_impacts(al, mode)
+    with stage("allocation"):
+        post, ledger = apply_allocations(al, scoped, mode)
+        totals = scoped_total(post)
+    with stage("audit"):
+        audit_row = pattern_audit(al, scoped, ledger)
+    with stage("dfg"):
+        dfg = build_dfg(log)
+        annotate_dfg(dfg, activity_type_totals(al, post), log.digest())
 
     result = PipelineResult(
         al=al,
@@ -79,14 +98,15 @@ def run_pipeline(
         inventory=inventory,
         scoped=scoped,
         post_allocation={ref: dict(sorted(sv.items())) for ref, sv in sorted(post.items())},
-        totals=scoped_total(post),
+        totals=totals,
         ledger=ledger,
         uncharacterized=uncharacterized,
         audit_row=audit_row,
         dfg=dfg,
     )
     if fu is not None:
-        result.fu = fu
-        result.fu_output, result.fu_scale = functional_unit_scale(al, fu)
-        result.fu_inventory = rollup_inventory(al, ComponentKind.PROCESS).scaled(result.fu_scale)
+        with stage("functional-unit"):
+            result.fu = fu
+            result.fu_output, result.fu_scale = functional_unit_scale(al, fu)
+            result.fu_inventory = rollup_inventory(al, ComponentKind.PROCESS).scaled(result.fu_scale)
     return result

@@ -104,7 +104,8 @@ def test_every_command_help_lists_its_flags(command, flags, capsys):
     assert exited.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith(f"usage: susmine {command} ")
-    assert set(re.findall(r"--[a-z]+", out)) == {"--help", *flags, "--mode", "--config"}
+    modes = [] if command == "generate" else ["--mode"]  # generate neither ingests nor analyses
+    assert set(re.findall(r"--[a-z]+", out)) == {"--help", *flags, *modes, "--config"}
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -125,7 +126,7 @@ def test_usage_errors_exit_2_before_writing(flags, message, tmp_path, capsys, de
 
 
 @pytest.mark.parametrize("mode, code, err", [
-    ("strict", 1, "error [pipeline]: target activity_type:deliver_order lacks numeric attribute 'mass_kg'"
+    ("strict", 1, "error [allocation]: target activity_type:deliver_order lacks numeric attribute 'mass_kg'"
                   " required by key 'mass'\n"),
     ("lenient", 0, "warning: object_instance:machine1: target activity_type:deliver_order lacks 'mass_kg',"
                    " weighted 0\n"),
@@ -249,7 +250,7 @@ def test_assess_missing_factor_names_flow_and_stage(tmp_path, capsys, generated)
                        "--annotations", str(broken), "--out", str(tmp_path / "x"))
     assert code == 1
     assert "CO2" in err
-    assert "pipeline" in err
+    assert "[characterization]" in err
 
 
 def test_generate_deterministic(tmp_path, capsys):
@@ -515,7 +516,7 @@ def test_fu_flag_bad_syntax(capsys, demo_log_path, demo_bundle_path, tmp_path):
 
 
 @pytest.mark.parametrize("fu, code, message", [
-    ("t" * 5000 + ":1", 1, f"error [pipeline]: unknown object type '{'t' * 24}... (5000 characters)'"),
+    ("t" * 5000 + ":1", 1, f"error [functional-unit]: unknown object type '{'t' * 24}... (5000 characters)'"),
     ("t" * 5000, 2, f"error: --fu expects <object_type>:<amount>, got '{'t' * 24}... (5000 characters)'"),
     ("order:" + "t" * 5000, 2, f"error: --fu amount '{'t' * 24}... (5000 characters)' is not a number"),
     ("order:1" + "0" * 5000, 2, f"error: --fu amount '1{'0' * 23}... (5001 digits)' is not a finite number"),
@@ -590,7 +591,7 @@ def test_out_that_is_not_a_directory_gives_one_fixed_error(command, below, tmp_p
     blocker.write_text("keep")
     out = blocker / "sub" if below else blocker
     if command == "generate":
-        argv, prefix = ["generate", "--seed", "1"], "error"
+        argv, prefix = ["generate", "--seed", "1"], "error [write-outputs]"
     else:
         argv = [command, "--log", str(demo_log_path), "--annotations", str(demo_bundle_path)]
         prefix = "error [write-outputs]"
@@ -751,7 +752,7 @@ def test_assess_rejects_allocation_key_values_summing_beyond_float_range(tmp_pat
     code, _, err = run(capsys, "assess", "--log", str(log),
                        "--annotations", str(bundle), "--out", str(tmp_path / "out"))
     assert code == 1
-    assert err.startswith("error [pipeline]: object_instance:machine1: 'mass_kg' values sum beyond float range")
+    assert err.startswith("error [allocation]: object_instance:machine1: 'mass_kg' values sum beyond float range")
     assert not (tmp_path / "out").exists()
 
 
@@ -825,11 +826,11 @@ def test_assess_over_empty_instance_ids_names_the_type(tmp_path, capsys):
     per_instance = {"basis": "per_instance", "flow": "CO2", "direction": "output", "amount": 1, "unit": "kg"}
     cases = [
         ({"assignments": [{"component": {"kind": "activity_type", "id": "pack"}, **per_instance}]},
-         "activity type 'pack' has an event with an empty id"),
+         "bind", "activity type 'pack' has an event with an empty id"),
         ({"assignments": [{"component": {"kind": "object_type", "id": "order"}, **per_instance}]},
-         "object type 'order' has an object with an empty id"),
+         "bind", "object type 'order' has an object with an empty id"),
         ({"allocations": [{"source": {"kind": "object_instance", "id": "m1"}}]},
-         "activity type 'pack' has an event with an empty id"),
+         "allocation", "activity type 'pack' has an event with an empty id"),
     ]
     # lenient ingest reports the log's violations as warnings before the run
     demoted = (
@@ -837,12 +838,12 @@ def test_assess_over_empty_instance_ids_names_the_type(tmp_path, capsys):
         "warning: [empty_event_id] : event with empty id\n"
         "warning: [empty_object_id] : object with empty id\n"
     )
-    for i, (bundle_doc, message) in enumerate(cases):
+    for i, (bundle_doc, stage, message) in enumerate(cases):
         bundle = tmp_path / f"bundle{i}.json"
         bundle.write_text(json.dumps({"schema": "susmine/1", **bundle_doc}))
         code, _, err = run(capsys, "assess", "--mode", "lenient", "--log", str(log),
                            "--annotations", str(bundle), "--out", str(tmp_path / "out"))
-        assert (code, err) == (1, f"{demoted}error [pipeline]: {message}\n")
+        assert (code, err) == (1, f"{demoted}error [{stage}]: {message}\n")
 
 
 def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
@@ -854,14 +855,14 @@ def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
 
     e1 = {"kind": "activity_instance", "id": "e1"}
     cases = [
-        (1e10, [co2(e1, "1e300")],
+        (1e10, [co2(e1, "1e300")], "characterization",
          "activity_instance:e1: flow 'CO2' in category 'climate_change' overflows a float"),
-        (1e8, [co2(e1, "1e300"), {**co2(e1, "1e300"), "direction": "input"}],
+        (1e8, [co2(e1, "1e300"), {**co2(e1, "1e300"), "direction": "input"}], "characterization",
          "activity_instance:e1: flow 'CO2' in category 'climate_change' overflows a float"),
-        (1e8, [co2(e1, "1e300"), co2({"kind": "process"}, "1e300")],
+        (1e8, [co2(e1, "1e300"), co2({"kind": "process"}, "1e300")], "allocation",
          "impact ('climate_change', 'scope1') is not finite (inf)"),
     ]
-    for i, (factor, assignments, message) in enumerate(cases):
+    for i, (factor, assignments, stage, message) in enumerate(cases):
         bundle = tmp_path / f"bundle{i}.json"
         bundle.write_text(json.dumps({
             "schema": "susmine/1",
@@ -874,8 +875,30 @@ def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
         code, _, err = run(capsys, "assess", "--log", str(demo_log_path),
                            "--annotations", str(bundle), "--out", str(tmp_path / "out"))
         assert code == 1, err
-        assert err.startswith(f"error [pipeline]: {message}"), err
+        assert err.startswith(f"error [{stage}]: {message}"), err
         assert not (tmp_path / "out").exists()
+
+
+def test_an_activity_type_total_that_overflows_is_a_dfg_error(tmp_path, capsys, demo_log_path):
+    # the process total sums e2, e1, e3 to 1e308, but fill_bottle's total, e2 plus e3, overflows
+    # when the graph is annotated
+    def co2(event, amount):
+        return {"component": {"kind": "activity_instance", "id": event}, "flow": "CO2",
+                "direction": "output", "amount": amount, "unit": "kg", "scope": "scope1"}
+
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({
+        "schema": "susmine/1",
+        "assignments": [co2("e2", "1e308"), co2("e1", "-1e308"), co2("e3", "1e308")],
+        "characterization": {
+            "categories": {"cc": {"impact_unit": "kg CO2e", "class": "climate"}},
+            "factors": [{"flow": "CO2", "unit": "kg", "factors": {"cc": 1}}],
+        },
+    }))
+    code, out, err = run(capsys, "assess", "--log", str(demo_log_path),
+                         "--annotations", str(bundle), "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", "error [dfg]: impact ('cc', 'scope1') is not finite (inf)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys, demo_log_path,
@@ -914,7 +937,7 @@ def test_functional_unit_scale_that_underflows_a_float_is_an_error(command, amou
     code, stdout, err = run(capsys, command, "--log", str(demo_log_path), "--annotations",
                             str(demo_bundle_path), "--out", str(out), "--fu", f"order:{amount}")
     assert (code, stdout) == (1, "")
-    assert err == (f"error [pipeline]: functional unit scale for object type 'order' underflows "
+    assert err == (f"error [functional-unit]: functional unit scale for object type 'order' underflows "
                    f"a float: {amount.upper()} / 1\n")
     assert not out.exists()
 
@@ -1021,7 +1044,7 @@ def test_failed_assess_leaves_existing_outputs_unchanged(tmp_path, capsys, monke
     (("100000000000000000000", "0.0000000001"), 0, "out",
      "\nactivity_instance,e1,CO2,output,scope2,100000000000000000000.0000000001,kg\n"),
     (("1E+300", "0E-400000"), 1, "err",
-     "error [pipeline]: flow 'CO2' on activity_instance:e1 sums 1E+300 and 0E-400000 "
+     "error [inventory]: flow 'CO2' on activity_instance:e1 sums 1E+300 and 0E-400000 "
      "beyond 1000 significant digits\n"),
 ], ids=["exact", "beyond-the-digit-bound"])
 def test_inventory_sums_amounts_of_far_apart_exponents_exactly_or_fails(

@@ -73,6 +73,14 @@ def test_write_manifest_round_trip(tmp_path):
     assert all(entry.description for entry in load_manifest(root))
 
 
+def test_write_manifest_writes_a_first_manifest(tmp_path):
+    (tmp_path / "ocel").mkdir()
+    (tmp_path / "ocel" / "x.json").write_text("{}")
+    write_manifest(tmp_path)
+    assert [(e.path, e.description) for e in load_manifest(tmp_path)] == [("ocel/x.json", "")]
+    assert verify_fixtures(root=tmp_path) == {"ocel/x.json": True}
+
+
 def test_valid_and_invalid_examples_for_every_schema():
     # OCEL subset
     parse_ocel(fixture_path("ocel/minimal.json").read_bytes())
