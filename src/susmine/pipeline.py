@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 
+from .errors import NonFiniteImpactError, abbreviate
 from .model import ComponentKind, ComponentRef, EventLog
 from .annotations import AnnotatedLog, AnnotationBundle, bind_annotations
 from .allocation import AllocationLedger, apply_allocations
@@ -60,14 +61,19 @@ def activity_type_totals(
 ) -> dict[str, ScopedVector]:
     """Roll component vectors up to activity types: instance vectors sum
     into their type plus anything held by the type itself. Other kinds
-    (objects, process) are excluded — they are the non-activity residual."""
+    (objects, process) are excluded — they are the non-activity residual.
+    Raises :class:`NonFiniteImpactError` naming the activity type whose
+    sum is not a finite float."""
     totals: dict[str, ScopedVector] = {}
     for ref, sv in vectors.items():
         type_ref = al.log.lift(ref, ComponentKind.ACTIVITY_TYPE)
         if type_ref is not None:
             bucket = totals.setdefault(type_ref.id, {})
-            for key, (amount, unit) in sv.items():
-                vector_add(bucket, key, amount, unit)
+            try:
+                for key, (amount, unit) in sv.items():
+                    vector_add(bucket, key, amount, unit)
+            except NonFiniteImpactError as exc:
+                raise NonFiniteImpactError(f"{abbreviate(type_ref)}: {exc}") from None
     return totals
 
 

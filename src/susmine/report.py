@@ -22,6 +22,14 @@ whole on the way to disk.
 write onto a text stream ``out``, which they require, and return None.
 The tests check the emitter against an independently built dict,
 ``tests/oracles.report_dict``.
+
+:func:`write_files` renders into a staging directory in two processes:
+the first artifact (``report.json`` for :func:`write_outputs`) in the
+calling process, the others in one forked child that reports back only
+its exit status. If either side fails, the calling process renders every
+artifact again in order, so a failure raises as it would in one process.
+It renders in one process alone when ``os.fork`` is missing, another
+thread is alive or there is a single artifact.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from threading import active_count
 from typing import Callable, Iterable, TextIO
 
 from . import dfg
@@ -344,6 +353,46 @@ def ledger_csv(result: PipelineResult, out: TextIO) -> None:
     ))
 
 
+def _render_into(staging: Path, renders: Iterable[tuple[str, Callable[[TextIO], object]]]) -> None:
+    """Stream each ``(name, render)`` into ``staging/name``, in order."""
+    for name, render in renders:
+        with open(staging / name, "w", encoding="utf-8") as out:
+            render(out)
+
+
+def _render_forked(renders: dict[str, Callable[[TextIO], object]], staging: Path) -> bool:
+    """Render the first entry into ``staging`` in this process and the
+    others, in order, in one forked child; True when every file rendered,
+    False when one did not or no child was forked.
+
+    Forks only when there is more than one render, ``os.fork`` exists and
+    no other thread is alive. The child never returns: it leaves through
+    ``os._exit``, with 0 once its files are closed and 1 on any exception,
+    so it runs no ``atexit`` handler and flushes no inherited buffer. The
+    child is reaped before this returns or raises, interrupts included."""
+    if len(renders) < 2 or not hasattr(os, "fork") or active_count() != 1:
+        return False
+    (first, render), *rest = renders.items()
+    try:
+        pid = os.fork()
+    except OSError:  # no room for a second process: render here
+        return False
+    if pid == 0:
+        code = 1
+        try:
+            _render_into(staging, rest)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        _render_into(staging, [(first, render)])
+    except Exception:  # rendered again in order, it raises where it would alone
+        return False
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return os.waitstatus_to_exitcode(status) == 0
+
+
 def write_files(renders: dict[str, Callable[[TextIO], object]], outdir: str | Path) -> dict[str, Path]:
     """Write each ``name -> render(stream)`` of ``renders`` as
     ``outdir/name``; return the paths written, in ``renders`` order.
@@ -355,7 +404,14 @@ def write_files(renders: dict[str, Callable[[TextIO], object]], outdir: str | Pa
     its parents, so it is writable whenever the files are and the moves
     stay on one file system; if that path is not a directory,
     ``NotADirectoryError`` names it, and if an ``outdir/name`` is one,
-    ``IsADirectoryError`` names that, before anything is written."""
+    ``IsADirectoryError`` names that, before anything is written.
+
+    The renders run in two processes: this one renders the first entry,
+    and one forked child renders the others, in order. If this process's
+    render raises or the child does not exit 0, every entry is rendered
+    again here, in order, so the first failing render raises as it would
+    alone. Without ``os.fork``, with another thread alive or with one
+    render, that in-order loop is the only one run."""
     outdir = base = Path(outdir)
     while not base.exists() and base.parent != base:
         base = base.parent
@@ -367,9 +423,8 @@ def write_files(renders: dict[str, Callable[[TextIO], object]], outdir: str | Pa
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     staging = Path(tempfile.mkdtemp(prefix=".susmine-", dir=base))
     try:
-        for name, render in renders.items():
-            with open(staging / name, "w", encoding="utf-8") as out:
-                render(out)
+        if not _render_forked(renders, staging):
+            _render_into(staging, renders.items())
         outdir.mkdir(parents=True, exist_ok=True)
         for name in renders:
             os.replace(staging / name, outdir / name)

@@ -50,11 +50,16 @@ def collapse_scopes(sv: ScopedVector) -> ImpactVector:
 
 
 def scoped_total(vectors: dict[ComponentRef, ScopedVector]) -> ScopedVector:
-    """Entrywise sum over all components."""
+    """Entrywise sum over all components: the process total. Raises
+    :class:`NonFiniteImpactError` naming the process when a sum is not a
+    finite float."""
     total: ScopedVector = {}
-    for sv in vectors.values():
-        for key, (amount, unit) in sv.items():
-            vector_add(total, key, amount, unit)
+    try:
+        for sv in vectors.values():
+            for key, (amount, unit) in sv.items():
+                vector_add(total, key, amount, unit)
+    except NonFiniteImpactError as exc:
+        raise NonFiniteImpactError(f"process: {exc}") from None
     return total
 
 

@@ -860,7 +860,7 @@ def test_assess_rejects_overflowing_impacts(tmp_path, capsys, demo_log_path):
         (1e8, [co2(e1, "1e300"), {**co2(e1, "1e300"), "direction": "input"}], "characterization",
          "activity_instance:e1: flow 'CO2' in category 'climate_change' overflows a float"),
         (1e8, [co2(e1, "1e300"), co2({"kind": "process"}, "1e300")], "allocation",
-         "impact ('climate_change', 'scope1') is not finite (inf)"),
+         "process: impact ('climate_change', 'scope1') is not finite (inf)"),
     ]
     for i, (factor, assignments, stage, message) in enumerate(cases):
         bundle = tmp_path / f"bundle{i}.json"
@@ -897,7 +897,8 @@ def test_an_activity_type_total_that_overflows_is_a_dfg_error(tmp_path, capsys, 
     }))
     code, out, err = run(capsys, "assess", "--log", str(demo_log_path),
                          "--annotations", str(bundle), "--out", str(tmp_path / "out"))
-    assert (code, out, err) == (1, "", "error [dfg]: impact ('cc', 'scope1') is not finite (inf)\n")
+    assert (code, out, err) == (
+        1, "", "error [dfg]: activity_type:fill_bottle: impact ('cc', 'scope1') is not finite (inf)\n")
     assert not (tmp_path / "out").exists()
 
 

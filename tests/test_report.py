@@ -2,6 +2,8 @@ import csv
 import importlib
 import io
 import json
+import os
+import threading
 from decimal import Decimal
 
 import pytest
@@ -337,13 +339,28 @@ def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
 ])
 def test_write_outputs_looks_each_writer_up_when_it_runs(module, writer, tmp_path, monkeypatch,
                                                          demo_log, demo_bundle):
-    # a tracer wraps a writer by rebinding it on its module
+    # a tracer wraps a writer by rebinding it on its module; the wrapper marks
+    # the file it writes, which a writer run in a forked child leaves too
+    result = run_pipeline(demo_log, demo_bundle)
+    plain = {name: path.read_text(encoding="utf-8")
+             for name, path in write_outputs(result, tmp_path / "plain").items()}
     owner = importlib.import_module(f"susmine.{module}")
     wrapped = getattr(owner, writer)
-    calls = []
-    monkeypatch.setattr(owner, writer, lambda *args: calls.append(writer) or wrapped(*args))
-    write_outputs(run_pipeline(demo_log, demo_bundle), tmp_path)
-    assert calls == [writer]
+    mark = f"called {writer}\n"
+
+    def marking(*args):
+        if writer == "emit_dot":  # returns the text its render writes
+            return mark + wrapped(*args)
+        args[-1].write(mark)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, writer, marking)
+    marked = {name: path.read_text(encoding="utf-8")
+              for name, path in write_outputs(result, tmp_path / "marked").items()}
+    artifact = {"render_report": "report.json", "inventory_to_csv": "inventory.csv", "impact_csv": "impacts.csv",
+                "scoped_impact_csv": "impacts_scoped.csv", "ledger_csv": "ledger.csv", "emit_dot": "dfg.dot"}[writer]
+    assert marked[artifact].count(mark) == 1
+    assert marked == {**plain, artifact: mark + plain[artifact]}
 
 
 def test_failed_render_leaves_existing_outputs_unchanged(tmp_path, monkeypatch, demo_log, demo_bundle):
@@ -365,3 +382,95 @@ def test_failed_render_leaves_existing_outputs_unchanged(tmp_path, monkeypatch, 
     with pytest.raises(NonFiniteImpactError):
         write_outputs(edge_result(demo_log), tmp_path / "new" / "deeper")
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def artifacts(result, outdir):
+    return {name: path.read_bytes() for name, path in write_outputs(result, outdir).items()}
+
+
+def assert_nothing_left_behind(root):
+    assert not list(root.rglob(".susmine-*"))
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["demo-fu", "generated"])
+def test_forked_artifacts_equal_in_process_ones(case, tmp_path, monkeypatch, demo_log, demo_bundle):
+    if case == "demo-fu":
+        result = run_pipeline(demo_log, demo_bundle, fu=FunctionalUnit("bottle", Quantity(dec(1), "count")))
+    else:
+        result, _ = pipeline_for(101, 400)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = artifacts(result, tmp_path / "forked")
+    assert forks == [1]
+    monkeypatch.delattr(os, "fork")
+    assert artifacts(result, tmp_path / "in-process") == forked
+    assert_nothing_left_behind(tmp_path)
+
+
+def failing_writer(result, stream):
+    stream.write("half an artifact\n")
+    raise NonFiniteImpactError("render failed")
+
+
+@pytest.mark.parametrize("writer", ["ledger_csv", "render_report"])  # in the child, in the caller
+def test_a_failed_render_raises_as_in_one_process(writer, tmp_path, monkeypatch, demo_log, demo_bundle):
+    out = tmp_path / "out"
+    write_outputs(run_pipeline(demo_log, demo_bundle), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(report_module, writer, failing_writer)
+    raised = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        with pytest.raises(Exception) as excinfo:
+            write_outputs(edge_result(demo_log), out)
+        raised.append((excinfo.type, str(excinfo.value)))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert_nothing_left_behind(tmp_path)
+    assert raised[0] == raised[1] == (NonFiniteImpactError, "render failed")
+
+
+def test_an_interrupted_render_reaps_the_child(tmp_path, monkeypatch, demo_log, demo_bundle):
+    def interrupted(result, stream):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(report_module, "render_report", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_outputs(run_pipeline(demo_log, demo_bundle), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+    assert_nothing_left_behind(tmp_path)
+
+
+def test_write_outputs_renders_in_one_process_when_fork_fails(tmp_path, monkeypatch, demo_log, demo_bundle):
+    result = run_pipeline(demo_log, demo_bundle)
+    forked = artifacts(result, tmp_path / "forked")
+
+    def no_room():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_room)
+    assert artifacts(result, tmp_path / "unforked") == forked
+    assert_nothing_left_behind(tmp_path)
+
+
+def test_write_outputs_does_not_fork_with_another_thread_alive(tmp_path, monkeypatch, demo_log, demo_bundle):
+    result = run_pipeline(demo_log, demo_bundle)
+    alone = artifacts(result, tmp_path / "alone")
+
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert artifacts(result, tmp_path / "threaded") == alone
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()

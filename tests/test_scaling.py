@@ -2,8 +2,11 @@
 once per object or per allocation rule. The output stage streams: its
 memory stays below the size of the report it writes."""
 
+import os
 import time
 import tracemalloc
+
+import pytest
 
 from susmine import (
     apply_allocations,
@@ -58,7 +61,11 @@ def test_pipeline_scales_to_16k_events():
     assert elapsed < 15.0, f"run_pipeline on 16k events took {elapsed:.1f} s"
 
 
-def test_output_stage_memory_stays_below_the_report_size(tmp_path):
+@pytest.mark.parametrize("path", ["forked", "in-process"])
+def test_output_stage_memory_stays_below_the_report_size(path, tmp_path, monkeypatch):
+    # tracemalloc sees this process only: forked, it renders report.json alone
+    if path == "in-process":
+        monkeypatch.delattr(os, "fork")
     gb = generate_bundle(7, 4000)
     result = run_pipeline(parse_ocel(gb.log_json), parse_annotations(gb.annotations_json))
     tracemalloc.start()
