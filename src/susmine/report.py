@@ -24,12 +24,14 @@ The tests check the emitter against an independently built dict,
 ``tests/oracles.report_dict``.
 
 :func:`write_files` renders into a staging directory in two processes:
-the first artifact (``report.json`` for :func:`write_outputs`) in the
-calling process, the others in one forked child that reports back only
-its exit status. If either side fails, the calling process renders every
-artifact again in order, so a failure raises as it would in one process.
-It renders in one process alone when ``os.fork`` is missing, another
-thread is alive or there is a single artifact.
+the calling process renders the first artifact (``report.json`` for
+:func:`write_outputs`), and every other artifact waits in one queue that
+both processes take from, one at a time and from the last artifact back,
+until it is empty. The forked child reports back only its exit status.
+If either side fails, the calling process renders every artifact again
+in order, so a failure raises as it would in one process. It renders in
+one process alone when ``os.fork`` is missing, another thread is alive,
+or there is a single artifact or more than the queue holds.
 """
 
 from __future__ import annotations
@@ -360,36 +362,61 @@ def _render_into(staging: Path, renders: Iterable[tuple[str, Callable[[TextIO], 
             render(out)
 
 
-def _render_forked(renders: dict[str, Callable[[TextIO], object]], staging: Path) -> bool:
-    """Render the first entry into ``staging`` in this process and the
-    others, in order, in one forked child; True when every file rendered,
-    False when one did not or no child was forked.
+def _render_queued(queue: int, staging: Path, entries: list[tuple[str, Callable[[TextIO], object]]]) -> None:
+    """Render ``entries[token]`` into ``staging`` for each one-byte token
+    read from the pipe ``queue``, one at a time, until it is empty."""
+    while token := os.read(queue, 1):
+        _render_into(staging, [entries[token[0]]])
 
-    Forks only when there is more than one render, ``os.fork`` exists and
-    no other thread is alive. The child never returns: it leaves through
-    ``os._exit``, with 0 once its files are closed and 1 on any exception,
-    so it runs no ``atexit`` handler and flushes no inherited buffer. The
-    child is reaped before this returns or raises, interrupts included."""
-    if len(renders) < 2 or not hasattr(os, "fork") or active_count() != 1:
-        return False
+
+def _render_forked(renders: dict[str, Callable[[TextIO], object]], staging: Path) -> bool:
+    """Render every entry into ``staging`` in this process and one forked
+    child; True when every file rendered, False when one did not or no
+    child was forked.
+
+    This process renders the first entry. Each other entry is a one-byte
+    token, its index, in one pipe whose write end is closed before the
+    fork; the tokens run from the last entry back. Both processes read
+    one token at a time and render its entry until the pipe is empty: the
+    child at once, this process once its first entry is written.
+
+    Forks only when there are 2 to 257 renders (256 one-byte tokens fit
+    any pipe, so writing them never blocks), ``os.fork`` exists and no
+    other thread is alive. The child never returns: it leaves through
+    ``os._exit``, with 0 once its files are closed and 1 on any
+    exception, so it runs no ``atexit`` handler and flushes no inherited
+    buffer. The child is reaped before this returns or raises,
+    interrupts included."""
     (first, render), *rest = renders.items()
-    try:
-        pid = os.fork()
-    except OSError:  # no room for a second process: render here
+    if not 0 < len(rest) <= 256 or not hasattr(os, "fork") or active_count() != 1:
         return False
-    if pid == 0:
-        code = 1
+    try:
+        queue, tokens = os.pipe()
+    except OSError:  # no file descriptors to spare: render here
+        return False
+    try:
+        os.write(tokens, bytes(reversed(range(len(rest)))))
+        os.close(tokens)  # an empty read now means no entry is left
         try:
-            _render_into(staging, rest)
-            code = 0
+            pid = os.fork()
+        except OSError:  # no room for a second process: render here
+            return False
+        if pid == 0:
+            code = 1
+            try:
+                _render_queued(queue, staging, rest)
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            _render_into(staging, [(first, render)])
+            _render_queued(queue, staging, rest)
+        except Exception:  # rendered again in order, it raises where it would alone
+            return False
         finally:
-            os._exit(code)
-    try:
-        _render_into(staging, [(first, render)])
-    except Exception:  # rendered again in order, it raises where it would alone
-        return False
+            status = os.waitpid(pid, 0)[1]
     finally:
-        status = os.waitpid(pid, 0)[1]
+        os.close(queue)
     return os.waitstatus_to_exitcode(status) == 0
 
 
@@ -407,11 +434,13 @@ def write_files(renders: dict[str, Callable[[TextIO], object]], outdir: str | Pa
     ``IsADirectoryError`` names that, before anything is written.
 
     The renders run in two processes: this one renders the first entry,
-    and one forked child renders the others, in order. If this process's
-    render raises or the child does not exit 0, every entry is rendered
-    again here, in order, so the first failing render raises as it would
-    alone. Without ``os.fork``, with another thread alive or with one
-    render, that in-order loop is the only one run."""
+    and the others wait in one queue, from the last one back, that one
+    forked child takes from at once and this process once its first entry
+    is written. If a render in this process raises or the child does not
+    exit 0, every entry is rendered again here, in order, so the first
+    failing render raises as it would alone. Without ``os.fork``, with
+    another thread alive, or with one render or more than 257, that
+    in-order loop is the only one run."""
     outdir = base = Path(outdir)
     while not base.exists() and base.parent != base:
         base = base.parent

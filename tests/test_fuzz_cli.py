@@ -1,11 +1,12 @@
-"""Fuzzing ``susmine assess`` with mutated shipped inputs.
+"""Fuzzing ``susmine assess`` with mutated inputs.
 
-Each example applies one to three mutations to the ``mineral_water`` log
-and to a shipped bundle (delete a key or an entry, repeat an entry, copy
-in another node or put in a value), then runs ``assess`` strict and
-lenient, with or without a functional unit. Every
-run must exit 0 or 1 without raising, and a run that exits 1 must end
-stderr with one ``error [<stage>]: `` line naming a stage of the CLI.
+Each example draws a log and a bundle: the ``mineral_water`` log with
+either shipped bundle, or the pair ``generate_bundle(3, 60)`` makes. It
+applies one to three mutations to them (delete a key or an entry, repeat
+an entry, copy in another node or put in a value), then runs ``assess``
+strict and lenient, with or without a functional unit. Every run must
+exit 0 or 1 without raising, and a run that exits 1 must end stderr with
+one ``error [<stage>]: `` line naming a stage of the CLI.
 """
 
 import contextlib
@@ -19,22 +20,29 @@ from hypothesis import given, settings, strategies as st
 
 from susmine.cli import main
 from susmine.fixtures import fixture_path
+from susmine.generator import generate_bundle
 
 STAGES = ("load-log", "parse-annotations", "bind", "inventory", "characterization",
           "allocation", "audit", "dfg", "functional-unit", "write-outputs")
 ERROR_LINE = re.compile(rf"error \[({'|'.join(STAGES)})\]: ")
 LOG = json.loads(fixture_path("ocel/mineral_water.json").read_text())
-BUNDLES = {name: json.loads(fixture_path(f"annotations/{name}.json").read_text())
-           for name in ("mineral_water", "machine_allocation")}
+GENERATED = generate_bundle(3, 60)
+#: name -> (log, bundle)
+PAIRS = {
+    **{name: (LOG, json.loads(fixture_path(f"annotations/{name}.json").read_text()))
+       for name in ("mineral_water", "machine_allocation")},
+    "generated": (json.loads(GENERATED.log_json), json.loads(GENERATED.annotations_json)),
+}
 #: values a mutation may put in place of any node: degenerate JSON, numbers
 #: at the float range's ends, numerals as strings, words of the grammars'
-#: enumerations and ids of the log
+#: enumerations and ids of the logs
 REPLACEMENTS = (
     None, 1e308, -1e308, 1e-320, 0, 10**30, "NaN", "1e400", "", [], {},
     "output", "input", "scope1", "scope3", "unscoped", "per_instance", "related_events",
     "activity_type", "activity_instance", "object_type", "object_instance", "process",
     "equal", "mass", "economic", "climate", "kg", "count", "ghg", "lca",
     "e1", "e2", "machine1", "b1", "o1", "fill_bottle", "deliver_order", "bottle", "order", "CO2",
+    "e0001", "o0001",
 )
 
 mutations = st.lists(
@@ -88,9 +96,10 @@ def _assess(log: Path, bundle: Path, out: Path, mode: str, fu: bool) -> tuple[in
 
 
 @settings(max_examples=300, deadline=None)
-@given(bundle_name=st.sampled_from(sorted(BUNDLES)), fu=st.booleans(), edits=mutations)
-def test_assess_on_mutated_inputs_exits_0_or_1_naming_the_stage(bundle_name, fu, edits):
-    docs = {"log": json.loads(json.dumps(LOG)), "bundle": json.loads(json.dumps(BUNDLES[bundle_name]))}
+@given(pair=st.sampled_from(sorted(PAIRS)), fu=st.booleans(), edits=mutations)
+def test_assess_on_mutated_inputs_exits_0_or_1_naming_the_stage(pair, fu, edits):
+    log, bundle = PAIRS[pair]
+    docs = {"log": json.loads(json.dumps(log)), "bundle": json.loads(json.dumps(bundle))}
     for target, index, op in edits:
         _mutate(docs[target], index, op)
     with tempfile.TemporaryDirectory() as tmp:

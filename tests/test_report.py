@@ -1,9 +1,11 @@
 import csv
+import functools
 import importlib
 import io
 import json
 import os
 import threading
+import time
 from decimal import Decimal
 
 import pytest
@@ -24,7 +26,9 @@ from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
 from susmine.inventory import FunctionalUnit
 from susmine.model import Quantity
-from susmine.report import impact_csv, inventory_to_csv, ledger_csv, scoped_impact_csv, write_outputs
+from susmine.report import (
+    impact_csv, inventory_to_csv, ledger_csv, scoped_impact_csv, write_files, write_outputs,
+)
 
 from conftest import dec, rel_close
 from oracles import rendered, report_dict
@@ -333,10 +337,14 @@ def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
     assert {name: path.read_bytes().decode("utf-8") for name, path in written.items()} == texts
 
 
-@pytest.mark.parametrize("module, writer", [
+#: Each artifact's writer, as (module, name): each one can run in either process.
+WRITERS = [
     ("report", "render_report"), ("report", "inventory_to_csv"), ("report", "impact_csv"),
     ("report", "scoped_impact_csv"), ("report", "ledger_csv"), ("dfg", "emit_dot"),
-])
+]
+
+
+@pytest.mark.parametrize("module, writer", WRITERS)
 def test_write_outputs_looks_each_writer_up_when_it_runs(module, writer, tmp_path, monkeypatch,
                                                          demo_log, demo_bundle):
     # a tracer wraps a writer by rebinding it on its module; the wrapper marks
@@ -410,17 +418,18 @@ def test_forked_artifacts_equal_in_process_ones(case, tmp_path, monkeypatch, dem
     assert_nothing_left_behind(tmp_path)
 
 
-def failing_writer(result, stream):
-    stream.write("half an artifact\n")
+def failing_writer(*args):
+    if len(args) == 2:  # (data, stream); emit_dot returns its text instead
+        args[1].write("half an artifact\n")
     raise NonFiniteImpactError("render failed")
 
 
-@pytest.mark.parametrize("writer", ["ledger_csv", "render_report"])  # in the child, in the caller
-def test_a_failed_render_raises_as_in_one_process(writer, tmp_path, monkeypatch, demo_log, demo_bundle):
+@pytest.mark.parametrize("module, writer", WRITERS, ids=[writer for _, writer in WRITERS])
+def test_a_failed_render_raises_as_in_one_process(module, writer, tmp_path, monkeypatch, demo_log, demo_bundle):
     out = tmp_path / "out"
     write_outputs(run_pipeline(demo_log, demo_bundle), out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    monkeypatch.setattr(report_module, writer, failing_writer)
+    monkeypatch.setattr(importlib.import_module(f"susmine.{module}"), writer, failing_writer)
     raised = []
     for fork in (True, False):
         if not fork:
@@ -432,6 +441,38 @@ def test_a_failed_render_raises_as_in_one_process(writer, tmp_path, monkeypatch,
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert_nothing_left_behind(tmp_path)
     assert raised[0] == raised[1] == (NonFiniteImpactError, "render failed")
+
+
+def test_the_calling_process_takes_queued_entries(tmp_path):
+    caller = os.getpid()
+
+    def render(out):
+        if os.getpid() != caller:  # hold the child up, so this process takes what is left
+            time.sleep(0.2)
+        out.write(f"{os.getpid()}\n")
+
+    written = write_files(dict.fromkeys(report_module.OUTPUT_FILES, render), tmp_path / "out")
+    pids = [int(path.read_text(encoding="utf-8")) for path in written.values()]
+    assert pids[0] == caller
+    assert pids.count(caller) > 1, pids
+    assert_nothing_left_behind(tmp_path)
+
+
+@pytest.mark.parametrize("count, forks", [(257, 1), (300, 0)])  # 256 one-byte tokens fit
+def test_write_files_renders_more_entries_than_tokens(count, forks, tmp_path, monkeypatch):
+    def line(number, out):
+        out.write(f"line {number}\n")
+
+    renders = {f"{number:03}.txt": functools.partial(line, number) for number in range(count)}
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    written = write_files(renders, tmp_path / "out")
+    assert len(forked) == forks
+    assert list(written) == list(renders)
+    assert [path.read_text(encoding="utf-8") for path in written.values()] == [f"line {n}\n" for n in range(count)]
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == list(renders)
+    assert_nothing_left_behind(tmp_path)
 
 
 def test_an_interrupted_render_reaps_the_child(tmp_path, monkeypatch, demo_log, demo_bundle):
@@ -448,12 +489,15 @@ def test_an_interrupted_render_reaps_the_child(tmp_path, monkeypatch, demo_log, 
 def test_write_outputs_renders_in_one_process_when_fork_fails(tmp_path, monkeypatch, demo_log, demo_bundle):
     result = run_pipeline(demo_log, demo_bundle)
     forked = artifacts(result, tmp_path / "forked")
+    # no room for a second process, or for the queue's pipe
+    for call, error in [("fork", BlockingIOError(11, "Resource temporarily unavailable")),
+                        ("pipe", OSError(24, "Too many open files"))]:
+        def no_room(error=error):
+            raise error
 
-    def no_room():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_room)
-    assert artifacts(result, tmp_path / "unforked") == forked
+        with monkeypatch.context() as patched:
+            patched.setattr(os, call, no_room)
+            assert artifacts(result, tmp_path / f"no-{call}") == forked
     assert_nothing_left_behind(tmp_path)
 
 

@@ -63,7 +63,8 @@ def test_pipeline_scales_to_16k_events():
 
 @pytest.mark.parametrize("path", ["forked", "in-process"])
 def test_output_stage_memory_stays_below_the_report_size(path, tmp_path, monkeypatch):
-    # tracemalloc sees this process only: forked, it renders report.json alone
+    # tracemalloc sees this process only: forked, it renders report.json and
+    # whichever queued artifacts it takes once that is written
     if path == "in-process":
         monkeypatch.delattr(os, "fork")
     gb = generate_bundle(7, 4000)
