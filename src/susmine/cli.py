@@ -266,6 +266,11 @@ _COMMANDS = {
 }
 
 
+#: Every character ``str.splitlines`` breaks a line at, as its escape: an
+#: input literal quoted in a message cannot split the one error line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -278,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         stage_name = getattr(exc, "stage", None)
         prefix = f"error [{stage_name}]" if stage_name else "error"
         malformed = "malformed JSON: " if isinstance(exc, json.JSONDecodeError) else ""
-        print(f"{prefix}: {malformed}{exc}", file=sys.stderr)
+        print(f"{prefix}: {malformed}{str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 1 if isinstance(exc, SusmineError) else 2
     finally:
         gc.set_threshold(*thresholds)

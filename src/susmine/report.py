@@ -21,7 +21,14 @@ whole on the way to disk.
 :func:`build_report` parses its text. It and the four CSV projections
 write onto a text stream ``out``, which they require, and return None.
 The tests check the emitter against an independently built dict,
-``tests/oracles.report_dict``.
+``tests/oracles.report_dict``. The allocation ledger's rows, in the
+report and in ``ledger.csv``, build their source, target and weight
+texts once per transfer, not once per entry.
+
+The CSV projections share :func:`write_csv`: ``csv``'s excel dialect,
+minimal quoting (a field holding a comma, a quote, ``\\r`` or ``\\n`` is
+quoted) and ``\\n`` line ends, with the rows that need no quoting joined
+into one text per batch.
 
 :func:`write_files` renders into a staging directory in two processes:
 the calling process renders the first artifact (``report.json`` for
@@ -46,10 +53,11 @@ import os
 import shutil
 import sys
 import tempfile
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from threading import active_count
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import dfg
 from .errors import NonFiniteImpactError
@@ -89,24 +97,23 @@ def _scoped_obj(sv: ScopedVector) -> dict:
 
 
 class _Rows:
-    """A bulk list section of the report, kept as its source rows.
+    """A bulk list section of the report, kept as an iterable of its row
+    texts.
 
-    The emitter writes each row as ``text(row)``, at the one depth every
+    The emitter writes each row text as it comes, at the one depth every
     section sits at (see the row texts below), so it holds neither a row
-    dict nor the section's text. ``rows`` is iterated once."""
+    dict nor the section's text. ``texts`` is iterated once."""
 
-    __slots__ = ("rows", "text")
+    __slots__ = ("texts",)
 
-    def __init__(self, rows, text):
-        self.rows = rows
-        self.text = text
+    def __init__(self, texts: Iterable[str]):
+        self.texts = texts
 
     def emit(self, append) -> None:
-        text = self.text
         lead = opening = "[" + _NL3
         separator = "," + _NL3
-        for row in self.rows:
-            append(lead + text(row))
+        for text in self.texts:
+            append(lead + text)
             lead = separator
         append("[]" if lead is opening else _NL2 + "]")
 
@@ -141,12 +148,12 @@ def _layout(result: PipelineResult) -> dict:
         },
         "scope_set": {"name": al.scope_set.name, "scopes": list(al.scope_set.scopes)},
         "inventory": {
-            "entries": _Rows(result.inventory.entries.items(), _inventory_text),
-            "negative_entries": _Rows(result.inventory.negative_entries(), _inventory_text),
+            "entries": _Rows(map(_inventory_text, result.inventory.entries.items())),
+            "negative_entries": _Rows(map(_inventory_text, result.inventory.negative_entries())),
         },
         "impacts": {
             "components": _Rows(
-                ((ref, sv) for ref, sv in result.post_allocation.items() if sv), _component_impacts_text
+                _component_impacts_text(ref, sv) for ref, sv in result.post_allocation.items() if sv
             ),
             "process_totals": process_totals,
             "class_totals": {
@@ -159,8 +166,8 @@ def _layout(result: PipelineResult) -> dict:
             {"flow": f, "unit": u, "direction": d} for (f, u, d) in result.uncharacterized
         ],
         "allocation": {
-            "entries": _Rows(result.ledger.entries, _ledger_text),
-            "residuals": _Rows(result.ledger.residuals.items(), _component_impacts_text),
+            "entries": _Rows(_ledger_texts(result.ledger.entries)),
+            "residuals": _Rows(_component_impacts_text(ref, sv) for ref, sv in result.ledger.residuals.items()),
             "warnings": list(result.ledger.warnings),
         },
         "audit": {col: level.value for col, level in result.audit_row.items()},
@@ -185,7 +192,7 @@ def _layout(result: PipelineResult) -> dict:
             "measured_attribute": result.fu.measured_attribute,
             "measured_output": str(result.fu_output),
             "scale_factor": str(result.fu_scale),
-            "inventory_per_fu": _Rows(result.fu_inventory.entries.items(), _inventory_text),
+            "inventory_per_fu": _Rows(map(_inventory_text, result.fu_inventory.entries.items())),
             "impacts_per_fu": _scoped_obj(per_fu),
         }
     return report
@@ -268,15 +275,33 @@ def _scoped_text(sv: ScopedVector) -> str:
     return "".join(parts)
 
 
-def _component_impacts_text(row: tuple[ComponentRef, ScopedVector]) -> str:
-    ref, sv = row
+def _component_impacts_text(ref: ComponentRef, sv: ScopedVector) -> str:
     return f'{{{_NL4}"component": {_ref_text(ref)},{_NL4}"impacts": {_scoped_text(sv)}{_NL3}}}'
 
 
-def _ledger_text(e: LedgerEntry) -> str:
-    return (f'{{{_NL4}"amount": {_float(e.amount)},{_NL4}"category": {_quote(e.category)},'
-            f'{_NL4}"scope": {_quote(e.scope)},{_NL4}"source": {_ref_text(e.source)},'
-            f'{_NL4}"target": {_ref_text(e.target)},{_NL4}"weight": {_float(e.weight)}{_NL3}}}')
+def _same_transfer(entries: Iterable[LedgerEntry]):
+    """Each entry of ``entries`` with a flag: True when its source, target
+    and weight are the same objects as the entry before's, so its
+    transfer's texts are theirs too."""
+    source = target = weight = None
+    for e in entries:
+        same = e.source is source and e.target is target and e.weight is weight
+        if not same:
+            source, target, weight = e.source, e.target, e.weight
+        yield e, same
+
+
+def _ledger_texts(entries: Iterable[LedgerEntry]):
+    """Each entry's object text. Its source, target and weight texts are
+    built once per transfer, after its amount, category and scope, so a
+    value that cannot be written raises where it would row by row."""
+    for e, same in _same_transfer(entries):
+        head = (f'{{{_NL4}"amount": {_float(e.amount)},{_NL4}"category": {_quote(e.category)},'
+                f'{_NL4}"scope": {_quote(e.scope)}')
+        if not same:
+            tail = (f',{_NL4}"source": {_ref_text(e.source)},{_NL4}"target": {_ref_text(e.target)},'
+                    f'{_NL4}"weight": {_float(e.weight)}{_NL3}}}')
+        yield head + tail
 
 
 def _inventory_text(entry: tuple[InvKey, Quantity]) -> str:
@@ -301,19 +326,57 @@ def render_report(result: PipelineResult, out: TextIO) -> None:
 INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
 
 
-def write_csv(out: TextIO, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then ``rows`` onto ``out`` as CSV lines, a
-    ``None`` cell as ""."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+#: Rows :func:`write_csv` joins into one text and writes in one call.
+_CSV_BATCH = 4096
+
+
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write ``header`` and then ``rows``, whose cells are ``str``, onto
+    ``out`` as CSV lines, each quoted by ``csv.writer`` (see
+    :func:`_write_rows`).
+
+    The rows go in batches of :data:`_CSV_BATCH`. A batch whose rows are
+    all as wide as the header (two columns or more) and whose cells hold
+    no comma, ``"``, ``\\r``, ``\\n`` or NUL needs no quoting: its rows are
+    joined into one text and written in one call. Any other batch, or one
+    whose text the stream cannot encode, goes to :func:`_write_rows` row by
+    row, so ``csv`` alone decides what is quoted, and an encoding error is
+    raised at the row that holds it, with ``csv.writer``'s message."""
+    _write_rows(out, [header])
+    width = len(header)
+    rows = iter(rows)
+    while batch := list(islice(rows, _CSV_BATCH)):
+        text = "\n".join(map(",".join, batch)) + "\n"
+        if (width > 1 and text.count(",") == (width - 1) * len(batch) and text.count("\n") == len(batch)
+                and '"' not in text and "\r" not in text and "\0" not in text
+                and set(map(len, batch)) == {width}):
+            try:
+                out.write(text)  # a text stream encodes all of it before it writes any
+                continue
+            except UnicodeEncodeError:
+                pass
+        _write_rows(out, batch)
+
+
+def _write_rows(out: TextIO, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row onto ``out`` in one call, as ``csv.writer`` writes it
+    with ``\\r\\n`` line ends, but ended by ``\\n``. With ``\\r`` in its line
+    terminator ``csv`` quotes a field holding one, on every Python version
+    (3.13 does so with ``\\n`` alone), so every row reads back whole."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")
+    for row in rows:
+        line.seek(0)
+        line.truncate()
+        writer.writerow(row)
+        out.write(line.getvalue()[:-2] + "\n")
 
 
 def inventory_to_csv(inv: Inventory, out: TextIO) -> None:
     """The inventory as CSV rows of INVENTORY_COLUMNS, the exact amount as
     a string."""
     write_csv(out, INVENTORY_COLUMNS, (
-        (key.component.kind.value, key.component.id, key.flow, key.direction.value,
+        (key.component.kind.value, key.component.id or "", key.flow, key.direction.value,
          key.scope, str(q.amount), q.unit)
         for key, q in inv.entries.items()
     ))
@@ -346,13 +409,20 @@ def scoped_impact_csv(result: PipelineResult, out: TextIO) -> None:
 
 
 def ledger_csv(result: PipelineResult, out: TextIO) -> None:
-    """The allocation ledger, one row per transfer."""
+    """The allocation ledger, one row per entry. Each transfer's ref and
+    weight cells are built once."""
     write_csv(out, ("source_kind", "source_id", "target_kind", "target_id",
-                    "category", "scope", "amount", "weight"), (
-        (_KIND_VALUES[e.source.kind], e.source.id or "", _KIND_VALUES[e.target.kind], e.target.id or "",
-         e.category, e.scope, repr(e.amount), repr(e.weight))
-        for e in result.ledger.entries
-    ))
+                    "category", "scope", "amount", "weight"), _ledger_rows(result.ledger.entries))
+
+
+def _ledger_rows(entries: Iterable[LedgerEntry]):
+    """Each entry's ``ledger.csv`` cells."""
+    for e, same in _same_transfer(entries):
+        if not same:
+            source, target = e.source, e.target
+            transfer = (_KIND_VALUES[source.kind], source.id or "", _KIND_VALUES[target.kind], target.id or "")
+            weight = repr(e.weight)
+        yield (*transfer, e.category, e.scope, repr(e.amount), weight)
 
 
 def _render_into(staging: Path, renders: Iterable[tuple[str, Callable[[TextIO], object]]]) -> None:

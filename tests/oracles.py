@@ -13,10 +13,15 @@ pipeline result, sharing no code with ``susmine.report``, so that
 :func:`serialize_ocel` writes a parsed log back as the accepted OCEL
 subset, so that parse and serialize can be checked to be a fixed point.
 
+:func:`csv_projections` writes the four CSV projections row by row with
+``csv.writer``, sharing no code with ``susmine.report``, so that each
+CSV artifact can be checked against it byte for byte.
+
 :func:`rendered` gives what one of ``susmine.report``'s writers writes
 onto a stream, as a string.
 """
 
+import csv
 import io
 import json
 from datetime import datetime, timezone
@@ -242,6 +247,44 @@ def report_dict(result):
             ),
         }
     return report
+
+
+def _csv_text(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def csv_projections(result):
+    """The four CSV projections of a pipeline result, name -> text, each
+    written by one ``csv.writer`` row by row, with rows in their
+    documented order."""
+    classes = {category: info.impact_class.value for category, info in result.al.table.categories.items()}
+    components = sorted((ref, sv) for ref, sv in result.post_allocation.items())
+    return {
+        "inventory.csv": _csv_text(
+            ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit"),
+            [(key.component.kind.value, key.component.id, key.flow, key.direction.value, key.scope,
+              str(q.amount), q.unit) for key, q in sorted(result.inventory.entries.items())],
+        ),
+        "impacts.csv": _csv_text(
+            ("component_kind", "component_id", "category", "class", "amount", "impact_unit"),
+            [(ref.kind.value, ref.id, category, classes[category], repr(q.amount), q.unit)
+             for ref, sv in components for category, q in _category_totals(sv).items()],
+        ),
+        "impacts_scoped.csv": _csv_text(
+            ("component_kind", "component_id", "category", "class", "scope", "amount", "impact_unit"),
+            [(ref.kind.value, ref.id, category, classes[category], scope, repr(q.amount), q.unit)
+             for ref, sv in components for (category, scope), q in sorted(sv.items())],
+        ),
+        "ledger.csv": _csv_text(
+            ("source_kind", "source_id", "target_kind", "target_id", "category", "scope", "amount", "weight"),
+            [(e.source.kind.value, e.source.id, e.target.kind.value, e.target.id, e.category, e.scope,
+              repr(e.amount), repr(e.weight)) for e in sorted(result.ledger.entries)],
+        ),
+    }
 
 
 def _scalar_out(value: Scalar):

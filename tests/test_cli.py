@@ -16,6 +16,8 @@ from susmine.ocel import parse_ocel
 from susmine.pipeline import run_pipeline
 from susmine.report import OUTPUT_FILES
 
+from conftest import make_log_doc
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -42,6 +44,18 @@ def test_validate_malformed_json(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--log", str(bad))
     assert code == 2
     assert "malformed JSON" in err
+
+
+@pytest.mark.parametrize("object_id", ["two\nlines", "carriage\rreturn", "line\u2028separator"])
+def test_an_error_quoting_a_line_break_is_one_line(object_id, tmp_path, capsys):
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(make_log_doc(
+        events=[("e1", "fill", "2024-01-01T00:00:00Z", [(object_id, "uses")], {})])))
+    code, out, err = run(capsys, "dfg", "--log", str(log))
+    escaped = repr(object_id)[1:-1]
+    assert (code, out) == (1, "")
+    assert err == (f"error [load-log]: log integrity violations: [dangling_relation_object] {escaped}: "
+                   f"relation references missing object '{escaped}'\n")
 
 
 #: Nesting deeper than the JSON decoder's recursion limit.

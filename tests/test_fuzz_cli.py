@@ -6,10 +6,13 @@ applies one to three mutations to them (delete a key or an entry, repeat
 an entry, copy in another node or put in a value), then runs ``assess``
 strict and lenient, with or without a functional unit. Every run must
 exit 0 or 1 without raising, and a run that exits 1 must end stderr with
-one ``error [<stage>]: `` line naming a stage of the CLI.
+one ``error [<stage>]: `` line naming a stage of the CLI. A run that exits
+0 must write CSVs whose rows, read back with ``csv.reader``, are all as
+wide as their header.
 """
 
 import contextlib
+import csv
 import io
 import json
 import re
@@ -35,7 +38,7 @@ PAIRS = {
 }
 #: values a mutation may put in place of any node: degenerate JSON, numbers
 #: at the float range's ends, numerals as strings, words of the grammars'
-#: enumerations and ids of the logs
+#: enumerations, ids of the logs and texts a CSV cell must quote
 REPLACEMENTS = (
     None, 1e308, -1e308, 1e-320, 0, 10**30, "NaN", "1e400", "", [], {},
     "output", "input", "scope1", "scope3", "unscoped", "per_instance", "related_events",
@@ -43,7 +46,9 @@ REPLACEMENTS = (
     "equal", "mass", "economic", "climate", "kg", "count", "ghg", "lca",
     "e1", "e2", "machine1", "b1", "o1", "fill_bottle", "deliver_order", "bottle", "order", "CO2",
     "e0001", "o0001",
+    "a,b", 'say "hi"', "two\nlines", "carriage\rreturn", "caf\u00e9", 'CO2,"\r\n\u00e9',
 )
+CSV_FILES = ("inventory.csv", "impacts.csv", "impacts_scoped.csv", "ledger.csv")
 
 mutations = st.lists(
     st.tuples(
@@ -109,6 +114,11 @@ def test_assess_on_mutated_inputs_exits_0_or_1_naming_the_stage(pair, fu, edits)
         for mode in ("strict", "lenient"):
             code, err = _assess(root / "log.json", root / "bundle.json", root / mode, mode, fu)
             assert code in (0, 1), err
+            if code == 0:
+                for name in CSV_FILES:
+                    with open(root / mode / name, newline="", encoding="utf-8") as stream:
+                        header, *rows = csv.reader(stream)
+                    assert all(len(row) == len(header) for row in rows), name
             if code == 1:
                 lines = err.splitlines()
                 assert ERROR_LINE.match(lines[-1]), err

@@ -9,7 +9,7 @@ import time
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import susmine.report as report_module
 from susmine import (
@@ -22,16 +22,19 @@ from susmine import (
     render_report,
     run_pipeline,
 )
+from susmine.allocation import LedgerEntry
+from susmine.cli import main
 from susmine.fixtures import fixture_path
 from susmine.generator import generate_bundle
 from susmine.inventory import FunctionalUnit
-from susmine.model import Quantity
+from susmine.model import ComponentKind, ComponentRef, Quantity
 from susmine.report import (
-    impact_csv, inventory_to_csv, ledger_csv, scoped_impact_csv, write_files, write_outputs,
+    INVENTORY_COLUMNS, impact_csv, inventory_to_csv, ledger_csv, scoped_impact_csv, write_csv, write_files,
+    write_outputs,
 )
 
-from conftest import dec, rel_close
-from oracles import rendered, report_dict
+from conftest import dec, make_log_doc, rel_close
+from oracles import csv_projections, rendered, report_dict
 
 
 def pipeline_for(seed=8, size=60, fu=None):
@@ -335,6 +338,168 @@ def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
         "dfg.dot": emit_dot(result.dfg),
     }
     assert {name: path.read_bytes().decode("utf-8") for name, path in written.items()} == texts
+
+
+# -- the CSV row writer ------------------------------------------------------------
+
+BATCH = report_module._CSV_BATCH
+#: Cells csv quotes, or that an ASCII or a UTF-8 stream cannot encode, and the empty cell.
+_SPECIAL_CELLS = [",", '"', "\r", "\n", "\0", "\u00e9", "\ud800", "", '""']
+_csv_cells = st.sampled_from(_SPECIAL_CELLS) | st.text(st.sampled_from([*_SPECIAL_CELLS[:7], "a", "1", " "]),
+                                                        max_size=4)
+
+
+def csv_writer_writes(out, header, rows):
+    """Each row in one write, as ``csv.writer`` writes it with "\\r\\n" line
+    ends (so that a field holding "\\r" is quoted on every version), ended
+    by "\\n"."""
+    for row in [header, *rows]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        out.write(line.getvalue().removesuffix("\r\n") + "\n")
+
+
+def written(write, encoding, header, rows):
+    """The bytes ``write(out, header, rows)`` leaves on a text stream in
+    ``encoding``, and the type and message of what it raised, if anything."""
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding=encoding, newline="")
+    error = None
+    try:
+        write(out, header, rows)
+    except Exception as exc:
+        error = (type(exc), str(exc))
+    out.flush()
+    return raw.getvalue(), error
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_write_csv_writes_what_csv_writer_writes(data):
+    width = data.draw(st.integers(1, 4), label="width")
+    header = data.draw(st.lists(_csv_cells, min_size=width, max_size=width), label="header")
+    count = data.draw(st.sampled_from([1, 2, 3, BATCH - 1, BATCH, BATCH + 2, 2 * BATCH + 2]), label="count")
+    rows = [[f"{number}.{column}" for column in range(width)] for number in range(count)]
+    # the last row, in the last batch and after its first row (when there are
+    # two rows), made special, and up to two others anywhere: one cell
+    # replaced, the last one dropped from a narrower row
+    special = st.tuples(st.integers(0, width - 1), _csv_cells, st.booleans())
+    unencodable = st.tuples(st.integers(0, width - 1), st.sampled_from(["\u00e9", "\ud800"]), st.just(False))
+    changes = [(count - 1, data.draw(unencodable | special, label="last"))]
+    changes += data.draw(st.lists(st.tuples(st.integers(0, count - 1), special), max_size=2), label="others")
+    for index, (column, cell, narrower) in changes:
+        row = rows[index]
+        if narrower and row:
+            row.pop()
+        if row:
+            row[column % len(row)] = cell
+    encoding = data.draw(st.sampled_from(["utf-8", "ascii"]), label="encoding")
+    rows = [tuple(row) for row in rows]
+    assert written(write_csv, encoding, header, rows) == written(csv_writer_writes, encoding, header, rows)
+
+
+@pytest.mark.parametrize("encoding, flow", [("utf-8", "CO2\ud800x"), ("ascii", "CO2\u00e9")])
+def test_write_csv_raises_an_encoding_error_at_its_row(encoding, flow):
+    rows = [("activity_instance", "e0", "CO2", "output", "scope1", "5", "kg"),
+            ("activity_instance", "e1", flow, "output", "scope1", "5", "kg")]
+    got = written(write_csv, encoding, INVENTORY_COLUMNS, rows)
+    assert got == written(csv_writer_writes, encoding, INVENTORY_COLUMNS, rows)
+    assert got[1][0] is UnicodeEncodeError and "position 24" in got[1][1]
+
+
+def test_write_csv_writes_a_plain_batch_in_one_call():
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    rows = [(str(number), "x") for number in range(2 * BATCH + 1)]
+    out = Counting()
+    write_csv(out, ("number", "letter"), rows)
+    assert out.writes == 1 + 3  # the header, then one call per batch
+    expected = io.StringIO()
+    csv_writer_writes(expected, ("number", "letter"), rows)
+    assert out.getvalue() == expected.getvalue()
+
+
+#: Every text a CSV cell can take from the input: ids, names, categories and
+#: scope labels holding what CSV must quote, and a character past ASCII.
+QUOTED = ',"\n\u00e9'
+QUOTED_LOG = make_log_doc(
+    events=[(f"e{QUOTED}{number}", f"fill{QUOTED}", f"2024-01-01T00:0{number}:00Z",
+             [(f"machine{QUOTED}", f"uses{QUOTED}")], {}) for number in range(3)],
+    objects=[(f"machine{QUOTED}", f"machine{QUOTED}", {})],
+)
+QUOTED_BUNDLE = {
+    "schema": "susmine/1",
+    "scopes": {"name": f"set{QUOTED}", "scopes": [f"own{QUOTED}", f"bought{QUOTED}"]},
+    "assignments": [
+        {"component": {"kind": "process"}, "flow": f"CO2{QUOTED}", "direction": "output",
+         "amount": "2", "unit": "kg", "scope": f"own{QUOTED}"},
+        {"component": {"kind": "object_instance", "id": f"machine{QUOTED}"}, "flow": f"CO2{QUOTED}",
+         "direction": "output", "amount": "30", "unit": "kg", "scope": f"bought{QUOTED}"},
+        {"component": {"kind": "activity_instance", "id": f"e{QUOTED}1"}, "flow": f"CO2{QUOTED}",
+         "direction": "output", "amount": "-4", "unit": "kg"},
+    ],
+    "characterization": {
+        "categories": {f"climate{QUOTED}": {"impact_unit": f"kg CO2e{QUOTED}", "class": "climate"}},
+        "factors": [{"flow": f"CO2{QUOTED}", "unit": "kg", "factors": {f"climate{QUOTED}": 1.0}}],
+    },
+    "allocations": [
+        {"source": {"kind": "object_instance", "id": f"machine{QUOTED}"}, "targets": "related_events",
+         "key": "equal", "fraction": "0.5"},
+    ],
+}
+
+
+def assess_inputs(case):
+    """(log text, bundle text) of one ``assess`` input."""
+    if case == "quoted":
+        return json.dumps(QUOTED_LOG), json.dumps(QUOTED_BUNDLE)
+    if case == "generated":
+        gb = generate_bundle(101, 400)
+        return gb.log_json, gb.annotations_json
+    return (fixture_path("ocel/mineral_water.json").read_text(encoding="utf-8"),
+            fixture_path(f"annotations/{case}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", ["quoted", "mineral_water", "machine_allocation", "generated"])
+def test_assess_writes_the_csvs_of_the_csv_writer_oracle(case, tmp_path, capsys):
+    log_text, bundle_text = assess_inputs(case)
+    (tmp_path / "log.json").write_text(log_text, encoding="utf-8")
+    (tmp_path / "bundle.json").write_text(bundle_text, encoding="utf-8")
+    argv = ["assess", "--log", str(tmp_path / "log.json"), "--annotations", str(tmp_path / "bundle.json"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    expected = csv_projections(run_pipeline(parse_ocel(log_text), parse_annotations(bundle_text)))
+    assert {name: (tmp_path / "out" / name).read_bytes().decode("utf-8") for name in expected} == expected
+    if case == "quoted":  # every projection holds quoted cells
+        assert all('"machine,""' in text for text in expected.values())
+
+
+def test_ledger_texts_follow_each_entry_of_a_transfer(demo_log, demo_bundle):
+    result = run_pipeline(demo_log, demo_bundle)
+    machine = ComponentRef(ComponentKind.OBJECT_INSTANCE, "machine1")
+    event = ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "e1")
+    half = 0.5
+    result.ledger.entries[:] = [
+        LedgerEntry(machine, event, "climate_change", "scope1", 1.0, half),
+        # equal refs and weight, not the same objects
+        LedgerEntry(ComponentRef(ComponentKind.OBJECT_INSTANCE, "machine1"),
+                    ComponentRef(ComponentKind.ACTIVITY_INSTANCE, "e1"), "climate_change", "scope2", 2.0,
+                    float("0.5")),
+        # the same refs, another weight: 0.0 and then -0.0, equal but written apart
+        LedgerEntry(machine, event, "climate_change", "scope3", 3.0, 0.0),
+        LedgerEntry(machine, event, "energy", "scope1", 4.0, -0.0),
+        LedgerEntry(machine, event, "energy", "scope2", 5.0, half),
+    ]
+    assert result.ledger.entries == sorted(result.ledger.entries)
+    assert_render_matches_oracle(result)
+    ledger = rendered(ledger_csv, result)
+    assert ledger == csv_projections(result)["ledger.csv"]
+    assert [row[-1] for row in csv.reader(io.StringIO(ledger))][1:] == ["0.5", "0.5", "0.0", "-0.0", "0.5"]
 
 
 #: Each artifact's writer, as (module, name): each one can run in either process.
