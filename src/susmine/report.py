@@ -11,11 +11,11 @@ preserve their digits; impact amounts are JSON numbers. ``report.json``
 is written by a one-pass emitter that reproduces
 ``json.dumps(indent=2, sort_keys=True)`` byte for byte. It walks the
 report's dicts and hands every small value to ``json.dumps``. Its bulk
-sections, which all sit at the same depth, are written row by row from
-row texts fixed at that depth, straight from the :class:`PipelineResult`,
-rather than through the pure-Python encoder that ``json`` falls back to
-for any ``indent``; neither the report dict nor its text is ever held
-whole on the way to disk.
+sections, which all sit at the same depth, are written in joined
+batches of row texts fixed at that depth, straight from the
+:class:`PipelineResult`, rather than through the pure-Python encoder
+that ``json`` falls back to for any ``indent``; neither the report dict
+nor its text is ever held whole on the way to disk.
 
 :func:`render_report` is the only writer of the document;
 :func:`build_report` parses its text. It and the four CSV projections
@@ -83,6 +83,10 @@ _ARTIFACTS = {
 }
 OUTPUT_FILES = tuple(_ARTIFACTS)
 
+#: Rows joined into one text and written in one call, by :func:`write_csv`
+#: and by a :class:`_Rows` section of the report.
+_BATCH = 256
+
 #: Enum values read once, not through the ``Enum`` descriptor on every row.
 _KIND_VALUES = {kind: kind.value for kind in ComponentKind}
 _KIND_TEXTS = {kind: _quote(kind.value) for kind in ComponentKind}
@@ -100,9 +104,10 @@ class _Rows:
     """A bulk list section of the report, kept as an iterable of its row
     texts.
 
-    The emitter writes each row text as it comes, at the one depth every
-    section sits at (see the row texts below), so it holds neither a row
-    dict nor the section's text. ``texts`` is iterated once."""
+    The emitter writes the row texts in joined batches of :data:`_BATCH`,
+    at the one depth every section sits at (see the row texts below), so
+    it holds neither a row dict nor the section's text. ``texts`` is
+    iterated once."""
 
     __slots__ = ("texts",)
 
@@ -110,10 +115,11 @@ class _Rows:
         self.texts = texts
 
     def emit(self, append) -> None:
+        texts = iter(self.texts)
         lead = opening = "[" + _NL3
         separator = "," + _NL3
-        for text in self.texts:
-            append(lead + text)
+        while batch := list(islice(texts, _BATCH)):
+            append(lead + separator.join(batch))
             lead = separator
         append("[]" if lead is opening else _NL2 + "]")
 
@@ -326,16 +332,12 @@ def render_report(result: PipelineResult, out: TextIO) -> None:
 INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "scope", "amount", "unit")
 
 
-#: Rows :func:`write_csv` joins into one text and writes in one call.
-_CSV_BATCH = 4096
-
-
 def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write ``header`` and then ``rows``, whose cells are ``str``, onto
     ``out`` as CSV lines, each quoted by ``csv.writer`` (see
     :func:`_write_rows`).
 
-    The rows go in batches of :data:`_CSV_BATCH`. A batch whose rows are
+    The rows go in batches of :data:`_BATCH`. A batch whose rows are
     all as wide as the header (two columns or more) and whose cells hold
     no comma, ``"``, ``\\r``, ``\\n`` or NUL needs no quoting: its rows are
     joined into one text and written in one call. Any other batch, or one
@@ -345,7 +347,7 @@ def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]])
     _write_rows(out, [header])
     width = len(header)
     rows = iter(rows)
-    while batch := list(islice(rows, _CSV_BATCH)):
+    while batch := list(islice(rows, _BATCH)):
         text = "\n".join(map(",".join, batch)) + "\n"
         if (width > 1 and text.count(",") == (width - 1) * len(batch) and text.count("\n") == len(batch)
                 and '"' not in text and "\r" not in text and "\0" not in text

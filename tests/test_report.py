@@ -222,6 +222,18 @@ def test_emitter_rejects_non_finite_floats(value):
             _dumps(tree)
 
 
+@pytest.mark.parametrize("count", [0, 1, report_module._BATCH, report_module._BATCH + 1,
+                                   2 * report_module._BATCH + 3])
+def test_a_rows_section_is_written_in_joined_batches(count):
+    # a _Rows section sits at depth 2, its rows at depth 3, as a list's items do
+    parts: list[str] = []
+    section = report_module._Rows(map(str, range(count)))
+    report_module._emit({"top": {"rows": section}}, 0, parts.append)
+    assert "".join(parts) == json.dumps({"top": {"rows": list(range(count))}}, indent=2, sort_keys=True)
+    batches = -(-count // report_module._BATCH)
+    assert len(parts) == 4 + batches + 1  # two keys, their closing braces, each batch, the "]"
+
+
 @pytest.mark.parametrize("bundle", ["mineral_water", "machine_allocation"])
 @pytest.mark.parametrize("fu", [None, FunctionalUnit("order", Quantity(dec(1), "count"))])
 def test_render_report_equals_json_dumps_on_demo_bundles(bundle, fu, demo_log):
@@ -342,7 +354,7 @@ def test_artifacts_streamed_to_files_equal_their_text_forms(tmp_path, demo_log):
 
 # -- the CSV row writer ------------------------------------------------------------
 
-BATCH = report_module._CSV_BATCH
+BATCH = report_module._BATCH
 #: Cells csv quotes, or that an ASCII or a UTF-8 stream cannot encode, and the empty cell.
 _SPECIAL_CELLS = [",", '"', "\r", "\n", "\0", "\u00e9", "\ud800", "", '""']
 _csv_cells = st.sampled_from(_SPECIAL_CELLS) | st.text(st.sampled_from([*_SPECIAL_CELLS[:7], "a", "1", " "]),
@@ -381,11 +393,11 @@ def test_write_csv_writes_what_csv_writer_writes(data):
     count = data.draw(st.sampled_from([1, 2, 3, BATCH - 1, BATCH, BATCH + 2, 2 * BATCH + 2]), label="count")
     rows = [[f"{number}.{column}" for column in range(width)] for number in range(count)]
     # the last row, in the last batch and after its first row (when there are
-    # two rows), made special, and up to two others anywhere: one cell
-    # replaced, the last one dropped from a narrower row
+    # two rows), given one special cell, and up to two others anywhere: one
+    # cell replaced, the last one dropped from a narrower row
+    last = st.tuples(st.integers(0, width - 1), st.sampled_from(_SPECIAL_CELLS), st.just(False))
     special = st.tuples(st.integers(0, width - 1), _csv_cells, st.booleans())
-    unencodable = st.tuples(st.integers(0, width - 1), st.sampled_from(["\u00e9", "\ud800"]), st.just(False))
-    changes = [(count - 1, data.draw(unencodable | special, label="last"))]
+    changes = [(count - 1, data.draw(last, label="last"))]
     changes += data.draw(st.lists(st.tuples(st.integers(0, count - 1), special), max_size=2), label="others")
     for index, (column, cell, narrower) in changes:
         row = rows[index]
@@ -396,6 +408,15 @@ def test_write_csv_writes_what_csv_writer_writes(data):
     encoding = data.draw(st.sampled_from(["utf-8", "ascii"]), label="encoding")
     rows = [tuple(row) for row in rows]
     assert written(write_csv, encoding, header, rows) == written(csv_writer_writes, encoding, header, rows)
+
+
+@pytest.mark.parametrize("header, rows", [
+    (("h",), [("a",), ("",)]),  # one column: csv writes an empty field as ""
+    (("h1", "h2", "h3"), [("a,b,c,d,e",), ("x",)]),  # a narrow row's commas balance the count
+    *((("h1", "h2"), [("a", "1"), ("b", cell)]) for cell in [",", '"', "\r", "\n", "\0"]),
+])
+def test_write_csv_leaves_each_batch_that_may_need_quoting_to_csv(header, rows):
+    assert written(write_csv, "utf-8", header, rows) == written(csv_writer_writes, "utf-8", header, rows)
 
 
 @pytest.mark.parametrize("encoding, flow", [("utf-8", "CO2\ud800x"), ("ascii", "CO2\u00e9")])
