@@ -334,37 +334,42 @@ INVENTORY_COLUMNS = ("component_kind", "component_id", "flow", "direction", "sco
 
 def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Write ``header`` and then ``rows``, whose cells are ``str``, onto
-    ``out`` as CSV lines, each quoted by ``csv.writer`` (see
-    :func:`_write_rows`).
+    ``out`` as CSV lines, each quoted by ``csv.writer``.
 
     The rows go in batches of :data:`_BATCH`. A batch whose rows are
     all as wide as the header (two columns or more) and whose cells hold
     no comma, ``"``, ``\\r``, ``\\n`` or NUL needs no quoting: its rows are
     joined into one text and written in one call. Any other batch, or one
-    whose text the stream cannot encode, goes to :func:`_write_rows` row by
-    row, so ``csv`` alone decides what is quoted, and an encoding error is
-    raised at the row that holds it, with ``csv.writer``'s message."""
+    whose text the stream cannot encode, goes to ``csv.writer`` row by row
+    (to :func:`_write_rows` if it holds a ``\\r``), so ``csv`` alone decides
+    what is quoted, and an encoding error is raised at the row that holds
+    it, with ``csv.writer``'s message."""
     _write_rows(out, [header])
+    writer = csv.writer(out, lineterminator="\n")
     width = len(header)
     rows = iter(rows)
     while batch := list(islice(rows, _BATCH)):
         text = "\n".join(map(",".join, batch)) + "\n"
+        if "\r" in text:
+            _write_rows(out, batch)
+            continue
         if (width > 1 and text.count(",") == (width - 1) * len(batch) and text.count("\n") == len(batch)
-                and '"' not in text and "\r" not in text and "\0" not in text
-                and set(map(len, batch)) == {width}):
+                and '"' not in text and "\0" not in text and set(map(len, batch)) == {width}):
             try:
                 out.write(text)  # a text stream encodes all of it before it writes any
                 continue
             except UnicodeEncodeError:
                 pass
-        _write_rows(out, batch)
+        writer.writerows(batch)
 
 
 def _write_rows(out: TextIO, rows: Iterable[Sequence[str]]) -> None:
     """Write each row onto ``out`` in one call, as ``csv.writer`` writes it
     with ``\\r\\n`` line ends, but ended by ``\\n``. With ``\\r`` in its line
     terminator ``csv`` quotes a field holding one, on every Python version
-    (3.13 does so with ``\\n`` alone), so every row reads back whole."""
+    (3.13 does so with ``\\n`` alone), so every row reads back whole; on
+    rows without a ``\\r`` it writes what ``csv.writer(out,
+    lineterminator="\\n")`` writes."""
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\r\n")
     for row in rows:

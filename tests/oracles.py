@@ -250,11 +250,14 @@ def report_dict(result):
 
 
 def _csv_text(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    # csv quotes a field holding "\r" only with "\r" in its line terminator
+    # (before 3.13), so each line is written with "\r\n" and ended by "\n"
+    lines = []
+    for row in [header, *rows]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        lines.append(line.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def csv_projections(result):

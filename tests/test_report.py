@@ -448,6 +448,10 @@ def test_write_csv_writes_a_plain_batch_in_one_call():
 #: Every text a CSV cell can take from the input: ids, names, categories and
 #: scope labels holding what CSV must quote, and a character past ASCII.
 QUOTED = ',"\n\u00e9'
+#: A scope label and an impact unit whose one character CSV must quote is a
+#: carriage return, which ``csv.writer`` with "\n" line ends leaves bare
+#: before 3.13.
+BARE_CR = "bought\r"
 QUOTED_LOG = make_log_doc(
     events=[(f"e{QUOTED}{number}", f"fill{QUOTED}", f"2024-01-01T00:0{number}:00Z",
              [(f"machine{QUOTED}", f"uses{QUOTED}")], {}) for number in range(3)],
@@ -455,17 +459,17 @@ QUOTED_LOG = make_log_doc(
 )
 QUOTED_BUNDLE = {
     "schema": "susmine/1",
-    "scopes": {"name": f"set{QUOTED}", "scopes": [f"own{QUOTED}", f"bought{QUOTED}"]},
+    "scopes": {"name": f"set{QUOTED}", "scopes": [f"own{QUOTED}", BARE_CR]},
     "assignments": [
         {"component": {"kind": "process"}, "flow": f"CO2{QUOTED}", "direction": "output",
          "amount": "2", "unit": "kg", "scope": f"own{QUOTED}"},
         {"component": {"kind": "object_instance", "id": f"machine{QUOTED}"}, "flow": f"CO2{QUOTED}",
-         "direction": "output", "amount": "30", "unit": "kg", "scope": f"bought{QUOTED}"},
+         "direction": "output", "amount": "30", "unit": "kg", "scope": BARE_CR},
         {"component": {"kind": "activity_instance", "id": f"e{QUOTED}1"}, "flow": f"CO2{QUOTED}",
          "direction": "output", "amount": "-4", "unit": "kg"},
     ],
     "characterization": {
-        "categories": {f"climate{QUOTED}": {"impact_unit": f"kg CO2e{QUOTED}", "class": "climate"}},
+        "categories": {f"climate{QUOTED}": {"impact_unit": "kg CO2e\r", "class": "climate"}},
         "factors": [{"flow": f"CO2{QUOTED}", "unit": "kg", "factors": {f"climate{QUOTED}": 1.0}}],
     },
     "allocations": [
@@ -496,8 +500,10 @@ def test_assess_writes_the_csvs_of_the_csv_writer_oracle(case, tmp_path, capsys)
     assert main(argv) == 0
     expected = csv_projections(run_pipeline(parse_ocel(log_text), parse_annotations(bundle_text)))
     assert {name: (tmp_path / "out" / name).read_bytes().decode("utf-8") for name in expected} == expected
-    if case == "quoted":  # every projection holds quoted cells
+    if case == "quoted":  # every projection holds quoted cells, and one holding only a "\r"
         assert all('"machine,""' in text for text in expected.values())
+        assert all(('"bought\r"' in text) != (name == "impacts.csv") for name, text in expected.items())
+        assert '"kg CO2e\r"' in expected["impacts.csv"]
 
 
 def test_ledger_texts_follow_each_entry_of_a_transfer(demo_log, demo_bundle):
