@@ -9,6 +9,7 @@ by :func:`record`; everything past the byte level raises a
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 
 #: A field's kind when it must be a non-empty string; the other kinds are
@@ -36,13 +37,53 @@ def literal(value) -> str:
 
 def load_json(document: bytes | str, **hooks):
     """A UTF-8 document decoded with ``json.loads`` and its ``hooks``;
-    nesting too deep for the decoder is malformed JSON, not a ``RecursionError``."""
-    if isinstance(document, bytes):
+    nesting too deep for the decoder is malformed JSON, not a ``RecursionError``.
+    A key or string holding a NUL or a lone surrogate raises :class:`SchemaError`
+    (see :func:`_check_text`)."""
+    raw_text = isinstance(document, str)
+    if not raw_text:
         document = document.decode("utf-8")
     try:
-        return json.loads(document, **hooks)
+        data = json.loads(document, **hooks)
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep to decode", document, 0) from None
+    # strict UTF-8 refuses an encoded surrogate and the decoder a raw NUL in
+    # a string, so from bytes both can only arrive as \u escapes
+    if "\\u" in document or (raw_text and not document.isascii()):
+        _check_text(data)
+    return data
+
+
+#: A NUL, which not every ``csv`` writes, and the UTF-16 surrogates, which
+#: no UTF-8 output can encode; a surrogate pair escaped in JSON decodes to
+#: one character, so a surrogate left in a decoded string is a lone one.
+_BAD_TEXT = re.compile("[\x00\ud800-\udfff]")
+
+
+def _check_text(data) -> None:
+    """Raise :class:`SchemaError` at the first key or string in ``data``,
+    depth first, that holds a character of :data:`_BAD_TEXT`, naming its
+    path and the character as an escape. An object's keys are checked
+    before its values, so a path never holds one."""
+    stack = [(data, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, str):
+            _check_string(node, path, "a string")
+        elif isinstance(node, dict):
+            for key in node:
+                _check_string(key, path, "a key")
+            stack.extend((value, (*path, key)) for key, value in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((value, (*path, i)) for i, value in reversed(list(enumerate(node))))
+
+
+def _check_string(text: str, path: tuple, what: str) -> None:
+    bad = _BAD_TEXT.search(text)
+    if bad:
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{abbreviate(step)}" for step in path)
+        name = "a NUL" if bad.group() == "\0" else "a lone surrogate"
+        raise SchemaError(f"{where.lstrip('.') or 'document'}: {what} holds {name} ('{repr(bad.group())[1:-1]}')")
 
 
 def record(raw, where: str, fields: dict, required: tuple[str, ...] = (),

@@ -394,14 +394,36 @@ def _class_values(result: PipelineResult) -> dict[str, str]:
 
 
 def impact_csv(result: PipelineResult, out: TextIO) -> None:
-    """Post-allocation per-component impacts, collapsed over scopes."""
+    """Post-allocation per-component impacts, collapsed over scopes.
+
+    Each vector's cells are in (category, scope) order, so a category's
+    cells are adjacent and are summed in one pass, with the arithmetic
+    and in the order of :func:`collapse_scopes`; a sum that is not finite
+    raises what :func:`collapse_scopes` raises."""
     classes = _class_values(result)
     header = ("component_kind", "component_id", "category", "class", "amount", "impact_unit")
     write_csv(out, header, (
         (_KIND_VALUES[ref.kind], ref.id or "", category, classes[category], repr(amount), unit)
         for ref, sv in result.post_allocation.items()
-        for category, (amount, unit) in collapse_scopes(sv).items()
+        for category, amount, unit in _collapsed(sv)
     ))
+
+
+def _collapsed(sv: ScopedVector) -> list[list]:
+    """``collapse_scopes(sv)`` as ``[category, amount, unit]`` lists, for
+    a vector whose cells are in (category, scope) order."""
+    sums: list[list] = []
+    last = None
+    for (category, _), (amount, unit) in sv.items():
+        if category == last:
+            sums[-1][1] += amount
+        else:
+            sums.append([category, amount, unit])
+            last = category
+    for _, amount, _ in sums:
+        if not math.isfinite(amount):
+            collapse_scopes(sv)
+    return sums
 
 
 def scoped_impact_csv(result: PipelineResult, out: TextIO) -> None:

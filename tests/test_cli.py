@@ -7,7 +7,7 @@ import pytest
 from susmine import cli
 from susmine.annotations import SCOPE_PRESETS, ScopeSet
 from susmine.audit import CapabilityMatrix
-from susmine.cli import GC_GEN0_THRESHOLD, main
+from susmine.cli import main
 from susmine.dfg import build_dfg, emit_dot
 from susmine.fixtures import fixture_path, load_manifest
 from susmine.generator import generate_bundle
@@ -56,6 +56,35 @@ def test_an_error_quoting_a_line_break_is_one_line(object_id, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == (f"error [load-log]: log integrity violations: [dangling_relation_object] {escaped}: "
                    f"relation references missing object '{escaped}'\n")
+
+
+@pytest.mark.parametrize("char, text", [("\ud800", "a lone surrogate ('\\ud800')"), ("\0", "a NUL ('\\x00')")],
+                         ids=["surrogate", "nul"])
+@pytest.mark.parametrize("command", ["assess", "inventory"])
+def test_a_nul_or_lone_surrogate_in_an_input_string_is_refused_at_load(command, char, text, tmp_path, capsys,
+                                                                       demo_log_path, demo_bundle_path):
+    # a flow with a factor entry of its own, so that without the check it
+    # would reach the artifacts
+    doc = json.loads(demo_bundle_path.read_text())
+    first = doc["assignments"][0]
+    entry = next(f for f in doc["characterization"]["factors"]
+                 if (f["flow"], f["unit"]) == (first["flow"], first["unit"]))
+    first["flow"] = f"CO2{char}x"
+    doc["characterization"]["factors"].append({**entry, "flow": first["flow"]})
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--log", str(demo_log_path), "--annotations", str(bundle),
+                            "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error [parse-annotations]: assignments[0].flow: a string holds {text}\n")
+    assert not out.exists()
+
+    log_doc = json.loads(demo_log_path.read_text())
+    log_doc["objects"][1][f"id{char}"] = log_doc["objects"][1].pop("id")
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(log_doc))
+    code, stdout, err = run(capsys, command, "--log", str(log), "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error [load-log]: objects[1]: a key holds {text}\n")
 
 
 #: Nesting deeper than the JSON decoder's recursion limit.
@@ -916,6 +945,33 @@ def test_an_activity_type_total_that_overflows_is_a_dfg_error(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_a_component_whose_scopes_sum_beyond_float_range_is_a_write_outputs_error(tmp_path, capsys):
+    # e2 cancels e1 cell by cell, so every total is 0, but e1's two scopes
+    # overflow when impacts.csv collapses them
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(make_log_doc([("e1", "pack", "2024-01-01T08:00:00Z", [], {}),
+                                           ("e2", "pack", "2024-01-01T09:00:00Z", [], {})])))
+
+    def co2(event, amount, scope):
+        return {"component": {"kind": "activity_instance", "id": event}, "flow": "CO2",
+                "direction": "output", "amount": amount, "unit": "kg", "scope": scope}
+
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({
+        "schema": "susmine/1",
+        "assignments": [co2("e1", "1e308", "scope1"), co2("e1", "1e308", "scope2"),
+                        co2("e2", "-1e308", "scope1"), co2("e2", "-1e308", "scope2")],
+        "characterization": {
+            "categories": {"cc": {"impact_unit": "kg CO2e", "class": "climate"}},
+            "factors": [{"flow": "CO2", "unit": "kg", "factors": {"cc": 1}}],
+        },
+    }))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "assess", "--log", str(log), "--annotations", str(bundle), "--out", str(out))
+    assert (code, stdout, err) == (1, "", "error [write-outputs]: impact cc is not finite (inf)\n")
+    assert not out.exists()
+
+
 def test_assess_rejects_overflowing_impacts_per_functional_unit(tmp_path, capsys, demo_log_path,
                                                                 demo_bundle_path):
     # totals are finite, but scaling them to a huge functional unit is not
@@ -1080,16 +1136,20 @@ def test_inventory_sums_amounts_of_far_apart_exponents_exactly_or_fails(
         assert text in out
 
 
-#: Thresholds no interpreter starts with, so a restore is told from a default.
+#: Thresholds no interpreter starts with, so a change to them is told from a default.
 _OWN_THRESHOLDS = (701, 11, 12)
 
 
 @pytest.fixture()
-def own_thresholds():
-    saved = gc.get_threshold()
+def own_collector():
+    """The collector on, with :data:`_OWN_THRESHOLDS`; the caller's state
+    is restored afterwards."""
+    saved, enabled = gc.get_threshold(), gc.isenabled()
     gc.set_threshold(*_OWN_THRESHOLDS)
+    gc.enable()
     yield
     gc.set_threshold(*saved)
+    (gc.enable if enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1098,25 +1158,27 @@ def own_thresholds():
     (["validate", "--log", "/no/such/file.json"], 2),
     (["assess", "--log", str(fixture_path("ocel/minimal.json")), "--scopes", "ghg"], 2),
 ])
-def test_main_restores_the_collector_thresholds_on_every_exit_code(argv, code, capsys, own_thresholds):
+def test_main_restores_the_collector_thresholds_on_every_exit_code(argv, code, capsys, own_collector):
     assert run(capsys, *argv)[0] == code
+    assert gc.isenabled()
     assert gc.get_threshold() == _OWN_THRESHOLDS
 
 
-def test_main_restores_the_collector_thresholds_after_an_argparse_exit(capsys, own_thresholds):
+def test_main_restores_the_collector_thresholds_after_an_argparse_exit(capsys, own_collector):
     with pytest.raises(SystemExit):
         main(["assess", "--no-such-flag"])
+    assert gc.isenabled()
     assert gc.get_threshold() == _OWN_THRESHOLDS
 
 
-@pytest.mark.parametrize("outcome, code", [
-    (0, 0), (SusmineError("bad data"), 1), (OSError("disk gone"), 2), (SystemExit(3), None),
-])
-def test_a_command_runs_under_the_raised_gen0_threshold(outcome, code, monkeypatch, capsys, own_thresholds):
+def _command_outcome(monkeypatch, outcome, code) -> list[bool]:
+    """Run ``main`` with ``validate`` replaced by a command that returns or
+    raises ``outcome``; ``code`` None expects a ``SystemExit``. Returns
+    whether the collector was on while the command ran."""
     seen = []
 
     def command(args):
-        seen.append(gc.get_threshold())
+        seen.append(gc.isenabled())
         if isinstance(outcome, BaseException):
             raise outcome
         return outcome
@@ -1127,14 +1189,59 @@ def test_a_command_runs_under_the_raised_gen0_threshold(outcome, code, monkeypat
             main(["validate"])
     else:
         assert main(["validate"]) == code
-    assert seen == [(GC_GEN0_THRESHOLD, *_OWN_THRESHOLDS[1:])]
+    return seen
+
+
+_OUTCOMES = [(0, 0), (SusmineError("bad data"), 1), (OSError("disk gone"), 2), (SystemExit(3), None)]
+
+
+@pytest.mark.parametrize("outcome, code", _OUTCOMES)
+def test_a_command_runs_with_the_collector_off(outcome, code, monkeypatch, own_collector):
+    assert _command_outcome(monkeypatch, outcome, code) == [False]
+    assert gc.isenabled()
     assert gc.get_threshold() == _OWN_THRESHOLDS
 
 
-def test_run_pipeline_leaves_the_collector_thresholds_alone(monkeypatch, demo_log, demo_bundle, own_thresholds):
+@pytest.mark.parametrize("outcome, code", _OUTCOMES)
+def test_main_leaves_a_collector_its_caller_turned_off_off(outcome, code, monkeypatch, own_collector):
+    gc.disable()
+    assert _command_outcome(monkeypatch, outcome, code) == [False]
+    assert not gc.isenabled()
+    with pytest.raises(SystemExit):
+        main(["assess", "--no-such-flag"])
+    assert not gc.isenabled()
+    assert gc.get_threshold() == _OWN_THRESHOLDS
+
+
+def test_run_pipeline_leaves_the_collector_thresholds_alone(monkeypatch, demo_log, demo_bundle, own_collector):
     calls = []
     with monkeypatch.context() as patched:
-        patched.setattr(gc, "set_threshold", lambda *thresholds: calls.append(thresholds))
+        for name in ("disable", "enable", "set_threshold", "freeze", "collect"):
+            patched.setattr(gc, name, lambda *args, name=name: calls.append(name))
         run_pipeline(demo_log, demo_bundle)
     assert calls == []
+    assert gc.isenabled()
     assert gc.get_threshold() == _OWN_THRESHOLDS
+
+
+def test_the_cyclic_garbage_an_assess_leaves_does_not_grow_with_the_log(tmp_path, capsys):
+    # the collector stays off while a command runs, which is only safe while
+    # what it would have found stays small and of a fixed size
+    def garbage(size: int) -> int:
+        gb = generate_bundle(7, size)
+        (tmp_path / "log.json").write_text(gb.log_json)
+        (tmp_path / "annotations.json").write_text(gb.annotations_json)
+        del gb
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert run(capsys, "assess", "--log", str(tmp_path / "log.json"), "--annotations",
+                       str(tmp_path / "annotations.json"), "--out", str(tmp_path / str(size)))[0] == 0
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    small, large = garbage(1000), garbage(4000)
+    assert abs(large - small) <= 0.1 * small, (small, large)

@@ -38,7 +38,8 @@ PAIRS = {
 }
 #: values a mutation may put in place of any node: degenerate JSON, numbers
 #: at the float range's ends, numerals as strings, words of the grammars'
-#: enumerations, ids of the logs and texts a CSV cell must quote
+#: enumerations, ids of the logs, texts a CSV cell must quote, and a
+#: lone surrogate and a NUL, which loading refuses
 REPLACEMENTS = (
     None, 1e308, -1e308, 1e-320, 0, 10**30, "NaN", "1e400", "", [], {},
     "output", "input", "scope1", "scope3", "unscoped", "per_instance", "related_events",
@@ -47,6 +48,7 @@ REPLACEMENTS = (
     "e1", "e2", "machine1", "b1", "o1", "fill_bottle", "deliver_order", "bottle", "order", "CO2",
     "e0001", "o0001",
     "a,b", 'say "hi"', "two\nlines", "carriage\rreturn", "caf\u00e9", 'CO2,"\r\n\u00e9',
+    "\ud800", "\u0000",
 )
 CSV_FILES = ("inventory.csv", "impacts.csv", "impacts_scoped.csv", "ledger.csv")
 

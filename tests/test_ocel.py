@@ -62,6 +62,14 @@ def test_unknown_key_rejected():
         parse_ocel(json.dumps(doc))
 
 
+def test_a_str_document_holding_a_raw_lone_surrogate_is_refused():
+    # no \u escape to find: a str passed from code is checked whole
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["events"][0]["type"] = "fill\udc80"
+    with pytest.raises(SchemaError, match=r"^events\[0\]\.type: a string holds a lone surrogate \('\\udc80'\)$"):
+        parse_ocel(json.dumps(doc, ensure_ascii=False))
+
+
 def _with_extra_key(record):
     record["extra"] = 1
 
