@@ -69,8 +69,8 @@ def _find_entry(
 
 
 def vector_add(vec: dict, key, amount: float, unit: str) -> None:
-    """Add ``amount`` into ``vec[key]``; the one accumulator behind every
-    impact vector, plain (category keys) or scoped ((category, scope) keys).
+    """Add ``amount`` into ``vec[key]``; the one checked accumulator for
+    impact vectors, plain (category keys) or scoped ((category, scope) keys).
     Raises :class:`NonFiniteImpactError` when the amount or the sum is not
     a finite float; the cell is then built without a second check."""
     prev = vec.get(key)

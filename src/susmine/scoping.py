@@ -13,9 +13,10 @@ which reports surface explicitly so partially scoped data stays visible.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
-from .errors import NonFiniteImpactError, UnknownScopeError
-from .model import UNSCOPED, ComponentRef, Quantity
+from .errors import NonFiniteImpactError, UnknownScopeError, abbreviate
+from .model import PROCESS_REF, UNSCOPED, ComponentKind, ComponentRef, Quantity
 from .annotations import AnnotatedLog, ScopeSet
 from .impact import ImpactVector, Mode, ScopedVector, UncharacterizedFlow, characterize, vector_add
 from .inventory import Inventory, direct_inventory
@@ -49,18 +50,68 @@ def collapse_scopes(sv: ScopedVector) -> ImpactVector:
     return out
 
 
+def _bucket_sums(
+    vectors: dict[ComponentRef, ScopedVector], bucket_of: Callable[[ComponentRef], ComponentRef | None]
+) -> dict[ComponentRef, ScopedVector]:
+    """Each vector's cells summed, in allocation order, into the bucket
+    ``bucket_of(ref)`` names (none for None); cells in first-seen order.
+
+    Sums are bare floats from the first addend (keeping a ``-0.0``, and
+    its unit, the category's), so each is :func:`vector_add`'s float.
+    Addends are finite, so an overflow stays infinite to the end; only
+    then are the vectors walked again in the same order, through
+    :func:`vector_add`, which raises at the first overflow across all
+    buckets, prefixed with its bucket."""
+    sums: dict[ComponentRef, dict] = {}
+    units: dict = {}
+    for ref, sv in vectors.items():
+        bucket = bucket_of(ref)
+        if bucket is None:
+            continue
+        total = sums.setdefault(bucket, {})
+        for key, (amount, unit) in sv.items():
+            prev = total.get(key)
+            if prev is None:
+                total[key] = amount
+                units[key] = unit
+            else:
+                total[key] = prev + amount
+    if not all(math.isfinite(amount) for total in sums.values() for amount in total.values()):
+        checked: dict[ComponentRef, ScopedVector] = {}
+        for ref, sv in vectors.items():
+            bucket = bucket_of(ref)
+            if bucket is not None:
+                total = checked.setdefault(bucket, {})
+                try:
+                    for key, (amount, unit) in sv.items():
+                        vector_add(total, key, amount, unit)
+                except NonFiniteImpactError as exc:
+                    raise NonFiniteImpactError(f"{abbreviate(bucket)}: {exc}") from None
+    return {
+        bucket: {key: tuple.__new__(Quantity, (amount, units[key])) for key, amount in total.items()}
+        for bucket, total in sums.items()
+    }
+
+
 def scoped_total(vectors: dict[ComponentRef, ScopedVector]) -> ScopedVector:
     """Entrywise sum over all components: the process total. Raises
     :class:`NonFiniteImpactError` naming the process when a sum is not a
     finite float."""
-    total: ScopedVector = {}
-    try:
-        for sv in vectors.values():
-            for key, (amount, unit) in sv.items():
-                vector_add(total, key, amount, unit)
-    except NonFiniteImpactError as exc:
-        raise NonFiniteImpactError(f"process: {exc}") from None
-    return total
+    return _bucket_sums(vectors, lambda ref: PROCESS_REF).get(PROCESS_REF, {})
+
+
+def activity_type_totals(
+    al: AnnotatedLog, vectors: dict[ComponentRef, ScopedVector]
+) -> dict[str, ScopedVector]:
+    """Roll component vectors up to activity types, keyed by type id:
+    instance vectors sum into their type plus anything held by the type
+    itself. Other kinds (objects, process) and instances absent from the
+    log are excluded — they are the non-activity residual. Raises
+    :class:`NonFiniteImpactError` naming the activity type whose sum is
+    not a finite float."""
+    lift = al.log.lift
+    sums = _bucket_sums(vectors, lambda ref: lift(ref, ComponentKind.ACTIVITY_TYPE))
+    return {type_ref.id: total for type_ref, total in sums.items()}
 
 
 def cumulative_view(

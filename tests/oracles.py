@@ -17,6 +17,11 @@ subset, so that parse and serialize can be checked to be a fixed point.
 ``csv.writer``, sharing no code with ``susmine.report``, so that each
 CSV artifact can be checked against it byte for byte.
 
+:func:`checked_scoped_total`, :func:`checked_activity_type_totals` and
+:func:`checked_collapse_scopes` add scoped vectors cell by cell, checking
+every partial sum; the engine's roll-ups must give their floats, in
+their order, and raise their messages.
+
 :func:`rendered` gives what one of ``susmine.report``'s writers writes
 onto a stream, as a string.
 """
@@ -24,11 +29,13 @@ onto a stream, as a string.
 import csv
 import io
 import json
+import math
 from datetime import datetime, timezone
 from decimal import Decimal
 
+from susmine.errors import NonFiniteImpactError
 from susmine.impact import classify_impacts
-from susmine.model import EventLog, Quantity, Relation, Scalar
+from susmine.model import ComponentKind, EventLog, Quantity, Relation, Scalar
 
 
 def rendered(write, subject) -> str:
@@ -340,3 +347,46 @@ def serialize_ocel(log: EventLog) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
+
+def _checked_add(total, key, q, name):
+    """Add ``q`` into ``total[key]``, checking the sum; a sum that is not
+    finite raises naming ``name`` (when given) and the cell."""
+    amount = q.amount if key not in total else total[key].amount + q.amount
+    if not math.isfinite(amount):
+        raise NonFiniteImpactError(f"{name + ': ' if name else ''}impact {key} is not finite ({amount})")
+    total[key] = Quantity(amount, q.unit)
+
+
+def checked_scoped_total(vectors):
+    """All components' cells summed per (category, scope), component by
+    component in the vectors' order."""
+    total = {}
+    for sv in vectors.values():
+        for key, q in sv.items():
+            _checked_add(total, key, q, "process")
+    return total
+
+
+def checked_activity_type_totals(log, vectors):
+    """Per activity type id, the cells of its instances present in ``log``
+    and of the type itself, summed in the vectors' order."""
+    totals = {}
+    for ref, sv in vectors.items():
+        if ref.kind is ComponentKind.ACTIVITY_TYPE:
+            type_id = ref.id
+        elif ref.kind is ComponentKind.ACTIVITY_INSTANCE and log.event(ref.id) is not None:
+            type_id = log.event(ref.id).activity
+        else:
+            continue
+        total = totals.setdefault(type_id, {})
+        for key, q in sv.items():
+            _checked_add(total, key, q, f"activity_type:{type_id}")
+    return totals
+
+
+def checked_collapse_scopes(sv):
+    """A scoped vector's cells summed per category, in (category, scope) order."""
+    out = {}
+    for (category, _), q in sorted(sv.items()):
+        _checked_add(out, category, q, None)
+    return out

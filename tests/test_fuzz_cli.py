@@ -8,7 +8,9 @@ strict and lenient, with or without a functional unit. Every run must
 exit 0 or 1 without raising, and a run that exits 1 must end stderr with
 one ``error [<stage>]: `` line naming a stage of the CLI. A run that exits
 0 must write CSVs whose rows, read back with ``csv.reader``, are all as
-wide as their header.
+wide as their header, and artifacts that conserve the impacts: each
+process total in ``report.json`` and each ``impacts.csv`` amount is the
+sum of its ``impacts_scoped.csv`` rows.
 """
 
 import contextlib
@@ -94,6 +96,36 @@ def _mutate(doc, index: int, op: tuple):
         parent[key] = op[1]
 
 
+def _rows(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as stream:
+        return list(csv.DictReader(stream))
+
+
+def _assert_sums(got: dict, terms: dict, name: str):
+    """Each ``got[key]`` is the sum of ``terms[key]`` within 1e-9 of the
+    sum of their magnitudes, the bound on any order's rounding error."""
+    assert got.keys() == terms.keys(), name
+    for key, amounts in terms.items():
+        bound = 1e-9 * sum(map(abs, amounts))
+        assert abs(got[key] - sum(amounts)) <= bound, (name, key, got[key], amounts)
+
+
+def _assert_conserved(out: Path):
+    """The process totals of ``report.json`` and the amounts of
+    ``impacts.csv`` sum the scoped rows, per (category, scope) and per
+    (component, category)."""
+    by_cell, by_component = {}, {}
+    for row in _rows(out / "impacts_scoped.csv"):
+        amount = float(row["amount"])
+        by_cell.setdefault((row["category"], row["scope"]), []).append(amount)
+        by_component.setdefault((row["component_kind"], row["component_id"], row["category"]), []).append(amount)
+    totals = json.loads((out / "report.json").read_text(encoding="utf-8"))["impacts"]["process_totals"]
+    _assert_sums({(category, scope): cell["amount"] for category, total in totals.items()
+                  for scope, cell in total["by_scope"].items()}, by_cell, "report.json")
+    _assert_sums({(row["component_kind"], row["component_id"], row["category"]): float(row["amount"])
+                  for row in _rows(out / "impacts.csv")}, by_component, "impacts.csv")
+
+
 def _assess(log: Path, bundle: Path, out: Path, mode: str, fu: bool) -> tuple[int, str]:
     argv = ["assess", "--log", str(log), "--annotations", str(bundle), "--out", str(out), "--mode", mode]
     err = io.StringIO()
@@ -121,6 +153,7 @@ def test_assess_on_mutated_inputs_exits_0_or_1_naming_the_stage(pair, fu, edits)
                     with open(root / mode / name, newline="", encoding="utf-8") as stream:
                         header, *rows = csv.reader(stream)
                     assert all(len(row) == len(header) for row in rows), name
+                _assert_conserved(root / mode)
             if code == 1:
                 lines = err.splitlines()
                 assert ERROR_LINE.match(lines[-1]), err
